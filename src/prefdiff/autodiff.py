@@ -131,9 +131,6 @@ class Tensor:
     def transpose(self, axes):
         return transpose(self, axes)
 
-    def item(self) -> float:
-        return float(self.data)
-
 
 def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(np.asarray(x))

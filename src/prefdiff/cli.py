@@ -6,27 +6,17 @@ given identical inputs.
 from __future__ import annotations
 
 import os
+from dataclasses import replace
 
 import click
 
 from . import data as data_mod
 from . import schedule as schedule_mod
 from .config import RunConfig, load_config, normalized_text
-from .evaluate import InferenceConfig, evaluate
+from .evaluate import evaluate
 from .params import load_checkpoint, save_checkpoint
-from .trainer import TrainConfig, loss_history_tsv, train
+from .trainer import loss_history_tsv, train
 from .variants import build_pipeline, lint_pipeline
-
-
-def _train_config(cfg: RunConfig) -> TrainConfig:
-    return TrainConfig(
-        batch_size=cfg.batch_size, learning_rate=cfg.learning_rate,
-        epochs=cfg.epochs, lam=cfg.lam, p_uncond=cfg.p_uncond, T=cfg.T,
-        eta=cfg.eta, alpha_min=cfg.alpha_min, alpha_max=cfg.alpha_max,
-        d1=cfg.d1, max_history_len=cfg.max_history_len,
-        loss_weighting=cfg.loss_weighting, seed=cfg.seed, hidden=cfg.hidden,
-        mlp_layers=cfg.mlp_layers, enc_layers=cfg.enc_layers,
-        n_heads=cfg.n_heads, init_scale=cfg.init_scale, dtype=cfg.dtype)
 
 
 def _load_run(cfg: RunConfig):
@@ -34,17 +24,6 @@ def _load_run(cfg: RunConfig):
     target = data_mod.load_ratings(cfg.target_path)
     split = data_mod.split_cold_start(source, target, cfg.fraction, cfg.seed)
     return source, target, split
-
-
-def _apply_overrides(cfg: RunConfig, seed, fraction, variant) -> RunConfig:
-    if seed is not None:
-        cfg.seed = seed
-    if fraction is not None:
-        cfg.fraction = fraction
-    if variant is not None:
-        cfg.variant = variant
-    cfg.validate()
-    return cfg
 
 
 @click.group()
@@ -82,13 +61,13 @@ def ingest(source_path, target_path, out):
 def cmd_train(config_path, seed, fraction, variant, out_dir):
     """Train a model and write checkpoint, loss TSV, split manifest, and the
     normalized config."""
-    cfg = _apply_overrides(load_config(config_path), seed, fraction, variant)
+    cfg = load_config(config_path, seed=seed, fraction=fraction, variant=variant)
     os.makedirs(out_dir, exist_ok=True)
     source, target, split = _load_run(cfg)
     pipeline = build_pipeline(cfg.variant, cfg.ablation)
     for warning in lint_pipeline(pipeline, cfg.eta):
         click.echo(f"warning: {warning}", err=True)
-    params, history = train(source, target, split, _train_config(cfg), pipeline)
+    params, history = train(source, target, split, cfg, pipeline)
     save_checkpoint(params, os.path.join(out_dir, "checkpoint"))
     with open(os.path.join(out_dir, "loss.tsv"), "w", encoding="utf-8") as fh:
         fh.write(loss_history_tsv(history))
@@ -106,15 +85,12 @@ def cmd_train(config_path, seed, fraction, variant, out_dir):
 @click.option("--per-user", is_flag=True, default=False)
 def cmd_eval(ckpt_path, config_path, seed, out, per_user):
     """Evaluate a checkpoint on the cold-start test users (MAE / RMSE)."""
-    cfg = _apply_overrides(load_config(config_path), seed, None, None)
+    cfg = load_config(config_path, seed=seed)
     source, target, split = _load_run(cfg)
     params = load_checkpoint(ckpt_path)
     s = schedule_mod.build_schedule(cfg.T, cfg.eta, cfg.alpha_min, cfg.alpha_max)
     pipeline = build_pipeline(cfg.variant, cfg.ablation)
-    icfg = InferenceConfig(omega=cfg.omega, t_prime=cfg.resolved_t_prime(),
-                           seed=cfg.seed)
-    report = evaluate(params, s, source, target, split, icfg, pipeline,
-                      max_history_len=cfg.max_history_len,
+    report = evaluate(params, s, source, target, split, cfg, pipeline,
                       collect_per_user=per_user)
     click.echo(report.tsv(), nl=False)
     click.echo(f"MAE={report.mae:.4f} RMSE={report.rmse:.4f} over {report.n_predictions} ratings")
@@ -143,12 +119,13 @@ def cmd_schedule_dump(T, eta, alpha_min, alpha_max, out):
         click.echo(text, nl=False)
 
 
-SWEEP_AXES = ("t_prime", "omega", "eta", "T", "history_len")
+SWEEP_AXES = {"t_prime": "t_prime", "omega": "omega", "eta": "eta", "T": "T",
+              "history_len": "max_history_len"}
 
 
 @main.command("sweep")
 @click.option("--config", "config_path", required=True, type=click.Path(exists=True))
-@click.option("--sweep-axis", type=click.Choice(SWEEP_AXES), required=True)
+@click.option("--sweep-axis", type=click.Choice(list(SWEEP_AXES)), required=True)
 @click.option("--sweep-values", required=True,
               help="Comma-separated values, e.g. '0,1,2,3,4,5'.")
 @click.option("--seed", type=int, default=None)
@@ -157,7 +134,8 @@ def cmd_sweep(config_path, sweep_axis, sweep_values, seed, out):
     """Train/evaluate over one hyper-parameter axis; one TSV row per value.
 
     Inference-only axes (t_prime, omega) train once and re-evaluate."""
-    base = _apply_overrides(load_config(config_path), seed, None, None)
+    base = load_config(config_path, seed=seed)
+    name = SWEEP_AXES[sweep_axis]
     values = [v.strip() for v in sweep_values.split(",") if v.strip()]
     source, target, split = _load_run(base)
     pipeline = build_pipeline(base.variant, base.ablation)
@@ -165,29 +143,15 @@ def cmd_sweep(config_path, sweep_axis, sweep_values, seed, out):
     inference_only = sweep_axis in ("t_prime", "omega")
     params = None
     if inference_only:
-        params, _ = train(source, target, split, _train_config(base), pipeline)
+        params, _ = train(source, target, split, base, pipeline)
     for raw in values:
-        cfg = load_config(config_path)
-        cfg = _apply_overrides(cfg, seed, None, None)
-        if sweep_axis == "t_prime":
-            cfg.t_prime = int(raw)
-        elif sweep_axis == "omega":
-            cfg.omega = float(raw)
-        elif sweep_axis == "eta":
-            cfg.eta = float(raw)
-        elif sweep_axis == "T":
-            cfg.T = int(raw)
-        elif sweep_axis == "history_len":
-            cfg.max_history_len = int(raw)
+        cfg = replace(base, **{name: type(getattr(base, name))(raw)})
         cfg.validate()
         run_params = params
         if not inference_only:
-            run_params, _ = train(source, target, split, _train_config(cfg), pipeline)
+            run_params, _ = train(source, target, split, cfg, pipeline)
         s = schedule_mod.build_schedule(cfg.T, cfg.eta, cfg.alpha_min, cfg.alpha_max)
-        icfg = InferenceConfig(omega=cfg.omega, t_prime=cfg.resolved_t_prime(),
-                               seed=cfg.seed)
-        report = evaluate(run_params, s, source, target, split, icfg, pipeline,
-                          max_history_len=cfg.max_history_len)
+        report = evaluate(run_params, s, source, target, split, cfg, pipeline)
         rows.append(f"{raw}\t{report.mae:.6f}\t{report.rmse:.6f}\t{report.n_predictions}")
     text = "\n".join(rows) + "\n"
     click.echo(text, nl=False)
@@ -202,19 +166,17 @@ def cmd_sweep(config_path, sweep_axis, sweep_values, seed, out):
 @click.option("--out", type=click.Path(), default=None)
 def cmd_variant_bench(config_path, seed, out):
     """Train and evaluate all six comparison wirings under one budget."""
-    base = _apply_overrides(load_config(config_path), seed, None, None)
+    base = load_config(config_path, seed=seed)
     source, target, split = _load_run(base)
+    s = schedule_mod.build_schedule(base.T, base.eta, base.alpha_min, base.alpha_max)
     rows = ["variant\tmae\trmse\tn"]
     for vid in range(1, 7):
         pipeline = build_pipeline(vid, "none")
         for warning in lint_pipeline(pipeline, base.eta):
             click.echo(f"warning (variant {vid}): {warning}", err=True)
-        params, _ = train(source, target, split, _train_config(base), pipeline)
-        s = schedule_mod.build_schedule(base.T, base.eta, base.alpha_min, base.alpha_max)
-        icfg = InferenceConfig(omega=0.0, t_prime=base.resolved_t_prime(),
-                               seed=base.seed)
-        report = evaluate(params, s, source, target, split, icfg, pipeline,
-                          max_history_len=base.max_history_len)
+        params, _ = train(source, target, split, base, pipeline)
+        report = evaluate(params, s, source, target, split,
+                          replace(base, omega=0.0), pipeline)
         rows.append(f"{vid}\t{report.mae:.6f}\t{report.rmse:.6f}\t{report.n_predictions}")
     text = "\n".join(rows) + "\n"
     click.echo(text, nl=False)

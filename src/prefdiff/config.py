@@ -8,9 +8,10 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 
 from .errors import ConfigurationError
+from .variants import build_pipeline
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     source_path: str = ""
     target_path: str = ""
@@ -29,9 +30,9 @@ class RunConfig:
     batch_size: int = 128
     learning_rate: float = 0.01
     epochs: int = 10
-    lam: float = 0.01
+    lam: float = 0.01          # weight on the diffusion loss
     p_uncond: float = 0.1
-    loss_weighting: str = "simplified"
+    loss_weighting: str = "simplified"   # or "variance_weighted"
     init_scale: float = 0.1
     omega: float = 0.0
     t_prime: int = -1          # -1 means "use T"
@@ -43,27 +44,34 @@ class RunConfig:
         return self.T if self.t_prime < 0 else self.t_prime
 
     def validate(self) -> None:
-        problems = []
-        if not 0.0 < self.fraction < 1.0:
-            problems.append("fraction must be in (0, 1)")
-        if not 0.0 < self.eta <= 1.0:
-            problems.append("eta must be in (0, 1]")
-        if not 0.0 < self.alpha_min < self.alpha_max:
-            problems.append("need 0 < alpha_min < alpha_max")
-        if not 0.0 <= self.lam <= 1.0:
-            problems.append("lam must be in [0, 1]")
-        if self.omega < 0:
-            problems.append("omega must be >= 0")
-        if self.t_prime > self.T:
-            problems.append("t_prime must be <= T")
-        if self.variant not in range(0, 7):
-            problems.append("variant must be 0..6")
-        if self.ablation not in ("none", "no_tf", "no_gs", "no_dm"):
-            problems.append("ablation must be one of none|no_tf|no_gs|no_dm")
-        if self.loss_weighting not in ("simplified", "variance_weighted"):
-            problems.append("loss_weighting must be simplified|variance_weighted")
-        if self.variant != 0 and self.ablation != "none":
-            problems.append("variant and ablation are mutually exclusive")
+        """Raise one ConfigurationError that lists every problem."""
+        checks = [
+            (0.0 < self.fraction < 1.0, "fraction must be in (0, 1)"),
+            (self.seed >= 0, "seed must be >= 0"),
+            (min(self.d1, self.hidden, self.mlp_layers) >= 1,
+             "d1, hidden and mlp_layers must be >= 1"),
+            (self.enc_layers >= 0, "enc_layers must be >= 0"),
+            (self.n_heads >= 1 and self.d1 % self.n_heads == 0,
+             "n_heads must be >= 1 and divide d1"),
+            (self.max_history_len >= 1, "max_history_len must be >= 1"),
+            (self.T >= 1, "T must be >= 1"),
+            (0.0 < self.eta <= 1.0, "eta must be in (0, 1]"),
+            (0.0 < self.alpha_min < self.alpha_max, "need 0 < alpha_min < alpha_max"),
+            (self.batch_size >= 1, "batch_size must be >= 1"),
+            (self.epochs >= 0, "epochs must be >= 0"),
+            (0.0 <= self.lam <= 1.0, "lam must be in [0, 1]"),
+            (0.0 <= self.p_uncond <= 1.0, "p_uncond must be in [0, 1]"),
+            (self.loss_weighting in ("simplified", "variance_weighted"),
+             "loss_weighting must be simplified|variance_weighted"),
+            (self.omega >= 0, "omega must be >= 0"),
+            (-1 <= self.t_prime <= self.T, "t_prime must be -1 (use T) or in 0..T"),
+            (self.dtype in ("float32", "float64"), "dtype must be float32|float64"),
+        ]
+        problems = [msg for ok, msg in checks if not ok]
+        try:
+            build_pipeline(self.variant, self.ablation)
+        except ConfigurationError as exc:
+            problems.append(str(exc))
         if problems:
             raise ConfigurationError("; ".join(problems))
 
@@ -83,7 +91,9 @@ def _coerce(name: str, raw: str):
         raise ConfigurationError(f"key {name!r}: cannot parse {raw!r} as {kind}") from None
 
 
-def parse_config_text(text: str) -> RunConfig:
+def parse_config_text(text: str, **overrides) -> RunConfig:
+    """Parse and validate a config; `overrides` that are not None replace
+    the file's values before the one validation."""
     values = {}
     unknown = []
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -100,14 +110,15 @@ def parse_config_text(text: str) -> RunConfig:
         values[key] = _coerce(key, raw)
     if unknown:
         raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
+    values.update({k: v for k, v in overrides.items() if v is not None})
     cfg = RunConfig(**values)
     cfg.validate()
     return cfg
 
 
-def load_config(path) -> RunConfig:
+def load_config(path, **overrides) -> RunConfig:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read())
+        return parse_config_text(fh.read(), **overrides)
 
 
 def normalized_text(cfg: RunConfig) -> str:

@@ -43,9 +43,6 @@ class DomainData:
     def n_items(self) -> int:
         return len(self.items)
 
-    def records_of(self, user_id: str) -> list[RatingRecord]:
-        return [r for r in self.records if r.user_id == user_id]
-
 
 @dataclass(frozen=True)
 class ColdStartSplit:
@@ -152,15 +149,6 @@ def build_histories(source: DomainData, users, max_len: int) -> dict[str, Histor
     return out
 
 
-def build_history(user_id: str, source: DomainData, max_len: int) -> History:
-    """Chronological source-domain history, truncated to the most recent
-    `max_len` items. Timestamp ties keep input-file order."""
-    built = build_histories(source, [user_id], max_len)
-    if user_id not in built:
-        raise DataError(f"empty history for user {user_id!r}")
-    return built[user_id]
-
-
 class AccessCounter:
     """Counts target-domain record reads per user, for leakage auditing."""
 
@@ -218,8 +206,9 @@ def users_with_history(domain: DomainData, users) -> list[str]:
     """Filter to users with at least one source interaction; logs the count
     of excluded users (the encoder is undefined on empty input)."""
     have = {r.user_id for r in domain.records}
+    users = list(users)
     kept = [u for u in users if u in have]
-    dropped = len(list(users)) - len(kept)
+    dropped = len(users) - len(kept)
     if dropped:
         logger.info("excluded %d users with empty source history", dropped)
     return kept

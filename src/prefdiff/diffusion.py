@@ -1,5 +1,5 @@
 """Forward corruption, conditioned clean-state prediction, guidance-strength
-interpolation, condition masking, and the single reverse step.
+interpolation, and the single reverse step.
 
 The arithmetic here is written against both plain numpy arrays and autodiff
 tensors: coefficients from the schedule are python floats, so the same
@@ -25,22 +25,6 @@ class NoisedState:
     u_t: np.ndarray
     t: int
     eps: np.ndarray
-
-
-@dataclass(frozen=True)
-class GuidanceConfig:
-    omega: float = 0.0
-    p_uncond: float = 0.1
-    inference_steps: int = 0  # T' in 0..T
-
-    def validate(self, T: int) -> None:
-        if self.omega < 0:
-            raise ConfigurationError(f"omega must be >= 0, got {self.omega}")
-        if not 0.0 <= self.p_uncond <= 1.0:
-            raise ConfigurationError(f"p_uncond must be in [0, 1], got {self.p_uncond}")
-        if not 0 <= self.inference_steps <= T:
-            raise ConfigurationError(
-                f"inference steps {self.inference_steps} outside 0..{T}")
 
 
 def forward_marginal(u0: np.ndarray, t: int, eps: np.ndarray, s: Schedule) -> NoisedState:
@@ -121,9 +105,3 @@ def reverse_step(u_t, h, t: int, omega: float, z, s: Schedule, params: ModelPara
     coef_u0, coef_ut, variance = posterior_mean_coeffs(s, t)
     pred = guided_predict(u_t, h, t, omega, params)
     return coef_u0 * pred + coef_ut * u_t + math.sqrt(variance) * np.asarray(z)
-
-
-def mask_guidance(h, r: float, p_uncond: float):
-    """Drop the condition (return None) iff r < p_uncond; the boundary
-    r == p_uncond keeps h."""
-    return None if r < p_uncond else h

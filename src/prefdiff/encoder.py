@@ -3,35 +3,12 @@ history followed by average pooling, producing the guidance signal.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import DataError
 from .params import ModelParams
-
-
-@dataclass(frozen=True)
-class GuidanceSignal:
-    """Pooled d1-dimensional summary of one user's source-domain history."""
-    vector: np.ndarray
-    user_id: str = ""
-
-
-def ave_pool(matrix, mask=None):
-    """Arithmetic mean over unmasked rows. Works on numpy arrays and on
-    autodiff tensors alike."""
-    data = matrix.data if isinstance(matrix, Tensor) else np.asarray(matrix)
-    if mask is None:
-        mask = np.ones(data.shape[0], dtype=bool)
-    mask = np.asarray(mask, dtype=bool)
-    count = int(mask.sum())
-    if count == 0:
-        raise DataError("ave_pool over zero unmasked rows")
-    weights = mask.astype(data.dtype)[:, None]
-    return (matrix * weights).sum(axis=0) * (1.0 / count)
 
 
 def layer_norm(x, gain, bias, eps: float = 1e-5):
@@ -111,16 +88,13 @@ def encode_batch(item_vectors: Tensor, mask: np.ndarray, params: ModelParams,
     return masked_mean_pool(x, mask)
 
 
-def encode_history(item_vectors, params: ModelParams, pad_mask=None,
-                   user_id: str = "", *, bypass_transformer: bool = False) -> GuidanceSignal:
-    """Single-history convenience wrapper around :func:`encode_batch`."""
-    vecs = item_vectors.data if isinstance(item_vectors, Tensor) else np.asarray(item_vectors)
-    if pad_mask is None:
-        pad_mask = np.ones(vecs.shape[0], dtype=bool)
-    pad_mask = np.asarray(pad_mask, dtype=bool)
-    if not pad_mask.any():
+def encode_history(item_vectors: np.ndarray, params: ModelParams,
+                   *, bypass_transformer: bool = False) -> np.ndarray:
+    """The d1 guidance signal of one history, (L, d1) item embeddings in
+    chronological order, through :func:`encode_batch`."""
+    vecs = np.asarray(item_vectors)
+    if vecs.shape[0] == 0:
         raise DataError("empty history")
-    x = item_vectors if isinstance(item_vectors, Tensor) else Tensor(vecs)
-    out = encode_batch(x.reshape((1,) + vecs.shape), pad_mask[None, :], params,
-                       bypass_transformer=bypass_transformer)
-    return GuidanceSignal(vector=out.data[0], user_id=user_id)
+    out = encode_batch(Tensor(vecs[None]), np.ones((1, vecs.shape[0]), dtype=bool),
+                       params, bypass_transformer=bypass_transformer)
+    return out.data[0]

@@ -1,7 +1,6 @@
 """Inference rollout for cold-start users and MAE/RMSE evaluation."""
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
@@ -9,6 +8,7 @@ import numpy as np
 
 from . import data as data_mod
 from .autodiff import Tensor
+from .config import RunConfig
 from .data import ColdStartSplit, DomainData
 from .diffusion import reverse_step
 from .encoder import encode_history
@@ -17,15 +17,6 @@ from .params import ModelParams
 from .rng import make_rng
 from .schedule import Schedule
 from .variants import Pipeline
-
-logger = logging.getLogger(__name__)
-
-
-@dataclass(frozen=True)
-class InferenceConfig:
-    omega: float = 0.0
-    t_prime: int = 0
-    seed: int = 0
 
 
 @dataclass(frozen=True)
@@ -49,39 +40,28 @@ class EvalReport:
         return "\n".join(lines) + "\n"
 
 
-def _rollout(state: np.ndarray, h, cfg: InferenceConfig, s: Schedule,
-             params: ModelParams, pipeline: Pipeline,
-             rng: np.random.Generator | None) -> np.ndarray:
-    omega = cfg.omega if pipeline.guided else 0.0
-    cond = h if pipeline.guided else None
-    x = state
-    for t in range(cfg.t_prime, 0, -1):
-        if t > 1:
-            z = rng.standard_normal(x.shape[0]) if rng is not None else np.zeros(x.shape[0])
-        else:
-            z = np.zeros(x.shape[0])
-        out = reverse_step(x, cond, t, omega, z, s, params)
-        x = out.data if isinstance(out, Tensor) else out
-    return x
-
-
-def infer_user(u_init: np.ndarray, h, cfg: InferenceConfig, s: Schedule,
+def infer_user(u_init: np.ndarray, h, cfg: RunConfig, s: Schedule,
                params: ModelParams, pipeline: Pipeline | None = None,
                rng: np.random.Generator | None = None) -> np.ndarray:
     """Guided reverse rollout from the user's own embedding.
 
-    Applies t_prime reverse steps (noise-free at t=1); t_prime = 0 returns
-    u_init unchanged.
+    Applies cfg's t_prime reverse steps (noise-free at t=1) to the
+    pipeline's initial state; t_prime = 0 returns that state unchanged.
     """
-    if not 0 <= cfg.t_prime <= s.T:
-        raise ConfigurationError(
-            f"t_prime={cfg.t_prime} outside 0..{s.T}")
+    t_prime = cfg.resolved_t_prime()
+    if not 0 <= t_prime <= s.T:
+        raise ConfigurationError(f"t_prime={t_prime} outside 0..{s.T}")
     pipeline = pipeline or Pipeline("main")
-    if cfg.t_prime == 0:
-        return np.array(u_init, copy=True)
-    state = pipeline.inference_init(np.asarray(u_init),
-                                    None if h is None else np.asarray(h))
-    return _rollout(state, h, cfg, s, params, pipeline, rng)
+    x = pipeline.inference_init(np.asarray(u_init),
+                                None if h is None else np.asarray(h))
+    omega = cfg.omega if pipeline.guided else 0.0
+    cond = h if pipeline.guided else None
+    for t in range(t_prime, 0, -1):
+        z = rng.standard_normal(x.shape[0]) if t > 1 and rng is not None \
+            else np.zeros(x.shape[0])
+        out = reverse_step(x, cond, t, omega, z, s, params)
+        x = out.data if isinstance(out, Tensor) else out
+    return x
 
 
 def predict_rating(u0: np.ndarray, v: np.ndarray) -> float:
@@ -101,8 +81,8 @@ def report_from_errors(errors: np.ndarray,
 
 
 def evaluate(params: ModelParams, s: Schedule, source: DomainData,
-             target: DomainData, split: ColdStartSplit, cfg: InferenceConfig,
-             pipeline: Pipeline | None = None, max_history_len: int = 50,
+             target: DomainData, split: ColdStartSplit, cfg: RunConfig,
+             pipeline: Pipeline | None = None,
              collect_per_user: bool = False) -> EvalReport:
     """Score every held-out target rating of every cold-start test user.
 
@@ -112,7 +92,7 @@ def evaluate(params: ModelParams, s: Schedule, source: DomainData,
     pipeline = pipeline or Pipeline("main")
     universe = data_mod.user_universe(source, target)
     test_users = data_mod.users_with_history(source, sorted(split.cold_start_test))
-    histories = data_mod.build_histories(source, test_users, max_history_len)
+    histories = data_mod.build_histories(source, test_users, cfg.max_history_len)
     recs_by_user: dict[str, list] = {}
     for r in data_mod.held_out_ratings(target, split):
         recs_by_user.setdefault(r.user_id, []).append(r)
@@ -125,19 +105,16 @@ def evaluate(params: ModelParams, s: Schedule, source: DomainData,
             continue
         hist = histories[uid]
         item_vecs = params["item_emb_src"].data[list(hist.item_indices)]
-        h = encode_history(item_vecs, params, user_id=uid,
-                           bypass_transformer=pipeline.bypass_transformer).vector \
+        h = encode_history(item_vecs, params,
+                           bypass_transformer=pipeline.bypass_transformer) \
             if pipeline.uses_history else None
         u_idx = universe[uid]
         u_init = np.array(params["user_emb"].data[u_idx], copy=True)
         rng = make_rng(cfg.seed, u_idx)
-        if pipeline.uses_diffusion:
-            u0 = infer_user(u_init, h, cfg, s, params, pipeline, rng)
-        else:
-            u0 = u_init
+        x0 = Tensor(infer_user(u_init, h, cfg, s, params, pipeline, rng)) \
+            if pipeline.uses_diffusion else None
         emb = pipeline.score_embedding(
-            None if not pipeline.uses_diffusion else Tensor(u0),
-            None if h is None else Tensor(h), Tensor(u_init), params)
+            x0, None if h is None else Tensor(h), Tensor(u_init), params)
         emb = emb.data if isinstance(emb, Tensor) else np.asarray(emb)
         user_errors = []
         for rec in recs:

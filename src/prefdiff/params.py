@@ -59,9 +59,6 @@ class ModelParams:
     def __getitem__(self, name: str) -> Tensor:
         return self.arrays[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self.arrays
-
     def names(self) -> list[str]:
         return list(self.arrays)
 

@@ -37,11 +37,6 @@ class Schedule:
         if not 1 <= t <= self.T:
             raise IndexError(f"step t={t} outside 1..{self.T}")
 
-    def alpha_bar_prev(self, t: int) -> float:
-        """alpha_bar at t-1 with the convention alpha_bar_0 = 1."""
-        self.check_step(t)
-        return 1.0 if t == 1 else float(self.alpha_bar[t - 2])
-
 
 def uniform_spacing(T: int) -> np.ndarray:
     """T uniformly spaced values from 1 to 2T+1 (midpoint T+1 when T == 1)."""

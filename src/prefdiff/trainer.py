@@ -5,57 +5,23 @@ L = L_rec + lambda * L_diff, and adaptive gradient updates.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from . import data as data_mod
+from .config import RunConfig
 from .data import AccessCounter, ColdStartSplit, DomainData
 from .diffusion import denoise
 from .encoder import encode_batch
-from .errors import ConfigurationError, DataError, TrainingError
+from .errors import DataError, TrainingError
 from .params import ModelParams, init_params
 from .rng import make_rng
 from .schedule import Schedule, build_schedule
 from .variants import Pipeline
 
 logger = logging.getLogger(__name__)
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    batch_size: int = 128
-    learning_rate: float = 0.01
-    epochs: int = 10
-    lam: float = 0.01          # weight on the diffusion loss
-    p_uncond: float = 0.1
-    T: int = 200
-    eta: float = 0.1
-    alpha_min: float = 0.1
-    alpha_max: float = 10.0
-    d1: int = 64
-    max_history_len: int = 50
-    loss_weighting: str = "simplified"   # or "variance_weighted"
-    seed: int = 0
-    hidden: int = 64
-    mlp_layers: int = 3
-    enc_layers: int = 2
-    n_heads: int = 1
-    init_scale: float = 0.1
-    dtype: str = "float32"
-
-    def validate(self) -> None:
-        if not 0.0 <= self.lam <= 1.0:
-            raise ConfigurationError(f"lambda must be in [0, 1], got {self.lam}")
-        if self.batch_size < 1:
-            raise ConfigurationError("batch_size must be >= 1")
-        if self.epochs < 0:
-            raise ConfigurationError("epochs must be >= 0")
-        if self.loss_weighting not in ("simplified", "variance_weighted"):
-            raise ConfigurationError(f"unknown loss_weighting {self.loss_weighting!r}")
-        if not 0.0 <= self.p_uncond <= 1.0:
-            raise ConfigurationError("p_uncond must be in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -97,7 +63,6 @@ class AdamState:
 class TrainerState:
     optimizer: AdamState
     rng: np.random.Generator
-    loss_log: list[dict] = field(default_factory=list)
     masked_examples: int = 0
     total_examples: int = 0
 
@@ -127,13 +92,6 @@ def diffusion_coefficient(s: Schedule, t: int, weighting: str) -> float:
     sigma2 = max(float(s.beta_tilde[t - 1]), floor)
     ab_prev = 1.0 if t == 1 else float(s.alpha_bar[t - 2])
     return ab_prev / (2.0 * sigma2)
-
-
-def diffusion_loss(u0, u0_hat, t: int, s: Schedule, weighting: str = "simplified"):
-    """Weighted squared distance between the clean state and its prediction."""
-    coef = diffusion_coefficient(s, t, weighting)
-    diff = u0 - u0_hat
-    return coef * (diff * diff).sum()
 
 
 def _batch_arrays(batch: list[TrainExample], dtype: str):
@@ -169,7 +127,7 @@ def sample_draws(rng: np.random.Generator, B: int, state_dim: int, T: int,
 
 
 def compute_batch_loss(batch: list[TrainExample], params: ModelParams,
-                       cfg: TrainConfig, s: Schedule, pipeline: Pipeline,
+                       cfg: RunConfig, s: Schedule, pipeline: Pipeline,
                        draws: BatchDraws):
     """Joint loss over a batch as an autodiff scalar, plus the loss report."""
     dtype = params.meta.dtype
@@ -233,14 +191,13 @@ def compute_batch_loss(batch: list[TrainExample], params: ModelParams,
 
 
 def train_step(batch: list[TrainExample], params: ModelParams,
-               state: TrainerState, cfg: TrainConfig, s: Schedule,
+               state: TrainerState, cfg: RunConfig, s: Schedule,
                pipeline: Pipeline | None = None) -> dict:
     """One gradient update on the joint loss over a batch; returns the loss
     report. Steps t and condition masks are sampled per example."""
     if not batch:
         raise DataError("empty batch")
     pipeline = pipeline or Pipeline("main")
-    cfg.validate()
     state_dim = pipeline.state_mult * params.meta.d1
     draws = sample_draws(state.rng, len(batch), state_dim, s.T,
                          pipeline.uses_masking, params.meta.dtype)
@@ -276,23 +233,20 @@ def build_examples(source: DomainData, target: DomainData, split: ColdStartSplit
 
 
 def train(source: DomainData, target: DomainData, split: ColdStartSplit,
-          cfg: TrainConfig, pipeline: Pipeline | None = None,
-          counter: AccessCounter | None = None,
-          params: ModelParams | None = None) -> tuple[ModelParams, list[dict]]:
+          cfg: RunConfig, pipeline: Pipeline | None = None,
+          counter: AccessCounter | None = None) -> tuple[ModelParams, list[dict]]:
     """Run the full training loop; deterministic per cfg.seed."""
-    cfg.validate()
     pipeline = pipeline or Pipeline("main")
     s = build_schedule(cfg.T, cfg.eta, cfg.alpha_min, cfg.alpha_max)
     universe = data_mod.user_universe(source, target)
-    if params is None:
-        params = init_params(
-            n_users=len(universe), n_items_src=source.n_items,
-            n_items_tgt=target.n_items, d1=cfg.d1, seed=cfg.seed,
-            init_scale=cfg.init_scale, hidden=cfg.hidden,
-            mlp_layers=cfg.mlp_layers, enc_layers=cfg.enc_layers,
-            n_heads=cfg.n_heads, max_len=cfg.max_history_len, T=cfg.T,
-            state_mult=pipeline.state_mult,
-            with_projection=pipeline.with_projection, dtype=cfg.dtype)
+    params = init_params(
+        n_users=len(universe), n_items_src=source.n_items,
+        n_items_tgt=target.n_items, d1=cfg.d1, seed=cfg.seed,
+        init_scale=cfg.init_scale, hidden=cfg.hidden,
+        mlp_layers=cfg.mlp_layers, enc_layers=cfg.enc_layers,
+        n_heads=cfg.n_heads, max_len=cfg.max_history_len, T=cfg.T,
+        state_mult=pipeline.state_mult,
+        with_projection=pipeline.with_projection, dtype=cfg.dtype)
     examples = build_examples(source, target, split, universe,
                               cfg.max_history_len, counter)
     if not examples and cfg.epochs > 0:
@@ -314,7 +268,6 @@ def train(source: DomainData, target: DomainData, split: ColdStartSplit,
         history.append(row)
         logger.info("epoch %d: rec=%.5f diff=%.5f total=%.5f",
                     row["epoch"], row["rec"], row["diff"], row["total"])
-    state.loss_log = history
     return params, history
 
 

@@ -4,7 +4,8 @@ comparison wirings that differ in where the guidance signal enters.
 A pipeline fixes (a) the clean state the diffusion runs on, (b) which
 coordinates get noised, (c) whether the denoiser is conditioned on the
 guidance signal (with classifier-free masking) or always on the null token,
-and (d) how the final state is turned into a scoring embedding.
+and (d) how the final state is turned into a scoring embedding. Each wiring
+is one row of `WIRINGS`; the methods of `Pipeline` only read the row.
 """
 from __future__ import annotations
 
@@ -17,161 +18,110 @@ from .autodiff import Tensor
 from .errors import ConfigurationError
 from .params import ModelParams
 
-FUSION_POINTS = {
-    1: "none",
-    2: "forward_concat",
-    3: "reverse_init_concat",
-    4: "post_concat",
-    5: "noised_signal_reverse",
-    6: "noised_signal_post",
-}
-
 
 @dataclass(frozen=True)
-class VariantSpec:
-    id: int
-    fusion_point: str
-    state_mult: int
-    with_projection: bool
+class Wiring:
+    """Where the guidance signal enters. Parts are named "u" (the user
+    embedding), "h" (the guidance signal) and, in `projection` only, "x"
+    (the predicted clean state)."""
+    state: tuple[str, ...]                   # parts of the diffused state, in order
+    noise_first_only: bool = False           # forward noise reaches only state[0]
+    projection: tuple[str, ...] | None = None   # projected to the score; None scores x
+    guided: bool = False                     # per-step guidance with condition masking
+    diffusion: bool = True
+
+    @property
+    def noises_signal(self) -> bool:
+        """The forward process runs on the guidance signal itself."""
+        noised = self.state[:1] if self.noise_first_only else self.state
+        return "h" in noised
 
 
-VARIANT_SPECS = {
-    1: VariantSpec(1, "none", 1, False),
-    2: VariantSpec(2, "forward_concat", 2, True),
-    3: VariantSpec(3, "reverse_init_concat", 2, True),
-    4: VariantSpec(4, "post_concat", 1, True),
-    5: VariantSpec(5, "noised_signal_reverse", 2, True),
-    6: VariantSpec(6, "noised_signal_post", 1, True),
+WIRINGS = {
+    "main": Wiring(("u",), guided=True),
+    "v1": Wiring(("u",)),
+    "v2": Wiring(("u", "h"), projection=("x",)),
+    "v3": Wiring(("u", "h"), noise_first_only=True, projection=("x",)),
+    "v4": Wiring(("u",), projection=("x", "h")),
+    "v5": Wiring(("h", "u"), noise_first_only=True, projection=("x",)),
+    "v6": Wiring(("h",), projection=("x", "u")),
+    "no_dm": Wiring(("u",), projection=("u", "h"), diffusion=False),
 }
 
-# these wirings run the forward process on the guidance signal itself
-NOISES_SIGNAL = {"forward_concat", "noised_signal_reverse", "noised_signal_post"}
+# ablation -> (wiring, bypass the Transformer encoder)
+ABLATIONS = {"none": ("main", False), "no_tf": ("main", True),
+             "no_gs": ("v1", False), "no_dm": ("no_dm", False)}
 
 
 class Pipeline:
     """One model wiring. `kind` is "main", "v1".."v6", or "no_dm"."""
 
     def __init__(self, kind: str, *, bypass_transformer: bool = False):
-        self.kind = kind
-        self.bypass_transformer = bypass_transformer
-        if kind == "main":
-            self.fusion = "guided"
-            self.state_mult, self.with_projection = 1, False
-        elif kind == "no_dm":
-            self.fusion = "no_dm"
-            self.state_mult, self.with_projection = 1, True
-        elif kind.startswith("v") and kind[1:].isdigit() and int(kind[1:]) in VARIANT_SPECS:
-            spec = VARIANT_SPECS[int(kind[1:])]
-            self.fusion = spec.fusion_point
-            self.state_mult = spec.state_mult
-            self.with_projection = spec.with_projection
-        else:
+        if kind not in WIRINGS:
             raise ConfigurationError(f"unknown pipeline kind {kind!r}")
-
-    # -- capabilities --------------------------------------------------------
-
-    @property
-    def uses_history(self) -> bool:
-        return self.fusion not in ("none",)
-
-    @property
-    def uses_masking(self) -> bool:
-        """Classifier-free condition masking applies only to per-step guidance."""
-        return self.fusion == "guided"
-
-    @property
-    def guided(self) -> bool:
-        return self.fusion == "guided"
-
-    @property
-    def uses_diffusion(self) -> bool:
-        return self.fusion != "no_dm"
-
-    # -- state wiring ---------------------------------------------------------
+        self.kind = kind
+        self.wiring = w = WIRINGS[kind]
+        self.bypass_transformer = bypass_transformer
+        self.state_mult = len(w.state)
+        self.with_projection = w.projection is not None
+        self.uses_history = w.guided or "h" in w.state + (w.projection or ())
+        self.guided = self.uses_masking = w.guided
+        self.uses_diffusion = w.diffusion
 
     def clean_state(self, u0: Tensor, h: Tensor | None) -> Tensor:
-        if self.fusion in ("guided", "none", "post_concat", "no_dm"):
-            return u0
-        if self.fusion in ("forward_concat", "reverse_init_concat"):
-            return ad.concat([u0, h], axis=-1)
-        if self.fusion == "noised_signal_reverse":
-            return ad.concat([h, u0], axis=-1)
-        if self.fusion == "noised_signal_post":
-            return h
-        raise AssertionError(self.fusion)
+        return _join([{"u": u0, "h": h}[p] for p in self.wiring.state])
 
     def noise_mask(self, d1: int) -> np.ndarray | None:
         """Boolean mask over state coordinates that receive forward noise;
         None noises everything."""
-        if self.fusion in ("reverse_init_concat", "noised_signal_reverse"):
-            mask = np.zeros(2 * d1, dtype=bool)
-            mask[:d1] = True
-            return mask
-        return None
+        if not self.wiring.noise_first_only:
+            return None
+        mask = np.zeros(self.state_mult * d1, dtype=bool)
+        mask[:d1] = True
+        return mask
 
     def score_embedding(self, x0_hat: Tensor, h: Tensor | None,
                         u0: Tensor, params: ModelParams) -> Tensor:
         """Map the (predicted) clean state to the d1 embedding dotted with
         the target-item embedding."""
-        if self.fusion in ("guided", "none"):
+        if not self.with_projection:
             return x0_hat
-        if self.fusion == "no_dm":
-            return _project(ad.concat([u0, h], axis=-1), params)
-        if self.fusion in ("forward_concat", "reverse_init_concat", "noised_signal_reverse"):
-            return _project(x0_hat, params)
-        if self.fusion == "post_concat":
-            return _project(ad.concat([x0_hat, h], axis=-1), params)
-        if self.fusion == "noised_signal_post":
-            return _project(ad.concat([x0_hat, u0], axis=-1), params)
-        raise AssertionError(self.fusion)
+        x = _join([{"x": x0_hat, "u": u0, "h": h}[p] for p in self.wiring.projection])
+        return x @ params["proj_w"] + params["proj_b"]
 
     def inference_init(self, u_init: np.ndarray, h: np.ndarray | None) -> np.ndarray:
         """Initial reverse-process state for a cold-start user (the user's
-        own embedding, never fresh noise)."""
-        if self.fusion in ("guided", "none", "post_concat"):
-            return np.array(u_init, copy=True)
-        if self.fusion in ("forward_concat", "reverse_init_concat"):
-            return np.concatenate([u_init, h])
-        if self.fusion == "noised_signal_reverse":
-            return np.concatenate([h, u_init])
-        if self.fusion == "noised_signal_post":
-            return np.array(h, copy=True)
-        raise AssertionError(self.fusion)
+        own embedding, never fresh noise); always a copy."""
+        parts = [{"u": u_init, "h": h}[p] for p in self.wiring.state]
+        return np.array(parts[0], copy=True) if len(parts) == 1 else np.concatenate(parts)
 
 
-def _project(x: Tensor, params: ModelParams) -> Tensor:
-    return x @ params["proj_w"] + params["proj_b"]
-
-
-def build_variant(variant_id: int, *, bypass_transformer: bool = False) -> Pipeline:
-    if variant_id not in VARIANT_SPECS:
-        raise ConfigurationError(f"variant id must be 1..6, got {variant_id}")
-    return Pipeline(f"v{variant_id}", bypass_transformer=bypass_transformer)
+def _join(parts: list[Tensor]) -> Tensor:
+    """One part as itself, several concatenated on the last axis."""
+    return parts[0] if len(parts) == 1 else ad.concat(parts, axis=-1)
 
 
 def build_pipeline(variant: int = 0, ablation: str = "none") -> Pipeline:
-    """CLI-facing selector: variant 0 is the full model; ablations are
-    'no_tf' (encoder bypass), 'no_gs' (condition always null), 'no_dm'."""
-    if ablation not in ("none", "no_tf", "no_gs", "no_dm"):
-        raise ConfigurationError(f"unknown ablation {ablation!r}")
-    if variant != 0 and ablation != "none":
-        raise ConfigurationError("choose either a variant or an ablation, not both")
-    if variant != 0:
-        return build_variant(variant)
-    if ablation == "no_tf":
-        return Pipeline("main", bypass_transformer=True)
-    if ablation == "no_gs":
-        return Pipeline("v1")
-    if ablation == "no_dm":
-        return Pipeline("no_dm")
-    return Pipeline("main")
+    """CLI-facing selector: variant 0 is the full model, 1..6 the comparison
+    wirings; ablations are 'no_tf' (encoder bypass), 'no_gs' (condition
+    always null), 'no_dm'."""
+    if ablation not in ABLATIONS:
+        raise ConfigurationError(f"ablation must be one of {'|'.join(ABLATIONS)}")
+    if variant == 0:
+        kind, bypass = ABLATIONS[ablation]
+        return Pipeline(kind, bypass_transformer=bypass)
+    if ablation != "none":
+        raise ConfigurationError("variant and ablation are mutually exclusive")
+    if f"v{variant}" not in WIRINGS:
+        raise ConfigurationError(f"variant must be 0..6, got {variant}")
+    return Pipeline(f"v{variant}")
 
 
 def lint_pipeline(pipeline: Pipeline, eta: float) -> list[str]:
     """Config warnings; noising the guidance signal with a large noise scale
     destroys the personalized information it carries."""
     warnings = []
-    if pipeline.fusion in NOISES_SIGNAL and eta > 0.5:
+    if pipeline.wiring.noises_signal and eta > 0.5:
         warnings.append(
             f"eta={eta} > 0.5 while the forward process noises the guidance "
             "signal; personalized information may be damaged")

@@ -6,21 +6,23 @@ complete; each check also asserts, so a failure fails the suite.
 import math
 import statistics
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from prefdiff.cli import main as cli_main
+from prefdiff.config import RunConfig
 from prefdiff.data import (AccessCounter, split_cold_start)
 from prefdiff.diffusion import (forward_chain_step, forward_marginal,
-                                guided_predict, mask_guidance, predict_u0)
-from prefdiff.evaluate import InferenceConfig, evaluate, infer_user
+                                guided_predict, predict_u0)
+from prefdiff.evaluate import evaluate, infer_user
 from prefdiff.params import init_params
 from prefdiff.rng import make_rng
 from prefdiff.schedule import build_schedule, posterior_mean_coeffs
 from prefdiff.synthetic import generate_pair, write_tsv
-from prefdiff.trainer import (TrainConfig, compute_batch_loss, sample_draws,
+from prefdiff.trainer import (BatchDraws, compute_batch_loss, sample_draws,
                               train)
 from prefdiff.variants import Pipeline
 
@@ -123,8 +125,8 @@ def test_criterion_05_gradient_check():
     p = init_params(n_users=6, n_items_src=8, n_items_tgt=9, d1=4, seed=11,
                     init_scale=0.3, hidden=8, mlp_layers=3, enc_layers=2,
                     max_len=5, T=5, dtype="float64")
-    cfg = TrainConfig(batch_size=2, epochs=1, lam=0.5, T=5, eta=0.5, d1=4,
-                      max_history_len=5, seed=0, hidden=8, dtype="float64")
+    cfg = RunConfig(batch_size=2, epochs=1, lam=0.5, T=5, eta=0.5, d1=4,
+                    max_history_len=5, seed=0, hidden=8, dtype="float64")
     s = build_schedule(5, 0.5, 0.1, 10.0)
     pipe = Pipeline("main")
     batch = toy_batch(p, n=2)
@@ -164,9 +166,15 @@ def test_criterion_06_guidance_algebra_and_masking_rate():
                          predict_u0(u, None, 3, p).data)
     n, p_uncond = 100_000, 0.1
     draws = rng.uniform(size=n)
-    dropped = int(np.sum(draws < p_uncond))
-    assert dropped == sum(mask_guidance(h, float(r), p_uncond) is None
-                          for r in draws[:1000]) + int(np.sum(draws[1000:] < p_uncond))
+    # the training loss masks the first 1,000 draws' conditions itself
+    head = 1000
+    _, report = compute_batch_loss(
+        toy_batch(p, n=8) * (head // 8), p,
+        RunConfig(p_uncond=p_uncond, T=5, dtype="float64"),
+        build_schedule(5, 0.5, 0.1, 10.0), Pipeline("main"),
+        BatchDraws(r=draws[:head], t=np.full(head, 3), eps=np.zeros((head, 4))))
+    dropped = report["masked"] + int(np.sum(draws[head:] < p_uncond))
+    assert dropped == int(np.sum(draws < p_uncond))
     sigma = math.sqrt(p_uncond * (1 - p_uncond) / n)
     ok &= abs(dropped / n - p_uncond) < 4 * sigma
     elapsed = time.perf_counter() - start
@@ -183,9 +191,9 @@ def test_criterion_07_inference_step_identities():
     s = build_schedule(5, 0.5, 0.1, 10.0)
     rng = make_rng(70, 0)
     u, h = rng.standard_normal(4), rng.standard_normal(4)
-    out0 = infer_user(u, h, InferenceConfig(omega=2.0, t_prime=0), s, p)
+    out0 = infer_user(u, h, RunConfig(omega=2.0, t_prime=0), s, p)
     ok = out0.tobytes() == u.tobytes()
-    out1 = infer_user(u, h, InferenceConfig(omega=2.0, t_prime=1), s, p,
+    out1 = infer_user(u, h, RunConfig(omega=2.0, t_prime=1), s, p,
                       rng=make_rng(0, 0))
     c0, ct, var = posterior_mean_coeffs(s, 1)
     want = c0 * guided_predict(u, h, 1, 2.0, p).data + ct * u
@@ -201,27 +209,23 @@ def test_criterion_08_synthetic_directional(tmp_path):
     src, tgt = generate_pair(n_users=2000, n_items=300, latent_dim=8,
                              ratings_per_user=10, noise_std=0.1, seed=1234)
     split = split_cold_start(src, tgt, 0.2, seed=1234)
-    icfg_base = dict(omega=2.0, t_prime=50)
     main_maes, v1_maes, init_maes = [], [], []
     for seed in (0, 1, 2):
-        cfg = TrainConfig(batch_size=128, learning_rate=0.01, epochs=10,
-                          lam=0.01, p_uncond=0.1, T=50, eta=0.1, d1=16,
-                          max_history_len=10, seed=seed, hidden=64,
-                          mlp_layers=3, enc_layers=2, dtype="float32")
+        cfg = RunConfig(batch_size=128, learning_rate=0.01, epochs=10,
+                        lam=0.01, p_uncond=0.1, T=50, eta=0.1, d1=16,
+                        max_history_len=10, seed=seed, hidden=64,
+                        mlp_layers=3, enc_layers=2, dtype="float32",
+                        omega=2.0, t_prime=50)
         s = build_schedule(cfg.T, cfg.eta, cfg.alpha_min, cfg.alpha_max)
-        icfg = InferenceConfig(seed=seed, **icfg_base)
         for kind, sink in (("main", main_maes), ("v1", v1_maes)):
             pipe = Pipeline(kind)
             params, _ = train(src, tgt, split, cfg, pipeline=pipe)
-            rep = evaluate(params, s, src, tgt, split, icfg, pipe,
-                           max_history_len=cfg.max_history_len)
+            rep = evaluate(params, s, src, tgt, split, cfg, pipe)
             sink.append(rep.mae)
         pipe = Pipeline("main")
-        untrained, _ = train(src, tgt, split,
-                             TrainConfig(**{**cfg.__dict__, "epochs": 0}),
+        untrained, _ = train(src, tgt, split, replace(cfg, epochs=0),
                              pipeline=pipe)
-        rep0 = evaluate(untrained, s, src, tgt, split, icfg, pipe,
-                        max_history_len=cfg.max_history_len)
+        rep0 = evaluate(untrained, s, src, tgt, split, cfg, pipe)
         init_maes.append(rep0.mae)
     m, v, i = (statistics.median(x) for x in (main_maes, v1_maes, init_maes))
     gap_v1 = (v - m) / v
@@ -260,8 +264,8 @@ def test_criterion_10_leakage_guard():
     src, tgt = generate_pair(n_users=200, n_items=40, ratings_per_user=5, seed=17)
     split = split_cold_start(src, tgt, 0.2, seed=17)
     counter = AccessCounter()
-    cfg = TrainConfig(batch_size=64, epochs=1, T=5, d1=8, hidden=8,
-                      mlp_layers=2, enc_layers=1, max_history_len=5, seed=0)
+    cfg = RunConfig(batch_size=64, epochs=1, T=5, d1=8, hidden=8,
+                    mlp_layers=2, enc_layers=1, max_history_len=5, seed=0)
     train(src, tgt, split, cfg, counter=counter)
     leaked = counter.users_read() & split.cold_start_test
     ok = not leaked and counter.users_read() <= split.overlap_train

@@ -50,10 +50,35 @@ def test_missing_equals():
     "variant = 9\n",
     "ablation = what\n",
     "variant = 2\nablation = no_tf\n",
+    "dtype = bogus\n",
+    "p_uncond = 2\n",
+    "batch_size = 0\n",
+    "T = 0\n",
+    "n_heads = 3\nd1 = 64\n",
+    "max_history_len = 0\n",
+    "epochs = -1\n",
+    "mlp_layers = 0\n",
+    "seed = -1\n",
+    "t_prime = -2\n",
+    "enc_layers = -1\n",
+    "hidden = 0\n",
 ])
 def test_validation_failures(text):
     with pytest.raises(ConfigurationError):
         parse_config_text(text)
+
+
+def test_validation_lists_every_problem():
+    with pytest.raises(ConfigurationError) as info:
+        parse_config_text("dtype = bogus\nbatch_size = 0\n")
+    assert "dtype" in str(info.value) and "batch_size" in str(info.value)
+
+
+def test_overrides_replace_file_values_before_validation():
+    cfg = parse_config_text("seed = 1\nvariant = 2\n", seed=5, variant=None)
+    assert (cfg.seed, cfg.variant) == (5, 2)
+    with pytest.raises(ConfigurationError, match="mutually exclusive"):
+        parse_config_text("ablation = no_tf\n", variant=3)
 
 
 def test_normalized_round_trip(tmp_path):

@@ -7,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prefdiff.data import (AccessCounter, RatingRecord, build_histories,
-                           build_history, held_out_ratings, load_ratings,
-                           make_domain, overlapping_users, split_cold_start,
+                           held_out_ratings, load_ratings, make_domain,
+                           overlapping_users, split_cold_start,
                            training_ratings, user_universe, users_with_history,
                            write_split_manifest)
+from prefdiff.encoder import encode_history
 from prefdiff.errors import DataError
 
 
@@ -129,7 +130,7 @@ def test_history_chronological_and_truncated():
         RatingRecord("u", "d", 3.0, 40, position=4),
     ]
     d = make_domain(recs)
-    h = build_history("u", d, max_len=3)
+    h = build_histories(d, ["u"], max_len=3)["u"]
     # chronological order b, c, d after dropping the oldest
     assert h.item_indices == (d.item_index["b"], d.item_index["c"], d.item_index["d"])
 
@@ -140,13 +141,16 @@ def test_history_timestamp_ties_keep_file_order():
         RatingRecord("u", "b", 3.0, 10, position=2),
     ]
     d = make_domain(recs)
-    assert build_history("u", d, max_len=5).item_indices == (0, 1)
+    assert build_histories(d, ["u"], max_len=5)["u"].item_indices == (0, 1)
 
 
-def test_history_empty_user_raises():
+def test_history_empty_user_raises(tiny_params):
+    # a user without source interactions gets no history, and an empty
+    # history cannot be encoded into a guidance signal
     d = make_domain([RatingRecord("u", "a", 3.0, 1)])
+    assert set(build_histories(d, ["ghost", "u"], max_len=5)) == {"u"}
     with pytest.raises(DataError, match="empty history"):
-        build_history("ghost", d, max_len=5)
+        encode_history(np.zeros((0, tiny_params.meta.d1)), tiny_params)
 
 
 def test_build_histories_matches_single():
@@ -154,7 +158,7 @@ def test_build_histories_matches_single():
     d = make_domain(recs)
     bulk = build_histories(d, ["u0", "u1", "u2"], max_len=4)
     for u in ("u0", "u1", "u2"):
-        assert bulk[u].item_indices == build_history(u, d, max_len=4).item_indices
+        assert bulk[u] == build_histories(d, [u], max_len=4)[u]
 
 
 def test_training_ratings_excludes_test_and_logs():
@@ -184,6 +188,14 @@ def test_user_universe_order_and_coverage():
 def test_users_with_history_filters_empty():
     d = make_domain([RatingRecord("u0", "a", 3.0, 1)])
     assert users_with_history(d, ["u0", "u1"]) == ["u0"]
+
+
+def test_users_with_history_counts_generator_input(caplog):
+    d = make_domain([RatingRecord("u0", "a", 3.0, 1)])
+    with caplog.at_level("INFO", logger="prefdiff.data"):
+        kept = users_with_history(d, (u for u in ["u0", "u1", "u2"]))
+    assert kept == ["u0"]
+    assert "excluded 2 users" in caplog.text
 
 
 def test_split_manifest_round_trip(tmp_path):

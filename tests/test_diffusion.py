@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from prefdiff.autodiff import Tensor
-from prefdiff.diffusion import (GuidanceConfig, forward_chain_step,
-                                forward_marginal, guided_predict,
-                                mask_guidance, predict_u0, reverse_step)
+from prefdiff.config import parse_config_text
+from prefdiff.diffusion import (forward_chain_step, forward_marginal,
+                                guided_predict, predict_u0, reverse_step)
 from prefdiff.errors import ConfigurationError
 from prefdiff.rng import make_rng
 from prefdiff.schedule import build_schedule, posterior_mean_coeffs
@@ -156,32 +156,12 @@ def test_reverse_step_t1_deterministic(tiny_params):
     assert np.allclose(got.data, pred.data, atol=1e-12)
 
 
-def test_mask_guidance_boundary():
-    h = np.ones(3)
-    assert mask_guidance(h, 0.05, 0.1) is None
-    assert mask_guidance(h, 0.1, 0.1) is h
-    assert mask_guidance(h, 0.99, 0.1) is h
-    assert mask_guidance(h, 0.0, 0.0) is h
-
-
-def test_mask_guidance_empirical_rate():
-    rng = make_rng(20, 20)
-    p_uncond = 0.1
-    n = 20_000
-    draws = rng.uniform(0.0, 1.0, size=n)
-    dropped = sum(mask_guidance(np.ones(2), r, p_uncond) is None for r in draws)
-    sigma = math.sqrt(p_uncond * (1 - p_uncond) / n)
-    assert abs(dropped / n - p_uncond) < 4 * sigma
-
-
 def test_guidance_config_validation():
-    GuidanceConfig(omega=2.0, p_uncond=0.1, inference_steps=5).validate(10)
-    with pytest.raises(ConfigurationError):
-        GuidanceConfig(omega=-1.0).validate(10)
-    with pytest.raises(ConfigurationError):
-        GuidanceConfig(p_uncond=1.5).validate(10)
-    with pytest.raises(ConfigurationError):
-        GuidanceConfig(inference_steps=11).validate(10)
+    # the guidance keys are validated with the rest of the run config
+    parse_config_text("omega = 2.0\np_uncond = 0.1\nT = 10\nt_prime = 5\n")
+    for bad in ("omega = -1\n", "p_uncond = 1.5\n", "T = 10\nt_prime = 11\n"):
+        with pytest.raises(ConfigurationError):
+            parse_config_text(bad)
 
 
 def test_straight_line_denoiser_reevaluation(tiny_params):

@@ -3,8 +3,8 @@ import numpy as np
 import pytest
 
 from prefdiff.autodiff import Tensor
-from prefdiff.encoder import (ave_pool, encode_batch, encode_history,
-                              layer_norm, masked_mean_pool)
+from prefdiff.encoder import (encode_batch, encode_history, layer_norm,
+                              masked_mean_pool)
 from prefdiff.errors import DataError
 from prefdiff.rng import make_rng
 
@@ -16,18 +16,17 @@ def rand_hist(params, batch, length, seed=0):
     return rng.standard_normal((batch, length, params.meta.d1))
 
 
-def test_ave_pool_ndarray_and_tensor_agree():
+def test_masked_mean_pool_matches_numpy_mean():
     m = np.arange(12, dtype=np.float64).reshape(4, 3)
     mask = np.array([True, False, True, True])
-    plain = ave_pool(m, mask)
-    from_tensor = ave_pool(Tensor(m), mask)
-    assert np.allclose(plain, m[mask].mean(axis=0))
-    assert np.allclose(from_tensor.data, plain)
+    pooled = masked_mean_pool(Tensor(m[None]), mask[None])
+    assert pooled.shape == (1, 3)
+    assert np.allclose(pooled.data[0], m[mask].mean(axis=0))
 
 
-def test_ave_pool_all_masked_raises():
+def test_masked_mean_pool_all_masked_raises():
     with pytest.raises(DataError):
-        ave_pool(np.ones((3, 2)), np.zeros(3, dtype=bool))
+        masked_mean_pool(Tensor(np.ones((1, 3, 2))), np.zeros((1, 3), dtype=bool))
 
 
 def test_layer_norm_standardizes():
@@ -112,17 +111,15 @@ def test_empty_history_raises(tiny_params):
     with pytest.raises(DataError):
         encode_batch(x, mask, tiny_params)
     with pytest.raises(DataError):
-        encode_history(rand_hist(tiny_params, 1, 3)[0], tiny_params,
-                       pad_mask=np.zeros(3, dtype=bool))
+        encode_history(np.zeros((0, tiny_params.meta.d1)), tiny_params)
 
 
 def test_encode_history_matches_batch(tiny_params):
     vecs = rand_hist(tiny_params, 1, 4, seed=9)[0]
-    sig = encode_history(vecs, tiny_params, user_id="u7")
+    sig = encode_history(vecs, tiny_params)
     batched = encode_batch(Tensor(vecs[None]), np.ones((1, 4), dtype=bool),
                            tiny_params).data[0]
-    assert sig.user_id == "u7"
-    assert np.array_equal(sig.vector, batched)
+    assert np.array_equal(sig, batched)
 
 
 @pytest.mark.parametrize("name", ["enc0_wq", "enc0_ff_w1", "enc1_wo",

@@ -4,17 +4,17 @@ import math
 import numpy as np
 import pytest
 
-from prefdiff.autodiff import Tensor
+from prefdiff.config import RunConfig
 from prefdiff.data import (AccessCounter, RatingRecord, make_domain,
                            split_cold_start, user_universe)
 from prefdiff.errors import ConfigurationError, DataError
 from prefdiff.rng import make_rng
 from prefdiff.schedule import build_schedule
-from prefdiff.trainer import (AdamState, BatchDraws, TrainConfig, TrainExample,
+from prefdiff.trainer import (AdamState, BatchDraws, TrainExample,
                               build_examples, compute_batch_loss,
-                              diffusion_coefficient, diffusion_loss,
-                              loss_history_tsv, new_trainer_state, rec_loss,
-                              sample_draws, train, train_step)
+                              diffusion_coefficient, loss_history_tsv,
+                              new_trainer_state, rec_loss, sample_draws, train,
+                              train_step)
 from prefdiff.variants import Pipeline
 
 from conftest import central_difference, relative_error
@@ -26,7 +26,7 @@ def tiny_cfg(**kw):
                     d1=4, max_history_len=5, seed=3, hidden=8, mlp_layers=3,
                     enc_layers=2, init_scale=0.3, dtype="float64")
     defaults.update(kw)
-    return TrainConfig(**defaults)
+    return RunConfig(**defaults)
 
 
 def toy_domains(n_overlap=20, n_items_src=8, n_items_tgt=9, seed=0):
@@ -81,11 +81,70 @@ def test_diffusion_coefficient_weighted_floor():
         assert diffusion_coefficient(s, t, "variance_weighted") == pytest.approx(want)
 
 
-def test_diffusion_loss_value():
+def _constant_denoiser(p, out):
+    """Zero every denoiser weight so that it predicts `out` for any input."""
+    for layer in range(p.meta.mlp_layers):
+        p[f"den_w{layer}"].data[:] = 0.0
+        p[f"den_b{layer}"].data[:] = 0.0
+    p[f"den_b{p.meta.mlp_layers - 1}"].data[:] = out
+
+
+def test_diffusion_loss_value(tiny_params):
+    # with the prediction fixed at c, L_diff is the batch mean of
+    # coef(t) * |c - u0|^2 for the main wiring's clean state u0
+    p = tiny_params
+    c = np.array([1.0, 0.0, -0.5, 2.0])
+    _constant_denoiser(p, c)
+    p["user_emb"].data[:] = 0.0
+    p["user_emb"].data[:, :2] = [0.0, 2.0]
     s = build_schedule(5, 0.5, 0.1, 10.0)
-    u0 = np.array([1.0, 0.0])
-    u0_hat = np.array([0.0, 2.0])
-    assert float(diffusion_loss(u0, u0_hat, 3, s)) == pytest.approx(5.0)
+    batch = toy_batch(p, n=3)
+    t = np.array([1, 3, 5])
+    draws = BatchDraws(r=np.ones(3), t=t,
+                       eps=make_rng(9, 9).standard_normal((3, 4)))
+    sq = 1.0 + 4.0 + 0.25 + 4.0
+    _, report = compute_batch_loss(batch, p, tiny_cfg(), s, Pipeline("main"), draws)
+    assert report["diff"] == pytest.approx(sq, rel=1e-12)
+    coefs = [diffusion_coefficient(s, int(tt), "variance_weighted") for tt in t]
+    _, report = compute_batch_loss(batch, p, tiny_cfg(loss_weighting="variance_weighted"),
+                                   s, Pipeline("main"), draws)
+    assert report["diff"] == pytest.approx(sq * np.mean(coefs), rel=1e-12)
+
+
+def test_masking_boundary_keeps_condition_at_p_uncond(tiny_params):
+    # an example's condition is dropped iff its draw r < p_uncond
+    p = tiny_params
+    s = build_schedule(5, 0.5, 0.1, 10.0)
+    batch = toy_batch(p, n=4)
+
+    def run(r, p_uncond):
+        draws = BatchDraws(r=np.array(r, dtype=float), t=np.full(4, 2),
+                           eps=np.zeros((4, 4)))
+        return compute_batch_loss(batch, p, tiny_cfg(p_uncond=p_uncond), s,
+                                  Pipeline("main"), draws)[1]
+
+    assert run([0.05, 0.1, 0.99, 0.0999], 0.1)["masked"] == 2
+    assert run([0.1] * 4, 0.1)["masked"] == 0
+    assert run([0.0] * 4, 0.0)["masked"] == 0
+    assert run([0.999] * 4, 1.0)["masked"] == 4
+    # a dropped condition no longer sees the encoder; a kept one does
+    dropped, kept = run([0.0] * 4, 0.5), run([0.9] * 4, 0.5)
+    p["enc0_wq"].data += 0.5
+    assert run([0.0] * 4, 0.5)["diff"] == dropped["diff"]
+    assert run([0.9] * 4, 0.5)["diff"] != kept["diff"]
+
+
+def test_masking_empirical_rate(tiny_params):
+    p = tiny_params
+    s = build_schedule(5, 0.5, 0.1, 10.0)
+    p_uncond, n = 0.1, 20_000
+    draws = sample_draws(make_rng(20, 20), n, 4, 5, True, "float64")
+    _, report = compute_batch_loss(toy_batch(p, n=8) * (n // 8), p,
+                                   tiny_cfg(p_uncond=p_uncond), s,
+                                   Pipeline("main"), draws)
+    assert report["masked"] == int(np.sum(draws.r < p_uncond))
+    sigma = math.sqrt(p_uncond * (1 - p_uncond) / n)
+    assert abs(report["masked"] / n - p_uncond) < 4 * sigma
 
 
 def test_config_validation():

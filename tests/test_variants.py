@@ -8,9 +8,8 @@ from prefdiff.errors import ConfigurationError
 from prefdiff.params import init_params
 from prefdiff.rng import make_rng
 from prefdiff.schedule import build_schedule
-from prefdiff.trainer import TrainConfig, compute_batch_loss, sample_draws, train
-from prefdiff.variants import (Pipeline, VARIANT_SPECS, build_pipeline,
-                               build_variant, lint_pipeline)
+from prefdiff.trainer import compute_batch_loss, sample_draws, train
+from prefdiff.variants import WIRINGS, Pipeline, build_pipeline, lint_pipeline
 
 from test_trainer import tiny_cfg, toy_batch, toy_domains
 from prefdiff.data import split_cold_start
@@ -40,11 +39,17 @@ def test_capability_matrix():
 
 
 def test_state_mult_and_projection_follow_registry():
-    assert (Pipeline("main").state_mult, Pipeline("main").with_projection) == (1, False)
-    for vid, spec in VARIANT_SPECS.items():
-        p = build_variant(vid)
-        assert p.state_mult == spec.state_mult
-        assert p.with_projection == spec.with_projection
+    rows = {"main": (1, False), "v1": (1, False), "v2": (2, True),
+            "v3": (2, True), "v4": (1, True), "v5": (2, True),
+            "v6": (1, True), "no_dm": (1, True)}
+    assert set(WIRINGS) == set(rows)
+    for kind, want in rows.items():
+        p = Pipeline(kind)
+        assert (p.state_mult, p.with_projection) == want, kind
+        assert p.state_mult == len(WIRINGS[kind].state)
+    for vid in range(1, 7):
+        p = build_pipeline(vid)
+        assert p.kind == f"v{vid}" and p.wiring is WIRINGS[f"v{vid}"]
 
 
 def test_clean_state_layouts():
@@ -61,6 +66,7 @@ def test_clean_state_layouts():
 def test_noise_masks():
     assert Pipeline("main").noise_mask(4) is None
     assert Pipeline("v2").noise_mask(4) is None
+    assert Pipeline("v6").noise_mask(4) is None
     for kind in ("v3", "v5"):
         m = Pipeline(kind).noise_mask(4)
         assert m.tolist() == [True] * 4 + [False] * 4
@@ -74,6 +80,7 @@ def test_inference_init_layouts():
     assert np.array_equal(Pipeline("v3").inference_init(u, h), np.concatenate([u, h]))
     assert np.array_equal(Pipeline("v5").inference_init(u, h), np.concatenate([h, u]))
     assert np.array_equal(Pipeline("v6").inference_init(u, h), h)
+    assert np.array_equal(Pipeline("v2").inference_init(u, h), np.concatenate([u, h]))
     # always a copy, never a view of the stored embedding
     out = Pipeline("main").inference_init(u, h)
     out[0] = 99.0
@@ -116,7 +123,8 @@ def test_selector():
     assert build_pipeline().kind == "main"
     assert build_pipeline(variant=3).kind == "v3"
     assert build_pipeline(ablation="no_tf").bypass_transformer
-    assert build_pipeline(ablation="no_gs").fusion == "none"
+    assert build_pipeline(ablation="no_gs").kind == "v1"
+    assert not build_pipeline(ablation="no_gs").bypass_transformer
     assert build_pipeline(ablation="no_dm").kind == "no_dm"
     with pytest.raises(ConfigurationError):
         build_pipeline(variant=7)
@@ -131,6 +139,9 @@ def test_selector():
 def test_lint_warns_on_signal_noising_with_high_eta():
     assert lint_pipeline(Pipeline("v2"), eta=0.9)
     assert lint_pipeline(Pipeline("v5"), eta=0.9)
+    assert lint_pipeline(Pipeline("v6"), eta=0.9)
+    assert not lint_pipeline(Pipeline("v3"), eta=0.9)
+    assert not lint_pipeline(Pipeline("no_dm"), eta=0.9)
     assert not lint_pipeline(Pipeline("v2"), eta=0.3)
     assert not lint_pipeline(Pipeline("main"), eta=0.9)
 
