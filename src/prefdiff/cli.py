@@ -13,10 +13,11 @@ import click
 from . import data as data_mod
 from . import schedule as schedule_mod
 from .config import RunConfig, load_config, normalized_text
+from .errors import CheckpointError
 from .evaluate import evaluate
-from .params import load_checkpoint, save_checkpoint
+from .params import ModelMeta, load_checkpoint, save_checkpoint
 from .trainer import loss_history_tsv, train
-from .variants import build_pipeline, lint_pipeline
+from .variants import Pipeline, build_pipeline, lint_pipeline
 
 
 def _load_run(cfg: RunConfig):
@@ -24,6 +25,17 @@ def _load_run(cfg: RunConfig):
     target = data_mod.load_ratings(cfg.target_path)
     split = data_mod.split_cold_start(source, target, cfg.fraction, cfg.seed)
     return source, target, split
+
+
+def _check_checkpoint(meta: ModelMeta, cfg: RunConfig, pipeline: Pipeline) -> None:
+    """Raise one CheckpointError listing every way the checkpoint's schedule
+    length and state layout differ from what the config asks for."""
+    wanted = {"T": cfg.T, "state_mult": pipeline.state_mult,
+              "with_projection": pipeline.with_projection}
+    problems = [f"{key} is {getattr(meta, key)} in the checkpoint but {value} in the config"
+                for key, value in wanted.items() if getattr(meta, key) != value]
+    if problems:
+        raise CheckpointError("checkpoint does not match the config: " + "; ".join(problems))
 
 
 @click.group()
@@ -88,8 +100,9 @@ def cmd_eval(ckpt_path, config_path, seed, out, per_user):
     cfg = load_config(config_path, seed=seed)
     source, target, split = _load_run(cfg)
     params = load_checkpoint(ckpt_path)
-    s = schedule_mod.build_schedule(cfg.T, cfg.eta, cfg.alpha_min, cfg.alpha_max)
     pipeline = build_pipeline(cfg.variant, cfg.ablation)
+    _check_checkpoint(params.meta, cfg, pipeline)
+    s = schedule_mod.build_schedule(cfg.T, cfg.eta, cfg.alpha_min, cfg.alpha_max)
     report = evaluate(params, s, source, target, split, cfg, pipeline,
                       collect_per_user=per_user)
     click.echo(report.tsv(), nl=False)

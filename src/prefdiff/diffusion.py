@@ -3,7 +3,8 @@ interpolation, and the single reverse step.
 
 The arithmetic here is written against both plain numpy arrays and autodiff
 tensors: coefficients from the schedule are python floats, so the same
-expressions serve the training graph and the numeric oracles.
+expressions serve the training graph, the graph-free inference rollout (array
+inputs) and the numeric oracles.
 """
 from __future__ import annotations
 
@@ -42,43 +43,59 @@ def forward_chain_step(u_prev: np.ndarray, t: int, eps: np.ndarray, s: Schedule)
     return math.sqrt(1.0 - beta) * np.asarray(u_prev) + math.sqrt(beta) * np.asarray(eps)
 
 
-def denoise(x_t, cond, t, params: ModelParams):
+def _on_graph(x, cond) -> bool:
+    """Whether a denoiser forward builds the autodiff graph: a Tensor input."""
+    return isinstance(x, Tensor) or isinstance(cond, Tensor)
+
+
+def denoise(x_t, cond, t, params: ModelParams) -> Tensor:
     """MLP prediction of the clean state from [x_t || cond || step_emb(t)].
 
     x_t: (B, state_dim); cond: (B, d1); t: int or (B,) ints. Tanh hidden
-    layers, linear output.
+    layers, linear output. With a Tensor among x_t and cond the forward
+    builds the autodiff graph (training); with arrays it runs on the
+    parameter arrays and returns a Tensor leaf without a graph.
     """
+    graph = _on_graph(x_t, cond)
+    cat, tanh = (ad.concat, ad.tanh) if graph else (np.concatenate, np.tanh)
     step = params.step_embedding(t)
-    if np.ndim(step) == 1:
-        step = np.broadcast_to(step, (x_t.shape[0], step.shape[0]))
-    step = step.astype(params.meta.dtype)
-    x = ad.concat([x_t, cond, Tensor(step)], axis=-1)
+    if step.ndim == 1:
+        step = np.repeat(step[None, :], x_t.shape[0], axis=0)
+    x = cat([x_t, cond, step], axis=-1)
     for layer in range(params.meta.mlp_layers):
-        x = x @ params[f"den_w{layer}"] + params[f"den_b{layer}"]
+        w, b = params[f"den_w{layer}"], params[f"den_b{layer}"]
+        x = x @ (w if graph else w.data) + (b if graph else b.data)
         if layer < params.meta.mlp_layers - 1:
-            x = ad.tanh(x)
-    return x
+            x = tanh(x)
+    return x if graph else Tensor(x)
 
 
-def _as_cond_batch(h, batch: int, params: ModelParams) -> Tensor:
-    """The condition rows for the denoiser: h, or the null token when h is None."""
+def _as_cond_batch(h, x, params: ModelParams):
+    """The condition rows for the denoiser state x: h, or the null token when
+    h is None. A Tensor when h is one, or when h is None and x is one."""
     if h is None:
         null = params["null_token"]
-        return null.reshape((1, params.meta.d1)) * np.ones((batch, 1), dtype=params.meta.dtype)
+        if not isinstance(x, Tensor):
+            null = null.data
+        return null.reshape((1, params.meta.d1)) * np.ones((x.shape[0], 1), dtype=params.meta.dtype)
     if isinstance(h, Tensor):
         return h if h.ndim == 2 else h.reshape((1, h.shape[0]))
     arr = np.asarray(h)
-    return Tensor(arr if arr.ndim == 2 else arr[None, :])
+    return arr if arr.ndim == 2 else arr[None, :]
 
 
 def predict_u0(u_t, h, t: int, params: ModelParams):
-    """Single-state prediction of the clean state; `h=None` uses the null token."""
-    x = u_t if isinstance(u_t, Tensor) else Tensor(np.asarray(u_t))
+    """Single-state prediction of the clean state; `h=None` uses the null token.
+
+    An array when u_t and h are arrays (or None), else a graph Tensor."""
+    x = u_t if isinstance(u_t, Tensor) else np.asarray(u_t)
     single = x.ndim == 1
-    if x.ndim == 1:
+    if single:
         x = x.reshape((1, x.shape[0]))
-    cond = _as_cond_batch(h, x.shape[0], params)
+    cond = _as_cond_batch(h, x, params)
     out = denoise(x, cond, t, params)
+    if not _on_graph(x, cond):
+        out = out.data
     return out[0] if single else out
 
 
@@ -100,7 +117,8 @@ def guided_predict(u_t, h, t: int, omega: float, params: ModelParams):
 def reverse_step(u_t, h, t: int, omega: float, z, s: Schedule, params: ModelParams):
     """One reverse transition u_t -> u_{t-1} under guided prediction.
 
-    Caller supplies z ~ N(0, I) for t > 1 and z = 0 at t = 1.
+    Caller supplies z ~ N(0, I) for t > 1 and z = 0 at t = 1. Arrays in give
+    an array out; a Tensor u_t or h gives a graph Tensor.
     """
     coef_u0, coef_ut, variance = posterior_mean_coeffs(s, t)
     pred = guided_predict(u_t, h, t, omega, params)

@@ -47,6 +47,9 @@ def infer_user(u_init: np.ndarray, h, cfg: RunConfig, s: Schedule,
 
     Applies cfg's t_prime reverse steps (noise-free at t=1) to the
     pipeline's initial state; t_prime = 0 returns that state unchanged.
+    The steps run on plain arrays, without an autodiff graph. The noise z is
+    float64, so the state is float64 from the first step on, and later
+    denoiser matmuls are float64 state times model-dtype weights.
     """
     t_prime = cfg.resolved_t_prime()
     if not 0 <= t_prime <= s.T:
@@ -59,8 +62,7 @@ def infer_user(u_init: np.ndarray, h, cfg: RunConfig, s: Schedule,
     for t in range(t_prime, 0, -1):
         z = rng.standard_normal(x.shape[0]) if t > 1 and rng is not None \
             else np.zeros(x.shape[0])
-        out = reverse_step(x, cond, t, omega, z, s, params)
-        x = out.data if isinstance(out, Tensor) else out
+        x = reverse_step(x, cond, t, omega, z, s, params)
     return x
 
 

@@ -54,7 +54,7 @@ class ModelParams:
     def __init__(self, arrays: dict[str, Tensor], meta: ModelMeta):
         self.arrays = arrays
         self.meta = meta
-        self.step_table = step_embedding_table(meta.T, meta.d1)
+        self.step_table = step_embedding_table(meta.T, meta.d1).astype(meta.dtype)
 
     def __getitem__(self, name: str) -> Tensor:
         return self.arrays[name]
@@ -67,7 +67,8 @@ class ModelParams:
             t.zero_grad()
 
     def step_embedding(self, t) -> np.ndarray:
-        """Fixed sinusoidal embedding for step t (int or int array, 1-based)."""
+        """Fixed sinusoidal embedding for step t (int or int array, 1-based),
+        in the model dtype."""
         return self.step_table[np.asarray(t) - 1]
 
 

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -80,29 +81,32 @@ def rec_loss(pred_ratings, true_ratings):
     return (diff * diff).sum() * (1.0 / n)
 
 
-def diffusion_coefficient(s: Schedule, t: int, weighting: str) -> float:
-    """Per-step weight on the squared clean-state error.
+def diffusion_coefficient(s: Schedule, t, weighting: str):
+    """Per-step weight on the squared clean-state error, for an int step
+    (a float) or an int array of steps (a float64 array).
 
     The variance at t=1 is zero, which makes the exact weight singular; the
     floor is the t=2 variance. Simplified weighting drops the coefficient."""
+    t = np.asarray(t)
     if weighting == "simplified":
-        return 1.0
-    s.check_step(t)
-    floor = float(s.beta_tilde[1]) if s.T >= 2 else 1.0
-    sigma2 = max(float(s.beta_tilde[t - 1]), floor)
-    ab_prev = 1.0 if t == 1 else float(s.alpha_bar[t - 2])
-    return ab_prev / (2.0 * sigma2)
+        coef = np.ones(t.shape)
+    else:
+        if np.any((t < 1) | (t > s.T)):
+            raise IndexError(f"step t outside 1..{s.T}")
+        floor = float(s.beta_tilde[1]) if s.T >= 2 else 1.0
+        sigma2 = np.maximum(s.beta_tilde[t - 1], floor)
+        ab_prev = np.where(t == 1, 1.0, s.alpha_bar[t - 2])
+        coef = ab_prev / (2.0 * sigma2)
+    return float(coef) if coef.ndim == 0 else coef
 
 
 def _batch_arrays(batch: list[TrainExample], dtype: str):
     B = len(batch)
-    L = max(len(e.history) for e in batch)
-    hist = np.zeros((B, L), dtype=np.int64)
-    mask = np.zeros((B, L), dtype=bool)
-    for i, e in enumerate(batch):
-        n = len(e.history)
-        hist[i, :n] = e.history
-        mask[i, :n] = True
+    lengths = np.fromiter((len(e.history) for e in batch), dtype=np.int64, count=B)
+    mask = np.arange(lengths.max()) < lengths[:, None]
+    hist = np.zeros(mask.shape, dtype=np.int64)
+    hist[mask] = np.fromiter(chain.from_iterable(e.history for e in batch),
+                             dtype=np.int64, count=int(lengths.sum()))
     users = np.array([e.user_idx for e in batch], dtype=np.int64)
     items = np.array([e.target_item_idx for e in batch], dtype=np.int64)
     ratings = np.array([e.rating for e in batch], dtype=dtype)
@@ -163,8 +167,7 @@ def compute_batch_loss(batch: list[TrainExample], params: ModelParams,
             nmf = nm.astype(dtype)
             x_t = x_t * nmf + x0 * (1.0 - nmf)
         x0_hat = denoise(x_t, cond, t, params)
-        coefs = np.array([diffusion_coefficient(s, int(tt), cfg.loss_weighting)
-                          for tt in t], dtype=dtype)
+        coefs = diffusion_coefficient(s, t, cfg.loss_weighting).astype(dtype)
         diff = x0_hat - x0
         per_example = (diff * diff).sum(axis=1)
         l_diff = (per_example * coefs).mean()

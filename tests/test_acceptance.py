@@ -160,10 +160,10 @@ def test_criterion_06_guidance_algebra_and_masking_rate():
                     max_len=4, T=5, dtype="float64")
     rng = make_rng(60, 0)
     u, h = rng.standard_normal(4), rng.standard_normal(4)
-    ok = np.array_equal(guided_predict(u, h, 3, 0.0, p).data,
-                        predict_u0(u, h, 3, p).data)
-    ok &= np.array_equal(guided_predict(u, None, 3, 4.0, p).data,
-                         predict_u0(u, None, 3, p).data)
+    ok = np.array_equal(guided_predict(u, h, 3, 0.0, p),
+                        predict_u0(u, h, 3, p))
+    ok &= np.array_equal(guided_predict(u, None, 3, 4.0, p),
+                         predict_u0(u, None, 3, p))
     n, p_uncond = 100_000, 0.1
     draws = rng.uniform(size=n)
     # the training loss masks the first 1,000 draws' conditions itself
@@ -196,7 +196,7 @@ def test_criterion_07_inference_step_identities():
     out1 = infer_user(u, h, RunConfig(omega=2.0, t_prime=1), s, p,
                       rng=make_rng(0, 0))
     c0, ct, var = posterior_mean_coeffs(s, 1)
-    want = c0 * guided_predict(u, h, 1, 2.0, p).data + ct * u
+    want = c0 * guided_predict(u, h, 1, 2.0, p) + ct * u
     ok &= var == 0.0 and np.allclose(out1, want, atol=1e-12)
     elapsed = time.perf_counter() - start
     ok &= elapsed < 1.0

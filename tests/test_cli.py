@@ -6,6 +6,7 @@ import pytest
 from click.testing import CliRunner
 
 from prefdiff.cli import main
+from prefdiff.errors import CheckpointError
 from prefdiff.synthetic import generate_pair, write_tsv
 
 
@@ -150,3 +151,44 @@ def test_bad_config_reports_error(run_config, tmp_path, data_files):
     result = CliRunner().invoke(
         main, ["train", "--config", str(bad), "--out", str(tmp_path / "o")])
     assert result.exit_code != 0
+
+
+@pytest.fixture(scope="module")
+def main_checkpoint(run_config, tmp_path_factory):
+    run = tmp_path_factory.mktemp("main_run")
+    invoke("train", "--config", run_config, "--seed", "7", "--out", str(run))
+    return str(run / "checkpoint")
+
+
+def _eval_mismatch(main_checkpoint, run_config, tmp_path, extra):
+    conf = tmp_path / "eval.conf"
+    conf.write_text(open(run_config).read() + extra)
+    result = CliRunner().invoke(
+        main, ["eval", "--checkpoint", main_checkpoint, "--config", str(conf)])
+    assert result.exit_code != 0
+    assert isinstance(result.exception, CheckpointError)
+    return str(result.exception)
+
+
+def test_eval_rejects_longer_schedule(main_checkpoint, run_config, tmp_path):
+    # T = 5 in the checkpoint; T = 8 with t_prime = 7 indexed past its table
+    msg = _eval_mismatch(main_checkpoint, run_config, tmp_path, "T = 8\nt_prime = 7\n")
+    assert "T is 5 in the checkpoint but 8 in the config" in msg
+
+
+def test_eval_rejects_shorter_schedule(main_checkpoint, run_config, tmp_path):
+    # a smaller T used to run silently under the wrong schedule
+    msg = _eval_mismatch(main_checkpoint, run_config, tmp_path, "T = 4\nt_prime = 3\n")
+    assert "T is 5 in the checkpoint but 4 in the config" in msg
+
+
+def test_eval_rejects_other_wiring(main_checkpoint, run_config, tmp_path):
+    # variant 4 needs a projection the main model's checkpoint lacks
+    msg = _eval_mismatch(main_checkpoint, run_config, tmp_path, "variant = 4\n")
+    assert "with_projection is False in the checkpoint but True" in msg
+
+
+def test_eval_lists_every_checkpoint_mismatch(main_checkpoint, run_config, tmp_path):
+    msg = _eval_mismatch(main_checkpoint, run_config, tmp_path,
+                         "T = 4\nt_prime = 3\nvariant = 2\n")
+    assert "T is 5" in msg and "state_mult is 1" in msg and "with_projection" in msg

@@ -7,11 +7,15 @@ import pytest
 
 from prefdiff.autodiff import Tensor
 from prefdiff.config import parse_config_text
-from prefdiff.diffusion import (forward_chain_step, forward_marginal,
+from prefdiff.diffusion import (denoise, forward_chain_step, forward_marginal,
                                 guided_predict, predict_u0, reverse_step)
 from prefdiff.errors import ConfigurationError
+from prefdiff.params import init_params
 from prefdiff.rng import make_rng
 from prefdiff.schedule import build_schedule, posterior_mean_coeffs
+from prefdiff.variants import build_pipeline
+
+from test_evaluate import SELECTORS
 
 
 def test_forward_marginal_exact_values():
@@ -82,9 +86,9 @@ def test_predict_u0_single_vs_batch(tiny_params):
     h = rng.standard_normal(4)
     single = predict_u0(u, h, 2, p)
     batch = predict_u0(Tensor(np.stack([u, u])), Tensor(np.stack([h, h])), 2, p)
-    assert single.data.shape == (4,)
+    assert single.shape == (4,)
     assert np.array_equal(batch.data[0], batch.data[1])
-    assert np.allclose(single.data, batch.data[0])
+    assert np.allclose(single, batch.data[0])
 
 
 def test_predict_u0_null_vs_zero_condition(tiny_params):
@@ -93,7 +97,7 @@ def test_predict_u0_null_vs_zero_condition(tiny_params):
     u = rng.standard_normal(4)
     a = predict_u0(u, None, 3, tiny_params)
     b = predict_u0(u, np.zeros(4), 3, tiny_params)
-    assert np.allclose(a.data, b.data)
+    assert np.allclose(a, b)
 
 
 def test_predict_u0_depends_on_step(tiny_params):
@@ -101,7 +105,7 @@ def test_predict_u0_depends_on_step(tiny_params):
     u, h = rng.standard_normal(4), rng.standard_normal(4)
     a = predict_u0(u, h, 1, tiny_params)
     b = predict_u0(u, h, 5, tiny_params)
-    assert not np.allclose(a.data, b.data)
+    assert not np.allclose(a, b)
 
 
 def test_guided_predict_identities(tiny_params):
@@ -109,21 +113,21 @@ def test_guided_predict_identities(tiny_params):
     rng = make_rng(9, 9)
     u, h = rng.standard_normal(4), rng.standard_normal(4)
     # omega = 0 is bitwise the conditional prediction
-    assert np.array_equal(guided_predict(u, h, 2, 0.0, p).data,
-                          predict_u0(u, h, 2, p).data)
+    assert np.array_equal(guided_predict(u, h, 2, 0.0, p),
+                          predict_u0(u, h, 2, p))
     # no condition is bitwise the unconditional prediction at any omega
-    assert np.array_equal(guided_predict(u, None, 2, 3.0, p).data,
-                          predict_u0(u, None, 2, p).data)
+    assert np.array_equal(guided_predict(u, None, 2, 3.0, p),
+                          predict_u0(u, None, 2, p))
 
 
 def test_guided_predict_linear_in_omega(tiny_params):
     p = tiny_params
     rng = make_rng(10, 10)
     u, h = rng.standard_normal(4), rng.standard_normal(4)
-    cond = predict_u0(u, h, 4, p).data
-    uncond = predict_u0(u, None, 4, p).data
+    cond = predict_u0(u, h, 4, p)
+    uncond = predict_u0(u, None, 4, p)
     for omega in (0.5, 1.0, 2.0):
-        got = guided_predict(u, h, 4, omega, p).data
+        got = guided_predict(u, h, 4, omega, p)
         assert np.allclose(got, (1 + omega) * cond - omega * uncond, atol=1e-12)
 
 
@@ -139,10 +143,10 @@ def test_reverse_step_formula(tiny_params):
     u, h, z = (rng.standard_normal(4) for _ in range(3))
     t, omega = 4, 1.5
     c0, ct, var = posterior_mean_coeffs(s, t)
-    pred = guided_predict(u, h, t, omega, p).data
+    pred = guided_predict(u, h, t, omega, p)
     want = c0 * pred + ct * u + math.sqrt(var) * z
     got = reverse_step(u, h, t, omega, z, s, p)
-    assert np.allclose(got.data, want, atol=1e-12)
+    assert np.allclose(got, want, atol=1e-12)
 
 
 def test_reverse_step_t1_deterministic(tiny_params):
@@ -153,7 +157,7 @@ def test_reverse_step_t1_deterministic(tiny_params):
     u, h = rng.standard_normal(4), rng.standard_normal(4)
     got = reverse_step(u, h, 1, 2.0, np.zeros(4), s, p)
     pred = guided_predict(u, h, 1, 2.0, p)
-    assert np.allclose(got.data, pred.data, atol=1e-12)
+    assert np.allclose(got, pred, atol=1e-12)
 
 
 def test_guidance_config_validation():
@@ -178,4 +182,47 @@ def test_straight_line_denoiser_reevaluation(tiny_params):
         c0, ct, var = posterior_mean_coeffs(s, t)
         got = reverse_step(u, None, t, 0.0, np.zeros(4), s, p)
         want = c0 * np.array([0.3, -0.1, 0.0, 0.7]) + ct * u
-        assert np.allclose(got.data, want, atol=1e-12)
+        assert np.allclose(got, want, atol=1e-12)
+
+
+def test_denoise_on_arrays_returns_leaf_tensor(tiny_params):
+    p = tiny_params
+    rng = make_rng(14, 14)
+    x, cond = rng.standard_normal((2, 4)), rng.standard_normal((2, 4))
+    out = denoise(x, cond, 3, p)
+    assert isinstance(out, Tensor) and out._backward_fn is None
+    assert out.shape == (2, 4)
+    graph = denoise(Tensor(x), cond, 3, p)
+    assert graph._backward_fn is not None
+    assert out.data.tobytes() == graph.data.tobytes()
+
+
+@pytest.mark.parametrize("omega", [0.0, 2.0])
+@pytest.mark.parametrize("t_prime", [1, 5])
+@pytest.mark.parametrize("variant,ablation", SELECTORS)
+def test_reverse_step_arrays_match_tensor_inputs(variant, ablation, t_prime, omega):
+    # a float32 rollout as inference runs it: the array path and the graph
+    # path agree bitwise at every step, through the float64 promotion
+    pipe = build_pipeline(variant, ablation)
+    p = init_params(n_users=3, n_items_src=3, n_items_tgt=3, d1=4, seed=4,
+                    init_scale=0.3, hidden=8, mlp_layers=3, enc_layers=1,
+                    max_len=4, T=5, state_mult=pipe.state_mult,
+                    with_projection=pipe.with_projection, dtype="float32")
+    rng = make_rng(15, variant)
+    for name in p.names():  # null token and biases start at zero or one
+        p[name].data[...] += rng.uniform(-0.3, 0.3, size=p[name].shape)
+    s = build_schedule(5, 0.5, 0.1, 10.0)
+    u = rng.standard_normal(4).astype(np.float32)
+    h = rng.standard_normal(4).astype(np.float32)
+    x = pipe.inference_init(u, h)
+    cond = h if pipe.guided else None
+    omega = omega if pipe.guided else 0.0
+    for t in range(t_prime, 0, -1):
+        z = rng.standard_normal(x.shape[0]) if t > 1 else np.zeros(x.shape[0])
+        got = reverse_step(x, cond, t, omega, z, s, p)
+        want = reverse_step(Tensor(x), None if cond is None else Tensor(cond),
+                            t, omega, z, s, p)
+        assert isinstance(got, np.ndarray) and want._backward_fn is not None
+        assert got.dtype == want.data.dtype == np.float64
+        assert got.tobytes() == want.data.tobytes()
+        x = got

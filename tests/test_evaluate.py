@@ -41,7 +41,7 @@ def test_single_step_matches_hand_rollout(tiny_params, sched):
     cfg = tiny_cfg(omega=1.5, t_prime=1, seed=0)
     got = infer_user(u, h, cfg, sched, tiny_params, rng=make_rng(0, 0))
     c0, ct, var = posterior_mean_coeffs(sched, 1)
-    pred = guided_predict(u, h, 1, 1.5, tiny_params).data
+    pred = guided_predict(u, h, 1, 1.5, tiny_params)
     assert var == 0.0
     assert np.allclose(got, c0 * pred + ct * u, atol=1e-12)
 
@@ -184,3 +184,38 @@ def test_every_pipeline_at_every_t_prime(variant, ablation, t_prime):
         errors.append(predict_rating(emb, v) - rec.rating)
     assert rep.mae == pytest.approx(report_from_errors(np.asarray(errors)).mae,
                                     rel=1e-12)
+
+
+def _tiny_run_report(variant, ablation):
+    """The report of a tiny float32 train then a guided eval at t_prime = T."""
+    src, tgt = toy_domains(n_overlap=25, seed=3)
+    split = split_cold_start(src, tgt, 0.2, seed=1)
+    cfg = tiny_cfg(epochs=2, batch_size=16, variant=variant, ablation=ablation,
+                   omega=2.0, t_prime=5, dtype="float32")
+    pipe = build_pipeline(variant, ablation)
+    params, _ = train(src, tgt, split, cfg, pipe)
+    s = build_schedule(cfg.T, cfg.eta, cfg.alpha_min, cfg.alpha_max)
+    return evaluate(params, s, src, tgt, split, cfg, pipe)
+
+
+# report lines recorded from the code before inference ran without the
+# autodiff graph; the graph-free rollout must reproduce them exactly (a
+# different BLAS build may move the last digits of both)
+GOLDEN_REPORTS = {
+    (0, "none"): ("mae\t3.792550336", "rmse\t3.942042418"),
+    (1, "none"): ("mae\t3.882049679", "rmse\t4.002656703"),
+    (2, "none"): ("mae\t3.830982788", "rmse\t3.951580868"),
+    (3, "none"): ("mae\t3.827199379", "rmse\t3.948412448"),
+    (4, "none"): ("mae\t3.79479595", "rmse\t3.936464909"),
+    (5, "none"): ("mae\t3.822933973", "rmse\t3.942684748"),
+    (6, "none"): ("mae\t3.881880465", "rmse\t3.997686023"),
+    (0, "no_tf"): ("mae\t3.877559983", "rmse\t3.995689337"),
+    (0, "no_gs"): ("mae\t3.882049679", "rmse\t4.002656703"),
+    (0, "no_dm"): ("mae\t3.79466486", "rmse\t3.931480461"),
+}
+
+
+@pytest.mark.parametrize("variant,ablation", SELECTORS)
+def test_tiny_run_report_matches_golden(variant, ablation):
+    lines = _tiny_run_report(variant, ablation).tsv().split("\n")
+    assert tuple(lines[1:3]) == GOLDEN_REPORTS[(variant, ablation)]

@@ -11,7 +11,7 @@ from prefdiff.errors import ConfigurationError, DataError
 from prefdiff.rng import make_rng
 from prefdiff.schedule import build_schedule
 from prefdiff.trainer import (AdamState, BatchDraws, TrainExample,
-                              build_examples, compute_batch_loss,
+                              _batch_arrays, build_examples, compute_batch_loss,
                               diffusion_coefficient, loss_history_tsv,
                               new_trainer_state, rec_loss, sample_draws, train,
                               train_step)
@@ -79,6 +79,36 @@ def test_diffusion_coefficient_weighted_floor():
     for t in range(3, 11):
         want = s.alpha_bar[t - 2] / (2 * s.beta_tilde[t - 1])
         assert diffusion_coefficient(s, t, "variance_weighted") == pytest.approx(want)
+
+
+@pytest.mark.parametrize("weighting", ["simplified", "variance_weighted"])
+def test_diffusion_coefficient_array_matches_scalar_bitwise(weighting):
+    s = build_schedule(10, 0.5, 0.1, 10.0)
+    t = np.arange(1, 11)
+    coefs = diffusion_coefficient(s, t, weighting)
+    assert coefs.dtype == np.float64 and coefs.shape == (10,)
+    for tt in t:
+        scalar = diffusion_coefficient(s, int(tt), weighting)
+        assert isinstance(scalar, float)
+        assert np.float64(scalar).tobytes() == coefs[tt - 1].tobytes()
+    with pytest.raises(IndexError):
+        diffusion_coefficient(s, np.array([1, 11]), "variance_weighted")
+
+
+def test_batch_arrays_pads_histories_like_a_loop():
+    batch = [TrainExample(user_idx=i, history=tuple(range(10 * i, 10 * i + n)),
+                          target_item_idx=i, rating=float(i))
+             for i, n in enumerate([3, 1, 5, 2])]
+    users, hist, mask, items, ratings = _batch_arrays(batch, "float32")
+    want_hist = np.zeros((4, 5), dtype=np.int64)
+    want_mask = np.zeros((4, 5), dtype=bool)
+    for i, e in enumerate(batch):
+        want_hist[i, :len(e.history)] = e.history
+        want_mask[i, :len(e.history)] = True
+    assert hist.dtype == np.int64 and np.array_equal(hist, want_hist)
+    assert mask.dtype == bool and np.array_equal(mask, want_mask)
+    assert users.tolist() == items.tolist() == [0, 1, 2, 3]
+    assert ratings.dtype == np.float32
 
 
 def _constant_denoiser(p, out):
