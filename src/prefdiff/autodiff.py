@@ -23,7 +23,11 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 class Tensor:
-    """An n-d array plus the machinery to backpropagate through it."""
+    """An n-d array plus the machinery to backpropagate through it.
+
+    `grad` may be a read-only broadcast view, or an array shared with other
+    tensors' gradients: copy it before writing into it (clipping, scaling).
+    Backward functions never write into the gradients they receive."""
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn")
 
@@ -77,7 +81,8 @@ class Tensor:
                 if g is None or not parent.requires_grad:
                     continue
                 if parent.grad is None:
-                    parent.grad = g.copy() if g.base is not None else g
+                    # kept as it is, view or shared (see the class docstring)
+                    parent.grad = g
                 else:
                     parent.grad = parent.grad + g
 
@@ -153,7 +158,8 @@ def add(a, b) -> Tensor:
     data = a.data + b.data
 
     def backward(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
+        return (_unbroadcast(g, a.data.shape) if a.requires_grad else None,
+                _unbroadcast(g, b.data.shape) if b.requires_grad else None)
 
     return _make(data, (a, b), backward)
 
@@ -171,8 +177,8 @@ def mul(a, b) -> Tensor:
     data = a.data * b.data
 
     def backward(g):
-        return (_unbroadcast(g * b.data, a.data.shape),
-                _unbroadcast(g * a.data, b.data.shape))
+        return (_unbroadcast(g * b.data, a.data.shape) if a.requires_grad else None,
+                _unbroadcast(g * a.data, b.data.shape) if b.requires_grad else None)
 
     return _make(data, (a, b), backward)
 
@@ -243,12 +249,9 @@ def tsum(a, axis=None, keepdims=False) -> Tensor:
     data = a.data.sum(axis=axis, keepdims=keepdims)
 
     def backward(g):
-        if axis is None:
-            return (np.broadcast_to(g, a.data.shape).copy(),)
-        gg = g
-        if not keepdims:
-            gg = np.expand_dims(gg, axis)
-        return (np.broadcast_to(gg, a.data.shape).copy(),)
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        return (np.broadcast_to(g, a.data.shape),)
 
     return _make(data, (a,), backward)
 
@@ -307,15 +310,46 @@ def getitem(a, key) -> Tensor:
     return _make(data, (a,), backward)
 
 
+# the fewest rows a scatter round in `gather`'s backward writes: a round costs
+# about as much as `np.add.at` on 16 rows of float64 into float32
+_MIN_ROUND = 16
+
+
 def gather(table, indices) -> Tensor:
-    """Row lookup `table[indices]` with scatter-add backward (embeddings)."""
+    """Row lookup `table[indices]` with scatter-add backward (embeddings).
+
+    The backward equals `np.add.at(zeros_like(table), indices, g)` bit for
+    bit: every row gets its adds in index order, each rounded to the table's
+    dtype. It adds the k-th occurrence of every index in round k, so a
+    round writes distinct rows; unlike `np.add.at`, it stays fast when `g`
+    and the table differ in dtype. Rounds shrink as k grows; once one would
+    write fewer than `_MIN_ROUND` rows, the remaining adds, still in
+    (k, row) order, go to one `np.add.at` call, so an index repeated
+    thousands of times (padding slots) does not cost thousands of rounds."""
     table = as_tensor(table)
     idx = np.asarray(indices)
     data = table.data[idx]
 
     def backward(g):
         out = np.zeros_like(table.data)
-        np.add.at(out, idx, g)
+        flat = idx.reshape(-1) % max(len(out), 1)
+        rows = g.reshape(flat.shape + out.shape[1:])
+        order = np.argsort(flat, kind="stable")
+        dest = flat[order]
+        # rank of each entry among the entries of its row, in index order
+        pos = np.arange(dest.size)
+        rank = pos - np.maximum.accumulate(np.where(np.diff(dest, prepend=-1) != 0, pos, 0))
+        by_rank = np.argsort(rank, kind="stable")
+        src, dest = order[by_rank], dest[by_rank]
+        lo = 0
+        for hi in np.cumsum(np.bincount(rank)):
+            if hi - lo < _MIN_ROUND:
+                break
+            d = dest[lo:hi]
+            out[d] = out[d] + rows[src[lo:hi]]
+            lo = hi
+        if lo < dest.size:
+            np.add.at(out, dest[lo:], rows[src[lo:]])
         return (out,)
 
     return _make(data, (table,), backward)

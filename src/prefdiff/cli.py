@@ -15,7 +15,7 @@ from . import schedule as schedule_mod
 from .config import RunConfig, load_config, normalized_text
 from .errors import CheckpointError
 from .evaluate import evaluate
-from .params import ModelMeta, load_checkpoint, save_checkpoint
+from .params import RUN_FIELDS, ModelMeta, load_checkpoint, save_checkpoint
 from .trainer import loss_history_tsv, train
 from .variants import Pipeline, build_pipeline, lint_pipeline
 
@@ -28,9 +28,11 @@ def _load_run(cfg: RunConfig):
 
 
 def _check_checkpoint(meta: ModelMeta, cfg: RunConfig, pipeline: Pipeline) -> None:
-    """Raise one CheckpointError listing every way the checkpoint's schedule
-    length and state layout differ from what the config asks for."""
-    wanted = {"T": cfg.T, "state_mult": pipeline.state_mult,
+    """Raise one CheckpointError listing every way the checkpoint's schedule,
+    wiring and state layout differ from what the config asks for; omega,
+    t_prime and the seed may differ."""
+    wanted = {"T": cfg.T, **{key: getattr(cfg, key) for key in RUN_FIELDS},
+              "state_mult": pipeline.state_mult,
               "with_projection": pipeline.with_projection}
     problems = [f"{key} is {getattr(meta, key)} in the checkpoint but {value} in the config"
                 for key, value in wanted.items() if getattr(meta, key) != value]

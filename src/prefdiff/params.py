@@ -8,7 +8,7 @@ little-endian binary blob in manifest order.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -22,7 +22,8 @@ BLOB_NAME = "params.bin"
 
 @dataclass
 class ModelMeta:
-    """Architecture hyper-parameters needed to interpret the arrays."""
+    """Architecture hyper-parameters needed to interpret the arrays, then
+    the schedule and wiring the arrays were trained under."""
     d1: int
     n_users: int
     n_items_src: int
@@ -37,6 +38,13 @@ class ModelMeta:
     with_projection: bool = False
     encoder_layer_norm: bool = True
     dtype: str = "float32"
+    # None until `trainer.train` binds them to its config; `eval` refuses a
+    # checkpoint whose values differ from its own config, None included
+    eta: float | None = None
+    alpha_min: float | None = None
+    alpha_max: float | None = None
+    variant: int | None = None
+    ablation: str | None = None
 
     @property
     def state_dim(self) -> int:
@@ -153,16 +161,21 @@ def init_params(n_users: int, n_items_src: int, n_items_tgt: int, d1: int,
     return ModelParams(arrays, meta)
 
 
-_META_FIELDS = ["d1", "n_users", "n_items_src", "n_items_tgt", "hidden",
-                "mlp_layers", "enc_layers", "n_heads", "max_len", "T",
-                "state_mult", "with_projection", "encoder_layer_norm", "dtype"]
+# the run settings a checkpoint is bound to besides T and the state layout
+RUN_FIELDS = ("eta", "alpha_min", "alpha_max", "variant", "ablation")
+_PARSE = {"int": int, "float": float, "str": str, "bool": lambda s: s == "True"}
+
+
+def _parse(kind: str, text: str):
+    """A manifest value back as the type `kind` of its ModelMeta field."""
+    if kind.endswith(" | None") and text == "None":
+        return None
+    return _PARSE[kind.removesuffix(" | None")](text)
 
 
 def save_checkpoint(params: ModelParams, path) -> None:
     os.makedirs(path, exist_ok=True)
-    lines = []
-    for name in _META_FIELDS:
-        lines.append(f"# {name}={getattr(params.meta, name)}")
+    lines = [f"# {f.name}={getattr(params.meta, f.name)}" for f in fields(ModelMeta)]
     offset = 0
     blobs = []
     for name, tensor in params.arrays.items():
@@ -178,10 +191,6 @@ def save_checkpoint(params: ModelParams, path) -> None:
     with open(os.path.join(path, BLOB_NAME), "wb") as fh:
         for raw in blobs:
             fh.write(raw)
-
-
-def _parse_bool(s: str) -> bool:
-    return s == "True"
 
 
 def load_checkpoint(path) -> ModelParams:
@@ -204,10 +213,7 @@ def load_checkpoint(path) -> ModelParams:
             shape = tuple(int(x) for x in shape_s.split(",")) if shape_s else ()
             entries.append((name, shape, dtype_s, int(offset_s)))
     try:
-        meta = ModelMeta(
-            **{k: (_parse_bool(meta_kv[k]) if k in ("with_projection", "encoder_layer_norm")
-                   else (meta_kv[k] if k == "dtype" else int(meta_kv[k])))
-               for k in _META_FIELDS})
+        meta = ModelMeta(**{f.name: _parse(f.type, meta_kv[f.name]) for f in fields(ModelMeta)})
     except KeyError as exc:
         raise CheckpointError(f"manifest missing metadata field {exc}") from None
 

@@ -5,7 +5,7 @@ L = L_rec + lambda * L_diff, and adaptive gradient updates.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import chain
 
 import numpy as np
@@ -17,10 +17,10 @@ from .data import AccessCounter, ColdStartSplit, DomainData
 from .diffusion import denoise
 from .encoder import encode_batch
 from .errors import DataError, TrainingError
-from .params import ModelParams, init_params
+from .params import RUN_FIELDS, ModelParams, init_params
 from .rng import make_rng
 from .schedule import Schedule, build_schedule
-from .variants import Pipeline
+from .variants import Pipeline, build_pipeline
 
 logger = logging.getLogger(__name__)
 
@@ -43,21 +43,30 @@ class AdamState:
         self.step = 0
 
     def update(self, params: ModelParams, lr: float) -> None:
+        """One Adam step. The moments are updated in place, with the same
+        operations in the same order as the textbook formula, so the result
+        is the same to the bit; `tensor.data` is rebound, not written."""
         self.step += 1
         b1, b2 = self.beta1, self.beta2
         for name, tensor in params.arrays.items():
             if tensor.grad is None:
                 continue
-            g = tensor.grad.astype(tensor.data.dtype)
+            g = tensor.grad.astype(tensor.data.dtype, copy=False)
             if name not in self.m:
                 self.m[name] = np.zeros_like(tensor.data)
                 self.v[name] = np.zeros_like(tensor.data)
-            self.m[name] = b1 * self.m[name] + (1 - b1) * g
-            self.v[name] = b2 * self.v[name] + (1 - b2) * g * g
-            m_hat = self.m[name] / (1 - b1 ** self.step)
-            v_hat = self.v[name] / (1 - b2 ** self.step)
-            delta = lr * m_hat / (np.sqrt(v_hat) + self.eps)
-            tensor.data = tensor.data - delta.astype(tensor.data.dtype)
+            m, v = self.m[name], self.v[name]
+            m *= b1
+            m += (1 - b1) * g
+            v *= b2
+            v += (1 - b2) * g * g
+            delta = m / (1 - b1 ** self.step)
+            delta *= lr
+            denom = v / (1 - b2 ** self.step)
+            np.sqrt(denom, out=denom)
+            denom += self.eps
+            delta /= denom
+            tensor.data = tensor.data - delta
 
 
 @dataclass
@@ -200,7 +209,7 @@ def train_step(batch: list[TrainExample], params: ModelParams,
     report. Steps t and condition masks are sampled per example."""
     if not batch:
         raise DataError("empty batch")
-    pipeline = pipeline or Pipeline("main")
+    pipeline = pipeline or build_pipeline(cfg.variant, cfg.ablation)
     state_dim = pipeline.state_mult * params.meta.d1
     draws = sample_draws(state.rng, len(batch), state_dim, s.T,
                          pipeline.uses_masking, params.meta.dtype)
@@ -238,8 +247,9 @@ def build_examples(source: DomainData, target: DomainData, split: ColdStartSplit
 def train(source: DomainData, target: DomainData, split: ColdStartSplit,
           cfg: RunConfig, pipeline: Pipeline | None = None,
           counter: AccessCounter | None = None) -> tuple[ModelParams, list[dict]]:
-    """Run the full training loop; deterministic per cfg.seed."""
-    pipeline = pipeline or Pipeline("main")
+    """Run the full training loop; deterministic per cfg.seed. The returned
+    parameters are bound to cfg's schedule and wiring (`RUN_FIELDS`)."""
+    pipeline = pipeline or build_pipeline(cfg.variant, cfg.ablation)
     s = build_schedule(cfg.T, cfg.eta, cfg.alpha_min, cfg.alpha_max)
     universe = data_mod.user_universe(source, target)
     params = init_params(
@@ -250,6 +260,7 @@ def train(source: DomainData, target: DomainData, split: ColdStartSplit,
         n_heads=cfg.n_heads, max_len=cfg.max_history_len, T=cfg.T,
         state_mult=pipeline.state_mult,
         with_projection=pipeline.with_projection, dtype=cfg.dtype)
+    params.meta = replace(params.meta, **{key: getattr(cfg, key) for key in RUN_FIELDS})
     examples = build_examples(source, target, split, universe,
                               cfg.max_history_len, counter)
     if not examples and cfg.epochs > 0:

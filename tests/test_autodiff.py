@@ -1,6 +1,9 @@
 """Gradient checks for every autodiff primitive against central differences."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from prefdiff import autodiff as ad
 from prefdiff.autodiff import Tensor
@@ -116,3 +119,67 @@ def test_no_graph_without_requires_grad():
     x = Tensor(np.ones(3))
     y = x * 2.0 + 1.0
     assert y._parents == () and not y.requires_grad
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(),
+       table_dtype=st.sampled_from([np.float32, np.float64]),
+       grad_dtype=st.sampled_from([np.float32, np.float64]),
+       n_rows=st.integers(1, 40),
+       row_shape=st.sampled_from([(), (3,)]),
+       idx_shape=st.sampled_from([(0,), (1,), (9,), (40,), (4, 5), (0, 3), (200,),
+                                  (16, 12)]))
+def test_gather_backward_equals_add_at_bitwise(data, table_dtype, grad_dtype, n_rows,
+                                               row_shape, idx_shape):
+    # few rows and long indices give heavy duplicates, and many rows with
+    # long indices give rounds of 16 rows and more before the np.add.at
+    # tail; the elements include -0.0, which np.add.at turns into +0.0 on a
+    # zero row
+    idx = data.draw(hnp.arrays(np.int64, idx_shape, elements=st.integers(0, n_rows - 1)))
+    width = 32 if grad_dtype is np.float32 else 64
+    elements = st.one_of(st.sampled_from([-0.0, 0.0]), st.floats(-1e6, 1e6, width=width))
+    g = data.draw(hnp.arrays(grad_dtype, idx_shape + row_shape, elements=elements))
+    table = Tensor(np.zeros((n_rows,) + row_shape, dtype=table_dtype), requires_grad=True)
+    (out,) = ad.gather(table, idx)._backward_fn(g)
+    expected = np.zeros_like(table.data)
+    np.add.at(expected, idx, g)
+    assert out.dtype == expected.dtype and out.tobytes() == expected.tobytes()
+
+
+def test_gather_backward_padding_slots_match_add_at():
+    # 50 rows three times each fill three full rounds; index 0, repeated 500
+    # times like the padding slots of short histories, ends in the tail
+    idx = np.concatenate([np.tile(np.arange(50), 3), np.zeros(500, dtype=np.int64)])
+    idx = RNG.permutation(idx).reshape(50, 13)
+    g = RNG.standard_normal((50, 13, 4))
+    table = Tensor(np.zeros((50, 4), dtype=np.float32), requires_grad=True)
+    (out,) = ad.gather(table, idx)._backward_fn(g)
+    expected = np.zeros_like(table.data)
+    np.add.at(expected, idx, g)
+    assert out.tobytes() == expected.tobytes()
+
+
+def test_gather_backward_negative_indices_match_add_at():
+    table = Tensor(np.zeros((4, 2), dtype=np.float32), requires_grad=True)
+    idx = np.array([3, -1, 0, -4, 3])
+    g = RNG.standard_normal((5, 2))
+    (out,) = ad.gather(table, idx)._backward_fn(g)
+    expected = np.zeros_like(table.data)
+    np.add.at(expected, idx, g)
+    assert out.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("op", [lambda x, y: x + y, lambda x, y: x * y,
+                                lambda x, y: y + x, lambda x, y: y * x])
+def test_constant_operand_gets_no_gradient(op):
+    a = RNG.standard_normal((3, 4))
+    c = RNG.standard_normal((4,))
+    w = RNG.standard_normal((3, 4))
+    both = [Tensor(a.copy(), requires_grad=True), Tensor(c.copy(), requires_grad=True)]
+    (op(*both) * w).sum().backward()
+    x = Tensor(a.copy(), requires_grad=True)
+    out = op(x, Tensor(c.copy()))
+    grads = out._backward_fn(np.ones_like(out.data))
+    assert grads[out._parents.index(x) ^ 1] is None
+    (out * w).sum().backward()
+    assert x.grad.tobytes() == both[0].grad.tobytes()

@@ -192,3 +192,35 @@ def test_eval_lists_every_checkpoint_mismatch(main_checkpoint, run_config, tmp_p
     msg = _eval_mismatch(main_checkpoint, run_config, tmp_path,
                          "T = 4\nt_prime = 3\nvariant = 2\n")
     assert "T is 5" in msg and "state_mult is 1" in msg and "with_projection" in msg
+
+
+@pytest.mark.parametrize("extra,expected", [
+    ("eta = 0.9\n", "eta is 0.1 in the checkpoint but 0.9 in the config"),
+    ("alpha_min = 0.2\n", "alpha_min is 0.1 in the checkpoint but 0.2 in the config"),
+    ("alpha_max = 5\n", "alpha_max is 10.0 in the checkpoint but 5.0 in the config"),
+    # variant 1 has the main model's state layout, so only the binding refuses it
+    ("variant = 1\n", "variant is 0 in the checkpoint but 1 in the config"),
+    ("ablation = no_tf\n", "ablation is none in the checkpoint but no_tf in the config"),
+])
+def test_eval_rejects_other_run_setting(main_checkpoint, run_config, tmp_path,
+                                        extra, expected):
+    msg = _eval_mismatch(main_checkpoint, run_config, tmp_path, extra)
+    assert expected in msg
+    assert msg.count(" in the checkpoint but ") == 1
+
+
+def test_eval_lists_every_run_setting_mismatch(main_checkpoint, run_config, tmp_path):
+    # a main checkpoint evaluated under another schedule and the no_tf
+    # ablation used to run and report a wrong MAE
+    msg = _eval_mismatch(main_checkpoint, run_config, tmp_path,
+                         "eta = 0.9\nalpha_max = 5\nablation = no_tf\n")
+    assert msg.count(" in the checkpoint but ") == 3
+    assert "eta is 0.1" in msg and "alpha_max is 10.0" in msg and "ablation is none" in msg
+
+
+def test_eval_accepts_other_inference_settings(main_checkpoint, run_config, tmp_path):
+    conf = tmp_path / "eval.conf"
+    conf.write_text(open(run_config).read() + "omega = 0\nt_prime = 1\n")
+    result = invoke("eval", "--checkpoint", main_checkpoint, "--config", str(conf),
+                    "--seed", "9")
+    assert "MAE=" in result.output

@@ -1,5 +1,6 @@
 """Parameter initialization, step embeddings, and checkpoint round-trips."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -89,6 +90,18 @@ def test_checkpoint_round_trip_bitwise(tmp_path):
             assert got.dtype == want.dtype
             assert got.tobytes() == want.tobytes()
         assert np.array_equal(q.step_table, p.step_table)
+
+
+def test_checkpoint_round_trips_run_binding(tmp_path):
+    # init_params leaves the schedule and wiring unbound; `train` binds them
+    p = small_params()
+    assert (p.meta.eta, p.meta.variant, p.meta.ablation) == (None, None, None)
+    save_checkpoint(p, tmp_path / "unbound")
+    assert load_checkpoint(tmp_path / "unbound").meta == p.meta
+    p.meta = replace(p.meta, eta=0.25, alpha_min=0.5, alpha_max=4.0, variant=3,
+                     ablation="none")
+    save_checkpoint(p, tmp_path / "bound")
+    assert load_checkpoint(tmp_path / "bound").meta == p.meta
 
 
 def test_checkpoint_missing_files(tmp_path):

@@ -1,13 +1,16 @@
 """Training loop: losses, gradient flow, masking statistics, determinism."""
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+from prefdiff import autodiff as ad
 from prefdiff.config import RunConfig
 from prefdiff.data import (AccessCounter, RatingRecord, make_domain,
                            split_cold_start, user_universe)
 from prefdiff.errors import ConfigurationError, DataError
+from prefdiff.params import save_checkpoint
 from prefdiff.rng import make_rng
 from prefdiff.schedule import build_schedule
 from prefdiff.trainer import (AdamState, BatchDraws, TrainExample,
@@ -15,7 +18,7 @@ from prefdiff.trainer import (AdamState, BatchDraws, TrainExample,
                               diffusion_coefficient, loss_history_tsv,
                               new_trainer_state, rec_loss, sample_draws, train,
                               train_step)
-from prefdiff.variants import Pipeline
+from prefdiff.variants import Pipeline, build_pipeline
 
 from conftest import central_difference, relative_error
 
@@ -267,6 +270,102 @@ def test_adam_first_step_is_signed_lr():
     assert np.allclose(delta, -0.1 * np.sign(g), atol=1e-6)
 
 
+class _OutOfPlaceAdam(AdamState):
+    """The update as first written, with new arrays at every line: the
+    reference the in-place update must equal bit for bit."""
+
+    def update(self, params, lr):
+        self.step += 1
+        b1, b2 = self.beta1, self.beta2
+        for name, tensor in params.arrays.items():
+            if tensor.grad is None:
+                continue
+            g = tensor.grad.astype(tensor.data.dtype)
+            if name not in self.m:
+                self.m[name] = np.zeros_like(tensor.data)
+                self.v[name] = np.zeros_like(tensor.data)
+            self.m[name] = b1 * self.m[name] + (1 - b1) * g
+            self.v[name] = b2 * self.v[name] + (1 - b2) * g * g
+            m_hat = self.m[name] / (1 - b1 ** self.step)
+            v_hat = self.v[name] / (1 - b2 ** self.step)
+            delta = lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            tensor.data = tensor.data - delta.astype(tensor.data.dtype)
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_adam_update_matches_out_of_place_formula_bitwise(dtype):
+    from prefdiff.params import init_params
+    runs = []
+    for adam in (AdamState(), _OutOfPlaceAdam()):
+        p = init_params(n_users=5, n_items_src=4, n_items_tgt=4, d1=4, seed=2,
+                        hidden=4, mlp_layers=2, enc_layers=1, max_len=3, T=3,
+                        dtype=dtype)
+        rng = make_rng(4, 4)
+        for step in range(5):
+            for name, tensor in p.arrays.items():
+                # gradients are float64 in training; null_token never gets
+                # one, and pos_emb only on every other step
+                skip = name == "null_token" or (name == "pos_emb" and step % 2)
+                tensor.grad = None if skip else rng.standard_normal(tensor.data.shape)
+            adam.update(p, lr=0.05)
+        runs.append((p, adam))
+    (new, new_adam), (ref, ref_adam) = runs
+    for name in new.names():
+        assert new[name].data.dtype == np.dtype(dtype)
+        assert new[name].data.tobytes() == ref[name].data.tobytes(), name
+    assert "null_token" not in new_adam.m
+    for name in ref_adam.m:
+        assert new_adam.m[name].tobytes() == ref_adam.m[name].tobytes()
+        assert new_adam.v[name].tobytes() == ref_adam.v[name].tobytes()
+
+
+SELECTORS = [(v, "none") for v in range(7)] + [(0, a) for a in ("no_tf", "no_gs", "no_dm")]
+
+
+@pytest.mark.parametrize("variant,ablation", SELECTORS)
+def test_backward_functions_leave_gradients_unwritten(variant, ablation, monkeypatch):
+    # Tensor.backward keeps gradient views and shares arrays between
+    # gradients, so a backward function that wrote into its `g` would
+    # corrupt another tensor's gradient; here every `g` is read-only
+    make = ad._make
+
+    def read_only_make(data, parents, backward_fn):
+        def guarded(g):
+            if isinstance(g, np.ndarray):  # numpy scalars are immutable
+                g = g.view()
+                g.flags.writeable = False
+            return backward_fn(g)
+        return make(data, parents, guarded)
+
+    monkeypatch.setattr(ad, "_make", read_only_make)
+    cfg = tiny_cfg(variant=variant, ablation=ablation)
+    pipe = build_pipeline(variant, ablation)
+    from prefdiff.params import init_params
+    p = init_params(n_users=6, n_items_src=8, n_items_tgt=9, d1=4, seed=11,
+                    init_scale=0.3, hidden=8, mlp_layers=3, enc_layers=2,
+                    max_len=5, T=5, state_mult=pipe.state_mult,
+                    with_projection=pipe.with_projection)
+    s = build_schedule(cfg.T, cfg.eta, cfg.alpha_min, cfg.alpha_max)
+    draws = sample_draws(make_rng(5, 0), 6, p.meta.state_dim, cfg.T,
+                         pipe.uses_masking, "float64")
+    total, _ = compute_batch_loss(toy_batch(p, n=6), p, cfg, s, pipe, draws)
+    total.backward()
+    assert p["user_emb"].grad is not None
+    AdamState().update(p, 0.01)
+
+
+def test_train_binds_checkpoint_to_config_and_wiring():
+    src, tgt = toy_domains(n_overlap=10)
+    split = split_cold_start(src, tgt, 0.2, seed=1)
+    cfg = tiny_cfg(epochs=0, eta=0.3, alpha_min=0.2, alpha_max=5.0, variant=4)
+    params, _ = train(src, tgt, split, cfg)
+    meta = params.meta
+    assert (meta.eta, meta.alpha_min, meta.alpha_max) == (0.3, 0.2, 5.0)
+    assert (meta.variant, meta.ablation) == (4, "none")
+    # without a pipeline argument the config's wiring is trained
+    assert "proj_w" in params.names() and meta.with_projection
+
+
 def test_build_examples_respects_split_and_histories():
     src, tgt = toy_domains(n_overlap=30)
     split = split_cold_start(src, tgt, 0.2, seed=5)
@@ -305,3 +404,35 @@ def test_loss_history_tsv_format():
     lines = text.strip().split("\n")
     assert lines[0] == "epoch\tL_rec\tL_diff\ttotal"
     assert lines[1].split("\t") == ["1", "1.5", "0.25", "1.75"]
+
+
+# (variant, ablation, dtype) -> sha256 prefixes of (loss.tsv, params.bin) of a
+# tiny two-epoch train, recorded before the training step's scatter,
+# gradient accumulation and Adam update were rewritten; the rewrite must
+# reproduce them exactly (a different BLAS build may change them)
+GOLDEN_TRAINS = {
+    (0, "none", "float32"): ("52a9bdc5ed6cbe48", "543c8d6bd52904fd"),
+    (1, "none", "float32"): ("c5b7bc1908929c4e", "14d6cae27a543931"),
+    (2, "none", "float32"): ("0776d185d3bfb0e5", "a0bb11afdbf99566"),
+    (3, "none", "float32"): ("4846fd1c30258859", "66e16e4d46506803"),
+    (4, "none", "float32"): ("497d240f8317b562", "65e5a2db99907a1f"),
+    (5, "none", "float32"): ("7d61c4f823343bcf", "8469cd6a391ad089"),
+    (6, "none", "float32"): ("53d3612633b34028", "e8555f4bbd6f5451"),
+    (0, "no_tf", "float32"): ("1b0d30578bf7dc08", "888ab4aa6e565bd1"),
+    (0, "no_gs", "float32"): ("c5b7bc1908929c4e", "14d6cae27a543931"),
+    (0, "no_dm", "float32"): ("4299b45fb614bd8f", "85e43e5c0b93c2c9"),
+    (0, "none", "float64"): ("9fade15da39de4fa", "ba1c42bd1fb5de84"),
+}
+
+
+@pytest.mark.parametrize("variant,ablation,dtype", list(GOLDEN_TRAINS))
+def test_tiny_train_outputs_match_golden(variant, ablation, dtype, tmp_path):
+    src, tgt = toy_domains(n_overlap=25, seed=3)
+    split = split_cold_start(src, tgt, 0.2, seed=1)
+    cfg = tiny_cfg(epochs=2, batch_size=16, variant=variant, ablation=ablation,
+                   dtype=dtype)
+    params, history = train(src, tgt, split, cfg, build_pipeline(variant, ablation))
+    save_checkpoint(params, tmp_path)
+    digests = (hashlib.sha256(loss_history_tsv(history).encode()).hexdigest()[:16],
+               hashlib.sha256((tmp_path / "params.bin").read_bytes()).hexdigest()[:16])
+    assert digests == GOLDEN_TRAINS[(variant, ablation, dtype)]

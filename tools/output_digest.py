@@ -1,0 +1,90 @@
+"""Print the sha256 of every file that `prefdiff train` and
+`prefdiff eval --per-user` write, over all ten model selectors.
+
+    python3 tools/output_digest.py > digest.tsv
+    python3 tools/output_digest.py --src ../other-checkout/src > other.tsv
+    diff digest.tsv other.tsv
+
+For each selector (variants 0-6 and the ablations no_tf, no_gs, no_dm) the
+script trains once and evaluates at t_prime 0, 1 and T, each at omega 0
+and 2, on `synthetic.generate_pair(n_users=2000, n_items=300,
+ratings_per_user=10, seed=5)` with d1=16, T=50, max_history_len=10,
+1 epoch, seed 3. The commands run in-process through `prefdiff.cli.main`
+with one BLAS thread, in a temporary directory that is the current
+directory, so the configs hold relative paths; their own messages go to
+standard error. Each output line is `path<TAB>sha256` for one file of the
+directory (inputs, configs and outputs), sorted by path; identical output
+at two commits means byte-identical training and evaluation outputs.
+"""
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+# one BLAS thread, as in the benchmark, so matmul reduction order is fixed
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+SELECTORS = [(v, "none") for v in range(7)] + [(0, a) for a in ("no_tf", "no_gs", "no_dm")]
+T = 50
+T_PRIMES = (0, 1, T)
+OMEGAS = (0.0, 2.0)
+BASE_CONFIG = ("source_path = source.tsv\ntarget_path = target.tsv\n"
+               f"d1 = 16\nT = {T}\nmax_history_len = 10\nepochs = 1\nseed = 3\n")
+
+
+def run_all(work: Path) -> None:
+    from prefdiff.cli import main
+    from prefdiff.synthetic import generate_pair, write_tsv
+
+    def cli(*args: str) -> None:
+        with contextlib.redirect_stdout(sys.stderr):
+            main(list(args), standalone_mode=False)
+
+    os.chdir(work)
+    source, target = generate_pair(n_users=2000, n_items=300, ratings_per_user=10, seed=5)
+    write_tsv(source, "source.tsv")
+    write_tsv(target, "target.tsv")
+    for variant, ablation in SELECTORS:
+        run = f"v{variant}_{ablation}"
+        selector = f"variant = {variant}\nablation = {ablation}\n"
+        Path(f"{run}.conf").write_text(BASE_CONFIG + selector)
+        cli("train", "--config", f"{run}.conf", "--out", run)
+        for t_prime in T_PRIMES:
+            for omega in OMEGAS:
+                name = f"{run}/eval_t{t_prime}_w{omega:g}"
+                Path(f"{name}.conf").write_text(
+                    BASE_CONFIG + selector + f"t_prime = {t_prime}\nomega = {omega}\n")
+                cli("eval", "--checkpoint", f"{run}/checkpoint", "--config",
+                    f"{name}.conf", "--out", f"{name}.tsv", "--per-user")
+
+
+def digests(work: Path) -> list[str]:
+    lines = []
+    for path in sorted(p for p in work.rglob("*") if p.is_file()):
+        lines.append(f"{path.relative_to(work).as_posix()}\t"
+                     f"{hashlib.sha256(path.read_bytes()).hexdigest()}")
+    return lines
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--src", type=Path,
+                        default=Path(__file__).resolve().parents[1] / "src",
+                        help="directory holding the prefdiff package to run "
+                             "(default: this checkout's src/)")
+    args = parser.parse_args()
+    sys.path.insert(0, str(args.src.resolve()))
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp).resolve()
+        run_all(work)
+        print("\n".join(digests(work)))
+
+
+if __name__ == "__main__":
+    main()
