@@ -47,10 +47,6 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    @property
-    def ndim(self):
-        return self.data.ndim
-
     def zero_grad(self):
         self.grad = None
 
@@ -91,8 +87,6 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    __radd__ = __add__
-
     def __mul__(self, other):
         return mul(self, other)
 
@@ -104,25 +98,11 @@ class Tensor:
     def __sub__(self, other):
         return add(self, -as_tensor(other))
 
-    def __rsub__(self, other):
-        return add(as_tensor(other), -self)
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, float)):
-            return mul(self, 1.0 / other)
-        return mul(self, power(as_tensor(other), -1.0))
-
-    def __rtruediv__(self, other):
-        return mul(as_tensor(other), power(self, -1.0))
-
     def __matmul__(self, other):
         return matmul(self, other)
 
     def __pow__(self, exponent):
         return power(self, exponent)
-
-    def __getitem__(self, key):
-        return getitem(self, key)
 
     def sum(self, axis=None, keepdims=False):
         return tsum(self, axis=axis, keepdims=keepdims)
@@ -234,16 +214,6 @@ def tanh(a) -> Tensor:
     return _make(data, (a,), backward)
 
 
-def exp(a) -> Tensor:
-    a = as_tensor(a)
-    data = np.exp(a.data)
-
-    def backward(g):
-        return (g * data,)
-
-    return _make(data, (a,), backward)
-
-
 def tsum(a, axis=None, keepdims=False) -> Tensor:
     a = as_tensor(a)
     data = a.data.sum(axis=axis, keepdims=keepdims)
@@ -294,18 +264,6 @@ def transpose(a, axes) -> Tensor:
 
     def backward(g):
         return (g.transpose(inverse),)
-
-    return _make(data, (a,), backward)
-
-
-def getitem(a, key) -> Tensor:
-    a = as_tensor(a)
-    data = a.data[key]
-
-    def backward(g):
-        out = np.zeros_like(a.data)
-        out[key] = g
-        return (out,)
 
     return _make(data, (a,), backward)
 

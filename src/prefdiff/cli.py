@@ -12,8 +12,8 @@ import click
 
 from . import data as data_mod
 from . import schedule as schedule_mod
-from .config import RunConfig, load_config, normalized_text
-from .errors import CheckpointError
+from .config import RunConfig, _coerce, load_config, normalized_text
+from .errors import CheckpointError, ConfigurationError
 from .evaluate import evaluate
 from .params import RUN_FIELDS, ModelMeta, load_checkpoint, save_checkpoint
 from .trainer import loss_history_tsv, train
@@ -148,10 +148,24 @@ SWEEP_AXES = {"t_prime": "t_prime", "omega": "omega", "eta": "eta", "T": "T",
 def cmd_sweep(config_path, sweep_axis, sweep_values, seed, out):
     """Train/evaluate over one hyper-parameter axis; one TSV row per value.
 
-    Inference-only axes (t_prime, omega) train once and re-evaluate."""
+    Every value is checked before any data is loaded; one error lists every
+    bad value. Inference-only axes (t_prime, omega) train once and
+    re-evaluate."""
     base = load_config(config_path, seed=seed)
     name = SWEEP_AXES[sweep_axis]
-    values = [v.strip() for v in sweep_values.split(",") if v.strip()]
+    configs, problems = [], []
+    for raw in (v.strip() for v in sweep_values.split(",")):
+        if not raw:
+            continue
+        try:
+            cfg = replace(base, **{name: _coerce(name, raw)})
+            cfg.validate()
+        except ConfigurationError as exc:
+            problems.append(f"{sweep_axis} = {raw}: {exc}")
+            continue
+        configs.append((raw, cfg))
+    if problems:
+        raise ConfigurationError("bad sweep values: " + " | ".join(problems))
     source, target, split = _load_run(base)
     pipeline = build_pipeline(base.variant, base.ablation)
     rows = ["value\tmae\trmse\tn"]
@@ -159,9 +173,7 @@ def cmd_sweep(config_path, sweep_axis, sweep_values, seed, out):
     params = None
     if inference_only:
         params, _ = train(source, target, split, base, pipeline)
-    for raw in values:
-        cfg = replace(base, **{name: type(getattr(base, name))(raw)})
-        cfg.validate()
+    for raw, cfg in configs:
         run_params = params
         if not inference_only:
             run_params, _ = train(source, target, split, cfg, pipeline)

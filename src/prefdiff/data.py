@@ -149,33 +149,10 @@ def build_histories(source: DomainData, users, max_len: int) -> dict[str, Histor
     return out
 
 
-class AccessCounter:
-    """Counts target-domain record reads per user, for leakage auditing."""
-
-    def __init__(self):
-        self.reads: dict[str, int] = {}
-
-    def record(self, user_id: str) -> None:
-        self.reads[user_id] = self.reads.get(user_id, 0) + 1
-
-    def users_read(self) -> set[str]:
-        return set(self.reads)
-
-
-def training_ratings(target: DomainData, split: ColdStartSplit,
-                     counter: AccessCounter | None = None) -> list[RatingRecord]:
-    """Target-domain records visible to training: overlap-train users only.
-
-    Each returned record is logged in `counter`; a leakage audit asserts the
-    log never intersects the cold-start test set.
-    """
-    out = []
-    for r in target.records:
-        if r.user_id in split.overlap_train:
-            if counter is not None:
-                counter.record(r.user_id)
-            out.append(r)
-    return out
+def training_ratings(target: DomainData, split: ColdStartSplit) -> list[RatingRecord]:
+    """Target-domain records visible to training: those of overlap-train
+    users only, never a cold-start test user's."""
+    return [r for r in target.records if r.user_id in split.overlap_train]
 
 
 def held_out_ratings(target: DomainData, split: ColdStartSplit) -> list[RatingRecord]:

@@ -1,15 +1,14 @@
 """Forward corruption, conditioned clean-state prediction, guidance-strength
 interpolation, and the single reverse step.
 
-The arithmetic here is written against both plain numpy arrays and autodiff
-tensors: coefficients from the schedule are python floats, so the same
-expressions serve the training graph, the graph-free inference rollout (array
-inputs) and the numeric oracles.
+Training runs `forward_marginal` and `denoise` inside its autodiff graph.
+Cold-start inference runs the rest on plain numpy arrays, without a graph:
+`predict_u0`, `guided_predict` and `reverse_step` take and return arrays,
+and call `denoise` with array inputs.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,32 +19,21 @@ from .params import ModelParams
 from .schedule import Schedule, posterior_mean_coeffs
 
 
-@dataclass(frozen=True)
-class NoisedState:
-    """A corrupted state plus the exact noise that produced it."""
-    u_t: np.ndarray
-    t: int
-    eps: np.ndarray
+def forward_marginal(u0, t, eps: np.ndarray, s: Schedule):
+    """Closed-form corruption of the clean state straight to step t.
 
-
-def forward_marginal(u0: np.ndarray, t: int, eps: np.ndarray, s: Schedule) -> NoisedState:
-    """Closed-form corruption of the clean state straight to step t."""
-    s.check_step(t)
-    ab = float(s.alpha_bar[t - 1])
-    u_t = math.sqrt(ab) * np.asarray(u0) + math.sqrt(1.0 - ab) * np.asarray(eps)
-    return NoisedState(u_t=u_t, t=t, eps=np.asarray(eps))
-
-
-def forward_chain_step(u_prev: np.ndarray, t: int, eps: np.ndarray, s: Schedule) -> np.ndarray:
-    """One-step corruption u_{t-1} -> u_t (used by the chain-vs-marginal oracle)."""
-    s.check_step(t)
-    beta = float(s.beta[t - 1])
-    return math.sqrt(1.0 - beta) * np.asarray(u_prev) + math.sqrt(beta) * np.asarray(eps)
-
-
-def _on_graph(x, cond) -> bool:
-    """Whether a denoiser forward builds the autodiff graph: a Tensor input."""
-    return isinstance(x, Tensor) or isinstance(cond, Tensor)
+    t is an int, or an int array with one step per row of u0. The
+    coefficients are cast to the dtype of the noise eps; u0 may be an array
+    or a graph Tensor, and the result is of the same kind."""
+    t = np.asarray(t)
+    if np.any((t < 1) | (t > s.T)):
+        raise IndexError(f"step t outside 1..{s.T}")
+    eps = np.asarray(eps)
+    a = np.sqrt(s.alpha_bar[t - 1]).astype(eps.dtype)
+    b = np.sqrt(s.one_minus_alpha_bar[t - 1]).astype(eps.dtype)
+    if t.ndim:
+        a, b = a[:, None], b[:, None]
+    return a * u0 + b * eps
 
 
 def denoise(x_t, cond, t, params: ModelParams) -> Tensor:
@@ -56,7 +44,7 @@ def denoise(x_t, cond, t, params: ModelParams) -> Tensor:
     builds the autodiff graph (training); with arrays it runs on the
     parameter arrays and returns a Tensor leaf without a graph.
     """
-    graph = _on_graph(x_t, cond)
+    graph = isinstance(x_t, Tensor) or isinstance(cond, Tensor)
     cat, tanh = (ad.concat, ad.tanh) if graph else (np.concatenate, np.tanh)
     step = params.step_embedding(t)
     if step.ndim == 1:
@@ -70,36 +58,28 @@ def denoise(x_t, cond, t, params: ModelParams) -> Tensor:
     return x if graph else Tensor(x)
 
 
-def _as_cond_batch(h, x, params: ModelParams):
+def _as_cond_batch(h, x: np.ndarray, params: ModelParams) -> np.ndarray:
     """The condition rows for the denoiser state x: h, or the null token when
-    h is None. A Tensor when h is one, or when h is None and x is one."""
+    h is None."""
     if h is None:
-        null = params["null_token"]
-        if not isinstance(x, Tensor):
-            null = null.data
+        null = params["null_token"].data
         return null.reshape((1, params.meta.d1)) * np.ones((x.shape[0], 1), dtype=params.meta.dtype)
-    if isinstance(h, Tensor):
-        return h if h.ndim == 2 else h.reshape((1, h.shape[0]))
     arr = np.asarray(h)
     return arr if arr.ndim == 2 else arr[None, :]
 
 
-def predict_u0(u_t, h, t: int, params: ModelParams):
-    """Single-state prediction of the clean state; `h=None` uses the null token.
-
-    An array when u_t and h are arrays (or None), else a graph Tensor."""
-    x = u_t if isinstance(u_t, Tensor) else np.asarray(u_t)
+def predict_u0(u_t, h, t: int, params: ModelParams) -> np.ndarray:
+    """Prediction of the clean state for one state (d,) or a batch (B, d);
+    `h=None` uses the null token."""
+    x = np.asarray(u_t)
     single = x.ndim == 1
     if single:
         x = x.reshape((1, x.shape[0]))
-    cond = _as_cond_batch(h, x, params)
-    out = denoise(x, cond, t, params)
-    if not _on_graph(x, cond):
-        out = out.data
+    out = denoise(x, _as_cond_batch(h, x, params), t, params).data
     return out[0] if single else out
 
 
-def guided_predict(u_t, h, t: int, omega: float, params: ModelParams):
+def guided_predict(u_t, h, t: int, omega: float, params: ModelParams) -> np.ndarray:
     """Strength-controlled prediction: (1+w)*conditional - w*unconditional.
 
     The w=0 and h=None cases short-circuit so the algebraic identities hold
@@ -114,11 +94,11 @@ def guided_predict(u_t, h, t: int, omega: float, params: ModelParams):
     return (1.0 + omega) * cond - omega * uncond
 
 
-def reverse_step(u_t, h, t: int, omega: float, z, s: Schedule, params: ModelParams):
+def reverse_step(u_t: np.ndarray, h, t: int, omega: float, z, s: Schedule,
+                 params: ModelParams) -> np.ndarray:
     """One reverse transition u_t -> u_{t-1} under guided prediction.
 
-    Caller supplies z ~ N(0, I) for t > 1 and z = 0 at t = 1. Arrays in give
-    an array out; a Tensor u_t or h gives a graph Tensor.
+    Caller supplies z ~ N(0, I) for t > 1 and z = 0 at t = 1.
     """
     coef_u0, coef_ut, variance = posterior_mean_coeffs(s, t)
     pred = guided_predict(u_t, h, t, omega, params)

@@ -66,12 +66,6 @@ def infer_user(u_init: np.ndarray, h, cfg: RunConfig, s: Schedule,
     return x
 
 
-def predict_rating(u0: np.ndarray, v: np.ndarray) -> float:
-    """Inner-product score; no clipping to the rating range."""
-    return float(np.dot(np.asarray(u0, dtype=np.float64),
-                        np.asarray(v, dtype=np.float64)))
-
-
 def report_from_errors(errors: np.ndarray,
                        per_user: dict | None = None) -> EvalReport:
     if errors.size == 0:
@@ -89,7 +83,9 @@ def evaluate(params: ModelParams, s: Schedule, source: DomainData,
     """Score every held-out target rating of every cold-start test user.
 
     Per-user noise streams are keyed by (seed, global user index) so the
-    report is independent of evaluation order.
+    report is independent of evaluation order. A rating's prediction is the
+    float64 inner product of the user's scoring embedding and the item's
+    target embedding, not clipped to the rating range.
     """
     pipeline = pipeline or Pipeline("main")
     universe = data_mod.user_universe(source, target)
@@ -98,7 +94,7 @@ def evaluate(params: ModelParams, s: Schedule, source: DomainData,
     recs_by_user: dict[str, list] = {}
     for r in data_mod.held_out_ratings(target, split):
         recs_by_user.setdefault(r.user_id, []).append(r)
-    errors: list[float] = []
+    errors: list[np.ndarray] = []
     per_user: dict[str, tuple[float, float, int]] = {}
     tgt_emb = params["item_emb_tgt"].data
     for uid in test_users:
@@ -118,14 +114,13 @@ def evaluate(params: ModelParams, s: Schedule, source: DomainData,
         emb = pipeline.score_embedding(
             x0, None if h is None else Tensor(h), Tensor(u_init), params)
         emb = emb.data if isinstance(emb, Tensor) else np.asarray(emb)
-        user_errors = []
-        for rec in recs:
-            pred = predict_rating(emb, tgt_emb[target.item_index[rec.item_id]])
-            user_errors.append(pred - rec.rating)
-        errors.extend(user_errors)
+        rows = tgt_emb[[target.item_index[rec.item_id] for rec in recs]]
+        # np.vecdot is bitwise np.dot per row; V @ e would round differently
+        ue = np.vecdot(emb.astype(np.float64), rows.astype(np.float64)) \
+            - np.array([rec.rating for rec in recs])
+        errors.append(ue)
         if collect_per_user:
-            ue = np.asarray(user_errors)
             per_user[uid] = (float(np.mean(np.abs(ue))),
                              float(math.sqrt(np.mean(ue ** 2))), ue.size)
-    return report_from_errors(np.asarray(errors),
+    return report_from_errors(np.concatenate(errors) if errors else np.array([]),
                               per_user if collect_per_user else None)

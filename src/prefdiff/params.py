@@ -67,9 +67,6 @@ class ModelParams:
     def __getitem__(self, name: str) -> Tensor:
         return self.arrays[name]
 
-    def names(self) -> list[str]:
-        return list(self.arrays)
-
     def zero_grads(self) -> None:
         for t in self.arrays.values():
             t.zero_grad()
@@ -230,7 +227,8 @@ def load_checkpoint(path) -> ModelParams:
     if missing:
         raise CheckpointError(f"manifest missing arrays: {sorted(missing)}")
 
-    blob = open(blob_path, "rb").read()
+    with open(blob_path, "rb") as fh:
+        blob = fh.read()
     arrays: dict[str, Tensor] = {}
     for name, shape, dtype_s, offset in entries:
         dt = np.dtype(dtype_s).newbyteorder("<")
@@ -239,5 +237,5 @@ def load_checkpoint(path) -> ModelParams:
         if len(chunk) != nbytes:
             raise CheckpointError(f"blob truncated while reading array {name!r}")
         values = np.frombuffer(chunk, dtype=dt).reshape(shape).astype(np.dtype(dtype_s))
-        arrays[name] = Tensor(values.copy(), requires_grad=True)
+        arrays[name] = Tensor(values, requires_grad=True)
     return ModelParams(arrays, meta)

@@ -13,8 +13,8 @@ import numpy as np
 from . import autodiff as ad
 from . import data as data_mod
 from .config import RunConfig
-from .data import AccessCounter, ColdStartSplit, DomainData
-from .diffusion import denoise
+from .data import ColdStartSplit, DomainData
+from .diffusion import denoise, forward_marginal
 from .encoder import encode_batch
 from .errors import DataError, TrainingError
 from .params import RUN_FIELDS, ModelParams, init_params
@@ -168,9 +168,7 @@ def compute_batch_loss(batch: list[TrainExample], params: ModelParams,
     if pipeline.uses_diffusion:
         x0 = pipeline.clean_state(u0, h)
         t = draws.t
-        a = np.sqrt(s.alpha_bar[t - 1]).astype(dtype)[:, None]
-        b = np.sqrt(s.one_minus_alpha_bar[t - 1]).astype(dtype)[:, None]
-        x_t = a * x0 + b * draws.eps
+        x_t = forward_marginal(x0, t, draws.eps, s)
         nm = pipeline.noise_mask(d1)
         if nm is not None:
             nmf = nm.astype(dtype)
@@ -224,15 +222,14 @@ def train_step(batch: list[TrainExample], params: ModelParams,
 
 
 def build_examples(source: DomainData, target: DomainData, split: ColdStartSplit,
-                   universe: dict[str, int], max_history_len: int,
-                   counter: AccessCounter | None = None) -> list[TrainExample]:
+                   universe: dict[str, int], max_history_len: int) -> list[TrainExample]:
     """One example per visible (user, target item, rating) triple, for train
     users with a non-empty source history."""
     eligible = data_mod.users_with_history(source, sorted(split.overlap_train))
     histories = {u: hist.item_indices for u, hist in
                  data_mod.build_histories(source, eligible, max_history_len).items()}
     examples = []
-    for rec in data_mod.training_ratings(target, split, counter):
+    for rec in data_mod.training_ratings(target, split):
         if rec.user_id not in histories:
             continue
         examples.append(TrainExample(
@@ -245,8 +242,7 @@ def build_examples(source: DomainData, target: DomainData, split: ColdStartSplit
 
 
 def train(source: DomainData, target: DomainData, split: ColdStartSplit,
-          cfg: RunConfig, pipeline: Pipeline | None = None,
-          counter: AccessCounter | None = None) -> tuple[ModelParams, list[dict]]:
+          cfg: RunConfig, pipeline: Pipeline | None = None) -> tuple[ModelParams, list[dict]]:
     """Run the full training loop; deterministic per cfg.seed. The returned
     parameters are bound to cfg's schedule and wiring (`RUN_FIELDS`)."""
     pipeline = pipeline or build_pipeline(cfg.variant, cfg.ablation)
@@ -262,7 +258,7 @@ def train(source: DomainData, target: DomainData, split: ColdStartSplit,
         with_projection=pipeline.with_projection, dtype=cfg.dtype)
     params.meta = replace(params.meta, **{key: getattr(cfg, key) for key in RUN_FIELDS})
     examples = build_examples(source, target, split, universe,
-                              cfg.max_history_len, counter)
+                              cfg.max_history_len)
     if not examples and cfg.epochs > 0:
         raise DataError("no training examples")
     state = new_trainer_state(cfg.seed)

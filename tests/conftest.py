@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -32,3 +34,11 @@ def central_difference(fn, arr: np.ndarray, step: float = 1e-5) -> np.ndarray:
 def relative_error(a: np.ndarray, b: np.ndarray) -> float:
     denom = max(np.abs(a).max(initial=0.0), np.abs(b).max(initial=0.0), 1e-12)
     return float(np.abs(a - b).max(initial=0.0) / denom)
+
+
+def forward_chain_step(u_prev: np.ndarray, t: int, eps: np.ndarray, s) -> np.ndarray:
+    """One-step corruption u_{t-1} -> u_t under schedule s: the oracle that
+    composes to `diffusion.forward_marginal`."""
+    s.check_step(t)
+    beta = float(s.beta[t - 1])
+    return math.sqrt(1.0 - beta) * np.asarray(u_prev) + math.sqrt(beta) * np.asarray(eps)

@@ -14,19 +14,19 @@ from click.testing import CliRunner
 
 from prefdiff.cli import main as cli_main
 from prefdiff.config import RunConfig
-from prefdiff.data import (AccessCounter, split_cold_start)
-from prefdiff.diffusion import (forward_chain_step, forward_marginal,
-                                guided_predict, predict_u0)
+from prefdiff import data as data_mod
+from prefdiff.data import split_cold_start
+from prefdiff.diffusion import forward_marginal, guided_predict, predict_u0
 from prefdiff.evaluate import evaluate, infer_user
 from prefdiff.params import init_params
 from prefdiff.rng import make_rng
 from prefdiff.schedule import build_schedule, posterior_mean_coeffs
 from prefdiff.synthetic import generate_pair, write_tsv
-from prefdiff.trainer import (BatchDraws, compute_batch_loss, sample_draws,
-                              train)
+from prefdiff.trainer import (BatchDraws, build_examples, compute_batch_loss,
+                              sample_draws, train)
 from prefdiff.variants import Pipeline
 
-from conftest import central_difference, relative_error
+from conftest import central_difference, forward_chain_step, relative_error
 from test_trainer import toy_batch
 
 
@@ -61,7 +61,7 @@ def test_criterion_02_forward_marginal_statistics():
     ok = True
     for t in range(1, 11):
         eps = rng.standard_normal((n, d))
-        u_t = forward_marginal(np.tile(u0, (n, 1)), t, eps, s).u_t
+        u_t = forward_marginal(np.tile(u0, (n, 1)), t, eps, s)
         ab = s.alpha_bar[t - 1]
         sigma = math.sqrt((1 - ab) / n)
         ok &= bool(np.all(np.abs(u_t.mean(axis=0) - math.sqrt(ab) * u0) < 4 * sigma))
@@ -101,7 +101,7 @@ def test_criterion_04_posterior_oracle():
     checked = 0
     for t in (2, 5, 10):
         u_prev = forward_marginal(np.full(n, u0), t - 1,
-                                  rng.standard_normal(n), s).u_t
+                                  rng.standard_normal(n), s)
         u_t = forward_chain_step(u_prev, t, rng.standard_normal(n), s)
         c0, ct, _ = posterior_mean_coeffs(s, t)
         edges = np.quantile(u_t, np.linspace(0, 1, 13))
@@ -140,7 +140,7 @@ def test_criterion_05_gradient_check():
     loss().backward()
     worst = 0.0
     ok = True
-    for name in p.names():
+    for name in p.arrays:
         analytic = p[name].grad
         analytic = np.zeros_like(p[name].data) if analytic is None else analytic
         numeric = central_difference(lambda: float(loss().data), p[name].data)
@@ -260,14 +260,35 @@ def test_criterion_09_cli_train_determinism(tmp_path):
     _report(9, "bitwise-identical retraining from one seed", ok)
 
 
-def test_criterion_10_leakage_guard():
+def test_criterion_10_leakage_guard(monkeypatch):
     src, tgt = generate_pair(n_users=200, n_items=40, ratings_per_user=5, seed=17)
     split = split_cold_start(src, tgt, 0.2, seed=17)
-    counter = AccessCounter()
     cfg = RunConfig(batch_size=64, epochs=1, T=5, d1=8, hidden=8,
                     mlp_layers=2, enc_layers=1, max_history_len=5, seed=0)
-    train(src, tgt, split, cfg, counter=counter)
-    leaked = counter.users_read() & split.cold_start_test
-    ok = not leaked and counter.users_read() <= split.overlap_train
+    # spies: the records training reads, the examples it builds from them,
+    # and any call that would read the held-out records
+    returned, examples, held_out_calls = [], [], []
+    training_ratings, build = data_mod.training_ratings, build_examples
+
+    def spy_training_ratings(*args, **kwargs):
+        records = training_ratings(*args, **kwargs)
+        returned.extend(records)
+        return records
+
+    def spy_build_examples(*args, **kwargs):
+        out = build(*args, **kwargs)
+        examples.extend(out)
+        return out
+
+    monkeypatch.setattr(data_mod, "training_ratings", spy_training_ratings)
+    monkeypatch.setattr(data_mod, "held_out_ratings",
+                        lambda *a, **k: held_out_calls.append(a))
+    monkeypatch.setattr("prefdiff.trainer.build_examples", spy_build_examples)
+    train(src, tgt, split, cfg)
+    universe = data_mod.user_universe(src, tgt)
+    test_idx = {universe[u] for u in split.cold_start_test}
+    read = {r.user_id for r in returned}
+    ok = not held_out_calls and bool(read) and not read & split.cold_start_test
+    ok &= bool(examples) and not {e.user_idx for e in examples} & test_idx
     _report(10, "no target-domain reads of held-out users during training", ok,
-            f"{len(counter.users_read())} train users read")
+            f"{len(read)} train users read")

@@ -1,0 +1,117 @@
+"""Every function and method defined in `prefdiff` serves a command.
+
+The test wraps each function, method and property getter of the package
+with a call counter, runs every CLI command on a tiny synthetic pair, and
+lists the names that no run called. Dataclass-generated dunders (compiled
+from generated source, not from the module's file) and the error classes
+are exempt. The synthetic pair is made through the wrapped generator, as
+the benchmark and `tools/output_digest.py` make theirs.
+"""
+import importlib
+import inspect
+import pkgutil
+
+import click
+from click.testing import CliRunner
+
+import prefdiff
+
+SELECTORS = [(v, "none") for v in range(7)] + [(0, a) for a in ("no_tf", "no_gs", "no_dm")]
+T = 3
+SWEEPS = {"t_prime": "0,3", "omega": "0,2", "eta": "0.1,0.5", "T": "2,3",
+          "history_len": "2,4"}
+
+
+def _modules():
+    return [importlib.import_module(f"prefdiff.{info.name}")
+            for info in pkgutil.iter_modules(prefdiff.__path__)]
+
+
+def _own(fn, module) -> bool:
+    return inspect.isfunction(fn) and fn.__code__.co_filename == module.__file__
+
+
+def _targets():
+    """(name, holder, attribute, function) for every wrapped callable; a
+    property is wrapped through its getter."""
+    out = []
+    for module in _modules():
+        for name, obj in vars(module).items():
+            where = f"{module.__name__}.{name}"
+            if _own(obj, module):
+                out.append((where, module, name, obj))
+            elif isinstance(obj, click.Command) and _own(obj.callback, module):
+                out.append((where, obj, "callback", obj.callback))
+            elif inspect.isclass(obj) and obj.__module__ == module.__name__ \
+                    and not issubclass(obj, Exception):
+                for attr, member in vars(obj).items():
+                    if isinstance(member, property) or _own(member, module):
+                        out.append((f"{where}.{attr}", obj, attr, member))
+    return out
+
+
+def _install(monkeypatch, counts):
+    modules = _modules()
+    for name, holder, attr, member in _targets():
+        counts[name] = 0
+
+        def wrap(fn, name=name):
+            def counted(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return counted
+
+        if isinstance(member, property):
+            monkeypatch.setattr(holder, attr, property(wrap(member.fget)))
+        elif inspect.ismodule(holder):
+            # `from .x import f` binds f in other modules too
+            for module in modules:
+                if getattr(module, attr, None) is member:
+                    monkeypatch.setattr(module, attr, wrap(member))
+        else:
+            monkeypatch.setattr(holder, attr, wrap(member))
+
+
+def _cli(*args):
+    from prefdiff.cli import main
+    result = CliRunner().invoke(main, [str(a) for a in args])
+    assert result.exit_code == 0, f"{args}: {result.output}{result.exception!r}"
+
+
+def test_every_name_is_reached_by_a_command(tmp_path, monkeypatch):
+    counts: dict[str, int] = {}
+    _install(monkeypatch, counts)
+    # a function, a command, a method and a property getter are all counted
+    assert {"prefdiff.diffusion.denoise", "prefdiff.cli.cmd_train",
+            "prefdiff.autodiff.Tensor.backward", "prefdiff.autodiff.Tensor.shape"} <= set(counts)
+    from prefdiff.synthetic import generate_pair, write_tsv
+    source, target = generate_pair(n_users=40, n_items=12, ratings_per_user=4, seed=2)
+    write_tsv(source, tmp_path / "source.tsv")
+    write_tsv(target, tmp_path / "target.tsv")
+    base = (f"source_path = {tmp_path / 'source.tsv'}\n"
+            f"target_path = {tmp_path / 'target.tsv'}\n"
+            f"d1 = 4\nhidden = 4\nmlp_layers = 2\nenc_layers = 1\nT = {T}\n"
+            "epochs = 1\nbatch_size = 16\nmax_history_len = 4\n")
+
+    _cli("ingest", tmp_path / "source.tsv", tmp_path / "target.tsv",
+         "--out", tmp_path / "stats.tsv")
+    _cli("schedule-dump", "--steps", T)
+    for variant, ablation in SELECTORS:
+        run = tmp_path / f"v{variant}_{ablation}"
+        selector = f"variant = {variant}\nablation = {ablation}\n"
+        (tmp_path / f"{run.name}.conf").write_text(base + selector)
+        _cli("train", "--config", tmp_path / f"{run.name}.conf", "--out", run)
+        for t_prime in (0, 1, T):
+            for omega in (0, 2):
+                conf = run / f"eval_t{t_prime}_w{omega}.conf"
+                conf.write_text(base + selector + f"t_prime = {t_prime}\nomega = {omega}\n")
+                _cli("eval", "--checkpoint", run / "checkpoint", "--config", conf,
+                     "--per-user", "--out", run / f"eval_t{t_prime}_w{omega}.tsv")
+    (tmp_path / "base.conf").write_text(base + "omega = 2\n")
+    for axis, values in SWEEPS.items():
+        _cli("sweep", "--config", tmp_path / "base.conf", "--sweep-axis", axis,
+             "--sweep-values", values)
+    _cli("variant-bench", "--config", tmp_path / "base.conf")
+
+    uncalled = sorted(name for name, n in counts.items() if n == 0)
+    assert uncalled == [], f"no command reaches: {uncalled}"

@@ -6,7 +6,7 @@ import pytest
 from click.testing import CliRunner
 
 from prefdiff.cli import main
-from prefdiff.errors import CheckpointError
+from prefdiff.errors import CheckpointError, ConfigurationError
 from prefdiff.synthetic import generate_pair, write_tsv
 
 
@@ -124,6 +124,26 @@ def test_sweep_training_axis(run_config, tmp_path):
            "--sweep-values", "3,5", "--seed", "2", "--out", str(out))
     lines = out.read_text().strip().split("\n")
     assert len(lines) == 3
+
+
+@pytest.mark.parametrize("values,bad,good", [
+    ("6,0,-3", ["T = 0: T must be >= 1", "T = -3: T must be >= 1"], "T = 6"),
+    ("4.5", ["T = 4.5: key 'T': cannot parse '4.5' as int"], None),
+], ids=["zero_and_negative_T", "fractional_T"])
+def test_sweep_rejects_bad_values_before_any_work(run_config, monkeypatch,
+                                                  values, bad, good):
+    # every bad value is named in one error, and no data is loaded and no
+    # model trained before it is raised
+    work = []
+    monkeypatch.setattr("prefdiff.cli._load_run", lambda *a: work.append("load"))
+    monkeypatch.setattr("prefdiff.cli.train", lambda *a: work.append("train"))
+    result = CliRunner().invoke(main, ["sweep", "--config", run_config,
+                                       "--sweep-axis", "T", "--sweep-values", values])
+    assert isinstance(result.exception, ConfigurationError)
+    message = str(result.exception)
+    assert all(problem in message for problem in bad), message
+    assert good is None or good not in message
+    assert work == []
 
 
 def test_variant_bench_six_rows(run_config, tmp_path):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prefdiff.data import (AccessCounter, RatingRecord, build_histories,
+from prefdiff.data import (RatingRecord, build_histories,
                            held_out_ratings, load_ratings, make_domain,
                            overlapping_users, split_cold_start,
                            training_ratings, user_universe, users_with_history,
@@ -161,15 +161,13 @@ def test_build_histories_matches_single():
         assert bulk[u] == build_histories(d, [u], max_len=4)[u]
 
 
-def test_training_ratings_excludes_test_and_logs():
+def test_training_ratings_excludes_test_users():
     src, tgt = _two_domains(n_overlap=40)
     split = split_cold_start(src, tgt, 0.25, seed=5)
-    counter = AccessCounter()
-    recs = training_ratings(tgt, split, counter)
+    recs = training_ratings(tgt, split)
     users_seen = {r.user_id for r in recs}
     assert users_seen == split.overlap_train
-    assert counter.users_read() == split.overlap_train
-    assert not counter.users_read() & split.cold_start_test
+    assert not users_seen & split.cold_start_test
 
 
 def test_held_out_ratings_are_test_only():

@@ -7,14 +7,15 @@ import pytest
 
 from prefdiff.autodiff import Tensor
 from prefdiff.config import parse_config_text
-from prefdiff.diffusion import (denoise, forward_chain_step, forward_marginal,
-                                guided_predict, predict_u0, reverse_step)
+from prefdiff.diffusion import (denoise, forward_marginal, guided_predict,
+                                predict_u0, reverse_step)
 from prefdiff.errors import ConfigurationError
 from prefdiff.params import init_params
 from prefdiff.rng import make_rng
 from prefdiff.schedule import build_schedule, posterior_mean_coeffs
 from prefdiff.variants import build_pipeline
 
+from conftest import forward_chain_step
 from test_evaluate import SELECTORS
 
 
@@ -22,10 +23,33 @@ def test_forward_marginal_exact_values():
     s = build_schedule(10, 0.5, 0.1, 10.0)
     u0 = np.array([1.0, -2.0])
     eps = np.array([0.5, 0.25])
-    state = forward_marginal(u0, 3, eps, s)
+    u_t = forward_marginal(u0, 3, eps, s)
     ab = s.alpha_bar[2]
-    assert np.allclose(state.u_t, math.sqrt(ab) * u0 + math.sqrt(1 - ab) * eps)
-    assert state.t == 3 and np.array_equal(state.eps, eps)
+    assert np.allclose(u_t, math.sqrt(ab) * u0 + math.sqrt(1 - ab) * eps)
+    with pytest.raises(IndexError):
+        forward_marginal(u0, 11, eps, s)
+    with pytest.raises(IndexError):
+        forward_marginal(np.stack([u0, u0]), np.array([3, 0]), np.stack([eps, eps]), s)
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_forward_marginal_step_array_matches_training_expression(dtype):
+    # the corruption training ran inline before it called forward_marginal:
+    # per-example coefficients cast to the model dtype, one row per step
+    s = build_schedule(10, 0.5, 0.1, 10.0)
+    rng = make_rng(43, 0)
+    t = rng.integers(1, 11, size=64)
+    x0 = rng.standard_normal((64, 4)).astype(dtype)
+    eps = rng.standard_normal((64, 4)).astype(dtype)
+    a = np.sqrt(s.alpha_bar[t - 1]).astype(dtype)[:, None]
+    b = np.sqrt(s.one_minus_alpha_bar[t - 1]).astype(dtype)[:, None]
+    graph_in = Tensor(x0, requires_grad=True)
+    want = a * graph_in + b * eps
+    got = forward_marginal(graph_in, t, eps, s)
+    assert got._backward_fn is not None
+    assert got.data.dtype == np.dtype(dtype)
+    assert got.data.tobytes() == want.data.tobytes()
+    assert forward_marginal(x0, t, eps, s).tobytes() == want.data.tobytes()
 
 
 def test_forward_marginal_monte_carlo_moments():
@@ -35,7 +59,7 @@ def test_forward_marginal_monte_carlo_moments():
     n = 100_000
     u0 = 1.5
     eps = rng.standard_normal(n)
-    u_t = forward_marginal(np.full(n, u0), 10, eps, s).u_t
+    u_t = forward_marginal(np.full(n, u0), 10, eps, s)
     ab = s.alpha_bar[9]
     assert abs(u_t.mean() - math.sqrt(ab) * u0) < 4 * math.sqrt((1 - ab) / n)
     assert abs(u_t.var() - (1 - ab)) / (1 - ab) < 0.02
@@ -64,7 +88,7 @@ def test_posterior_coefficients_recover_conditional_mean():
     u0 = 2.0
     for t in (2, 5, 10):
         eps_prev = rng.standard_normal(n)
-        u_prev = forward_marginal(np.full(n, u0), t - 1, eps_prev, s).u_t
+        u_prev = forward_marginal(np.full(n, u0), t - 1, eps_prev, s)
         u_t = forward_chain_step(u_prev, t, rng.standard_normal(n), s)
         c0, ct, _ = posterior_mean_coeffs(s, t)
         edges = np.quantile(u_t, np.linspace(0, 1, 13))
@@ -85,10 +109,10 @@ def test_predict_u0_single_vs_batch(tiny_params):
     u = rng.standard_normal(4)
     h = rng.standard_normal(4)
     single = predict_u0(u, h, 2, p)
-    batch = predict_u0(Tensor(np.stack([u, u])), Tensor(np.stack([h, h])), 2, p)
-    assert single.shape == (4,)
-    assert np.array_equal(batch.data[0], batch.data[1])
-    assert np.allclose(single, batch.data[0])
+    batch = predict_u0(np.stack([u, u]), np.stack([h, h]), 2, p)
+    assert single.shape == (4,) and batch.shape == (2, 4)
+    assert np.array_equal(batch[0], batch[1])
+    assert np.allclose(single, batch[0])
 
 
 def test_predict_u0_null_vs_zero_condition(tiny_params):
@@ -201,15 +225,17 @@ def test_denoise_on_arrays_returns_leaf_tensor(tiny_params):
 @pytest.mark.parametrize("t_prime", [1, 5])
 @pytest.mark.parametrize("variant,ablation", SELECTORS)
 def test_reverse_step_arrays_match_tensor_inputs(variant, ablation, t_prime, omega):
-    # a float32 rollout as inference runs it: the array path and the graph
-    # path agree bitwise at every step, through the float64 promotion
+    # a float32 rollout as inference runs it: at every step the denoiser
+    # agrees bitwise on array inputs and on Tensor inputs (the training
+    # graph), through the float64 promotion, and the array reverse step
+    # equals the same step built on the graph
     pipe = build_pipeline(variant, ablation)
     p = init_params(n_users=3, n_items_src=3, n_items_tgt=3, d1=4, seed=4,
                     init_scale=0.3, hidden=8, mlp_layers=3, enc_layers=1,
                     max_len=4, T=5, state_mult=pipe.state_mult,
                     with_projection=pipe.with_projection, dtype="float32")
     rng = make_rng(15, variant)
-    for name in p.names():  # null token and biases start at zero or one
+    for name in p.arrays:  # null token and biases start at zero or one
         p[name].data[...] += rng.uniform(-0.3, 0.3, size=p[name].shape)
     s = build_schedule(5, 0.5, 0.1, 10.0)
     u = rng.standard_normal(4).astype(np.float32)
@@ -217,12 +243,27 @@ def test_reverse_step_arrays_match_tensor_inputs(variant, ablation, t_prime, ome
     x = pipe.inference_init(u, h)
     cond = h if pipe.guided else None
     omega = omega if pipe.guided else 0.0
+    null = p["null_token"].data.reshape((1, 4)) * np.ones((1, 1), dtype=np.float32)
+
+    def graph_predict(rows, c, t):
+        on_arrays = denoise(rows, c, t, p)
+        on_graph = denoise(Tensor(rows), Tensor(c), t, p)
+        assert on_arrays._backward_fn is None and on_graph._backward_fn is not None
+        assert on_arrays.data.tobytes() == on_graph.data.tobytes()
+        return on_graph
+
     for t in range(t_prime, 0, -1):
         z = rng.standard_normal(x.shape[0]) if t > 1 else np.zeros(x.shape[0])
         got = reverse_step(x, cond, t, omega, z, s, p)
-        want = reverse_step(Tensor(x), None if cond is None else Tensor(cond),
-                            t, omega, z, s, p)
-        assert isinstance(got, np.ndarray) and want._backward_fn is not None
+        rows = x[None, :]
+        if cond is None or omega == 0.0:
+            pred = graph_predict(rows, null if cond is None else cond[None, :], t)
+        else:
+            pred = (1.0 + omega) * graph_predict(rows, cond[None, :], t) \
+                - omega * graph_predict(rows, null, t)
+        c0, ct, var = posterior_mean_coeffs(s, t)
+        want = c0 * pred + ct * Tensor(rows) + math.sqrt(var) * z
+        assert isinstance(got, np.ndarray)
         assert got.dtype == want.data.dtype == np.float64
-        assert got.tobytes() == want.data.tobytes()
+        assert got.tobytes() == want.data[0].tobytes()
         x = got

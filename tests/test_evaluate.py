@@ -11,7 +11,7 @@ from prefdiff.diffusion import guided_predict
 from prefdiff.encoder import encode_history
 from prefdiff.errors import ConfigurationError, DataError
 from prefdiff.evaluate import (EvalReport, evaluate, infer_user,
-                               predict_rating, report_from_errors)
+                               report_from_errors)
 from prefdiff.rng import make_rng
 from prefdiff.schedule import build_schedule, posterior_mean_coeffs
 from prefdiff.trainer import train
@@ -62,14 +62,6 @@ def test_t_prime_out_of_range(tiny_params, sched):
         infer_user(np.zeros(4), None, tiny_cfg(t_prime=6), sched, tiny_params)
 
 
-def test_predict_rating_is_float64_dot():
-    u = np.array([0.5, -2.0], dtype=np.float32)
-    v = np.array([4.0, 1.0], dtype=np.float32)
-    r = predict_rating(u, v)
-    assert isinstance(r, float)
-    assert r == pytest.approx(0.0)
-
-
 def test_report_from_errors_values():
     rep = report_from_errors(np.array([1.0, -1.0, 2.0]))
     assert rep.mae == pytest.approx(4 / 3)
@@ -90,10 +82,14 @@ def test_report_tsv_formats():
     assert pu[1].startswith("u0\t")  # sorted by user id
 
 
-def _trained_setup(seed=11, epochs=4):
+def _dot64(u, v) -> float:
+    return float(np.dot(np.asarray(u, dtype=np.float64), np.asarray(v, dtype=np.float64)))
+
+
+def _trained_setup(seed=11, epochs=4, dtype="float64"):
     src, tgt = toy_domains(n_overlap=25, seed=3)
     split = split_cold_start(src, tgt, 0.2, seed=1)
-    cfg = tiny_cfg(epochs=epochs, batch_size=16, seed=seed)
+    cfg = tiny_cfg(epochs=epochs, batch_size=16, seed=seed, dtype=dtype)
     params, _ = train(src, tgt, split, cfg)
     s = build_schedule(cfg.T, cfg.eta, cfg.alpha_min, cfg.alpha_max)
     return src, tgt, split, params, s
@@ -131,9 +127,31 @@ def test_evaluate_t_prime_zero_is_raw_embeddings():
     for rec in held_out_ratings(tgt, split):
         u = params["user_emb"].data[universe[rec.user_id]]
         v = params["item_emb_tgt"].data[tgt.item_index[rec.item_id]]
-        errors.append(predict_rating(u, v) - rec.rating)
+        errors.append(_dot64(u, v) - rec.rating)
     want = report_from_errors(np.asarray(errors))
     assert rep.mae == pytest.approx(want.mae, rel=1e-12)
+
+
+def test_evaluate_scores_are_unclipped_float64_dots():
+    # a rating's prediction is the float64 inner product of the scoring
+    # embedding and the item embedding, never clipped to the rating range
+    src, tgt, split, params, s = _trained_setup(epochs=0, dtype="float32")
+    params["user_emb"].data[...] *= 1000.0
+    rep = evaluate(params, s, src, tgt, split, tiny_cfg(t_prime=0, seed=7),
+                   collect_per_user=True)
+    universe = user_universe(src, tgt)
+    preds = []
+    for uid, (mae, rmse, n) in rep.per_user.items():
+        recs = [r for r in held_out_ratings(tgt, split) if r.user_id == uid]
+        u = params["user_emb"].data[universe[uid]]
+        p = [_dot64(u, params["item_emb_tgt"].data[tgt.item_index[r.item_id]])
+             for r in recs]
+        errors = np.array(p) - np.array([r.rating for r in recs])
+        assert n == len(recs)
+        assert mae == pytest.approx(np.mean(np.abs(errors)), rel=1e-12)
+        assert rmse == pytest.approx(math.sqrt(np.mean(errors ** 2)), rel=1e-12)
+        preds += p
+    assert max(preds) > 5.0 and min(preds) < 0.0  # outside the rating range
 
 
 def test_evaluate_runs_for_every_pipeline():
@@ -181,7 +199,7 @@ def test_every_pipeline_at_every_t_prime(variant, ablation, t_prime):
         emb = pipe.score_embedding(Tensor(x) if pipe.uses_diffusion else None,
                                    Tensor(h), Tensor(u), params).data
         v = params["item_emb_tgt"].data[tgt.item_index[rec.item_id]]
-        errors.append(predict_rating(emb, v) - rec.rating)
+        errors.append(_dot64(emb, v) - rec.rating)
     assert rep.mae == pytest.approx(report_from_errors(np.asarray(errors)).mae,
                                     rel=1e-12)
 

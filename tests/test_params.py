@@ -1,5 +1,7 @@
 """Parameter initialization, step embeddings, and checkpoint round-trips."""
+import gc
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -84,8 +86,8 @@ def test_checkpoint_round_trip_bitwise(tmp_path):
         save_checkpoint(p, out)
         q = load_checkpoint(out)
         assert q.meta == p.meta
-        assert set(q.names()) == set(p.names())
-        for name in p.names():
+        assert set(q.arrays) == set(p.arrays)
+        for name in p.arrays:
             got, want = q[name].data, p[name].data
             assert got.dtype == want.dtype
             assert got.tobytes() == want.tobytes()
@@ -102,6 +104,15 @@ def test_checkpoint_round_trips_run_binding(tmp_path):
                      ablation="none")
     save_checkpoint(p, tmp_path / "bound")
     assert load_checkpoint(tmp_path / "bound").meta == p.meta
+
+
+def test_load_checkpoint_closes_its_files(tmp_path):
+    save_checkpoint(small_params(), tmp_path / "ckpt")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        load_checkpoint(tmp_path / "ckpt")
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 def test_checkpoint_missing_files(tmp_path):

