@@ -6,18 +6,22 @@ given identical inputs.
 from __future__ import annotations
 
 import os
-from dataclasses import replace
+import sys
+from dataclasses import fields, replace
 
 import click
 
 from . import data as data_mod
 from . import schedule as schedule_mod
 from .config import RunConfig, _coerce, load_config, normalized_text
-from .errors import CheckpointError, ConfigurationError
+from .errors import CheckpointError, ConfigurationError, PrefDiffError
 from .evaluate import evaluate
-from .params import RUN_FIELDS, ModelMeta, load_checkpoint, save_checkpoint
+from .params import load_checkpoint, save_checkpoint
 from .trainer import loss_history_tsv, train
-from .variants import Pipeline, build_pipeline, lint_pipeline
+from .variants import build_pipeline, lint_pipeline
+
+# the keys an evaluation may set apart from its checkpoint's training run
+EVAL_FREE_KEYS = ("source_path", "target_path", "seed", "omega", "t_prime")
 
 
 def _load_run(cfg: RunConfig):
@@ -27,20 +31,32 @@ def _load_run(cfg: RunConfig):
     return source, target, split
 
 
-def _check_checkpoint(meta: ModelMeta, cfg: RunConfig, pipeline: Pipeline) -> None:
-    """Raise one CheckpointError listing every way the checkpoint's schedule,
-    wiring and state layout differ from what the config asks for; omega,
-    t_prime and the seed may differ."""
-    wanted = {"T": cfg.T, **{key: getattr(cfg, key) for key in RUN_FIELDS},
-              "state_mult": pipeline.state_mult,
-              "with_projection": pipeline.with_projection}
-    problems = [f"{key} is {getattr(meta, key)} in the checkpoint but {value} in the config"
-                for key, value in wanted.items() if getattr(meta, key) != value]
+def _check_checkpoint(trained: RunConfig, cfg: RunConfig) -> None:
+    """Raise one CheckpointError listing every config key, besides
+    EVAL_FREE_KEYS, whose value differs from the checkpoint's."""
+    problems = [f"{f.name} is {getattr(trained, f.name)} in the checkpoint but "
+                f"{getattr(cfg, f.name)} in the config" for f in fields(RunConfig)
+                if f.name not in EVAL_FREE_KEYS
+                and getattr(trained, f.name) != getattr(cfg, f.name)]
     if problems:
         raise CheckpointError("checkpoint does not match the config: " + "; ".join(problems))
 
 
-@click.group()
+class _Commands(click.Group):
+    """Reports a package error as one `Error: <Type>: <message>` line and
+    exit code 1; with standalone_mode=False the error is raised as is."""
+
+    def main(self, *args, standalone_mode: bool = True, **kwargs):
+        try:
+            return super().main(*args, standalone_mode=standalone_mode, **kwargs)
+        except PrefDiffError as exc:
+            if not standalone_mode:
+                raise
+            click.echo(f"Error: {type(exc).__name__}: {exc}", err=True)
+            sys.exit(1)
+
+
+@click.group(cls=_Commands)
 def main():
     """Preference-guided diffusion for cold-start cross-domain recommendation."""
 
@@ -78,10 +94,9 @@ def cmd_train(config_path, seed, fraction, variant, out_dir):
     cfg = load_config(config_path, seed=seed, fraction=fraction, variant=variant)
     os.makedirs(out_dir, exist_ok=True)
     source, target, split = _load_run(cfg)
-    pipeline = build_pipeline(cfg.variant, cfg.ablation)
-    for warning in lint_pipeline(pipeline, cfg.eta):
+    for warning in lint_pipeline(build_pipeline(cfg.variant, cfg.ablation), cfg.eta):
         click.echo(f"warning: {warning}", err=True)
-    params, history = train(source, target, split, cfg, pipeline)
+    params, history = train(source, target, split, cfg)
     save_checkpoint(params, os.path.join(out_dir, "checkpoint"))
     with open(os.path.join(out_dir, "loss.tsv"), "w", encoding="utf-8") as fh:
         fh.write(loss_history_tsv(history))
@@ -98,14 +113,17 @@ def cmd_train(config_path, seed, fraction, variant, out_dir):
 @click.option("--out", type=click.Path(), default=None)
 @click.option("--per-user", is_flag=True, default=False)
 def cmd_eval(ckpt_path, config_path, seed, out, per_user):
-    """Evaluate a checkpoint on the cold-start test users (MAE / RMSE)."""
+    """Evaluate a checkpoint on the cold-start test users (MAE / RMSE).
+
+    The test users are those of the checkpoint's own split; --seed keys
+    only the rollout noise."""
     cfg = load_config(config_path, seed=seed)
-    source, target, split = _load_run(cfg)
     params = load_checkpoint(ckpt_path)
-    pipeline = build_pipeline(cfg.variant, cfg.ablation)
-    _check_checkpoint(params.meta, cfg, pipeline)
+    trained = params.meta.cfg
+    _check_checkpoint(trained, cfg)
+    source, target, split = _load_run(replace(cfg, seed=trained.seed))
     s = schedule_mod.build_schedule(cfg.T, cfg.eta, cfg.alpha_min, cfg.alpha_max)
-    report = evaluate(params, s, source, target, split, cfg, pipeline,
+    report = evaluate(params, s, source, target, split, cfg,
                       collect_per_user=per_user)
     click.echo(report.tsv(), nl=False)
     click.echo(f"MAE={report.mae:.4f} RMSE={report.rmse:.4f} over {report.n_predictions} ratings")
@@ -167,18 +185,17 @@ def cmd_sweep(config_path, sweep_axis, sweep_values, seed, out):
     if problems:
         raise ConfigurationError("bad sweep values: " + " | ".join(problems))
     source, target, split = _load_run(base)
-    pipeline = build_pipeline(base.variant, base.ablation)
     rows = ["value\tmae\trmse\tn"]
     inference_only = sweep_axis in ("t_prime", "omega")
     params = None
     if inference_only:
-        params, _ = train(source, target, split, base, pipeline)
+        params, _ = train(source, target, split, base)
     for raw, cfg in configs:
         run_params = params
         if not inference_only:
-            run_params, _ = train(source, target, split, cfg, pipeline)
+            run_params, _ = train(source, target, split, cfg)
         s = schedule_mod.build_schedule(cfg.T, cfg.eta, cfg.alpha_min, cfg.alpha_max)
-        report = evaluate(run_params, s, source, target, split, cfg, pipeline)
+        report = evaluate(run_params, s, source, target, split, cfg)
         rows.append(f"{raw}\t{report.mae:.6f}\t{report.rmse:.6f}\t{report.n_predictions}")
     text = "\n".join(rows) + "\n"
     click.echo(text, nl=False)
@@ -198,12 +215,12 @@ def cmd_variant_bench(config_path, seed, out):
     s = schedule_mod.build_schedule(base.T, base.eta, base.alpha_min, base.alpha_max)
     rows = ["variant\tmae\trmse\tn"]
     for vid in range(1, 7):
-        pipeline = build_pipeline(vid, "none")
-        for warning in lint_pipeline(pipeline, base.eta):
+        cfg = replace(base, variant=vid, ablation="none")
+        for warning in lint_pipeline(build_pipeline(vid), base.eta):
             click.echo(f"warning (variant {vid}): {warning}", err=True)
-        params, _ = train(source, target, split, base, pipeline)
+        params, _ = train(source, target, split, cfg)
         report = evaluate(params, s, source, target, split,
-                          replace(base, omega=0.0), pipeline)
+                          replace(cfg, omega=0.0))
         rows.append(f"{vid}\t{report.mae:.6f}\t{report.rmse:.6f}\t{report.n_predictions}")
     text = "\n".join(rows) + "\n"
     click.echo(text, nl=False)

@@ -50,10 +50,11 @@ def denoise(x_t, cond, t, params: ModelParams) -> Tensor:
     if step.ndim == 1:
         step = np.repeat(step[None, :], x_t.shape[0], axis=0)
     x = cat([x_t, cond, step], axis=-1)
-    for layer in range(params.meta.mlp_layers):
+    n_layers = params.meta.cfg.mlp_layers
+    for layer in range(n_layers):
         w, b = params[f"den_w{layer}"], params[f"den_b{layer}"]
         x = x @ (w if graph else w.data) + (b if graph else b.data)
-        if layer < params.meta.mlp_layers - 1:
+        if layer < n_layers - 1:
             x = tanh(x)
     return x if graph else Tensor(x)
 
@@ -63,7 +64,7 @@ def _as_cond_batch(h, x: np.ndarray, params: ModelParams) -> np.ndarray:
     h is None."""
     if h is None:
         null = params["null_token"].data
-        return null.reshape((1, params.meta.d1)) * np.ones((x.shape[0], 1), dtype=params.meta.dtype)
+        return null.reshape((1, null.shape[0])) * np.ones((x.shape[0], 1), dtype=null.dtype)
     arr = np.asarray(h)
     return arr if arr.ndim == 2 else arr[None, :]
 

@@ -30,8 +30,8 @@ def _merge_heads(x: Tensor) -> Tensor:
 
 def _attention(x: Tensor, mask: np.ndarray, layer: int, params: ModelParams) -> Tensor:
     p = f"enc{layer}_"
-    n_heads = params.meta.n_heads
-    dh = params.meta.d1 // n_heads
+    n_heads = params.meta.cfg.n_heads
+    dh = params.meta.cfg.d1 // n_heads
     q = _split_heads(x @ params[p + "wq"], n_heads)
     k = _split_heads(x @ params[p + "wk"], n_heads)
     v = _split_heads(x @ params[p + "wv"], n_heads)
@@ -49,12 +49,11 @@ def encoder_forward(x: Tensor, mask: np.ndarray, params: ModelParams) -> Tensor:
     `mask` flags real (non-padded) positions. Padded positions never receive
     attention weight and never enter the pooled output.
     """
-    use_ln = params.meta.encoder_layer_norm
-    for layer in range(params.meta.enc_layers):
+    for layer in range(params.meta.cfg.enc_layers):
         p = f"enc{layer}_"
-        a = layer_norm(x, params[p + "ln1_g"], params[p + "ln1_b"]) if use_ln else x
+        a = layer_norm(x, params[p + "ln1_g"], params[p + "ln1_b"])
         x = x + _attention(a, mask, layer, params)
-        b = layer_norm(x, params[p + "ln2_g"], params[p + "ln2_b"]) if use_ln else x
+        b = layer_norm(x, params[p + "ln2_g"], params[p + "ln2_b"])
         ff = ad.tanh(b @ params[p + "ff_w1"] + params[p + "ff_b1"]) @ params[p + "ff_w2"] + params[p + "ff_b2"]
         x = x + ff
     return x
@@ -69,32 +68,30 @@ def masked_mean_pool(x: Tensor, mask: np.ndarray) -> Tensor:
     return (x * weights[:, :, None]).sum(axis=1)
 
 
-def encode_batch(item_vectors: Tensor, mask: np.ndarray, params: ModelParams,
-                 *, bypass_transformer: bool = False) -> Tensor:
+def encode_batch(item_vectors: Tensor, mask: np.ndarray, params: ModelParams) -> Tensor:
     """Guidance signals for a batch of padded histories.
 
     item_vectors: (B, L, d1) source-item embeddings; mask: (B, L) booleans.
-    With `bypass_transformer` the raw item embeddings are pooled directly
-    (the encoder-removal ablation).
+    Under the encoder-removal ablation (`ablation = no_tf` in the model's
+    config) the raw item embeddings are pooled directly.
     """
     mask = np.asarray(mask, dtype=bool)
-    if bypass_transformer:
+    if params.meta.pipeline.bypass_transformer:
         return masked_mean_pool(item_vectors, mask)
     length = item_vectors.shape[1]
-    if length > params.meta.max_len:
-        raise DataError(f"history length {length} exceeds max_len {params.meta.max_len}")
+    max_len = params.meta.cfg.max_history_len
+    if length > max_len:
+        raise DataError(f"history length {length} exceeds max_history_len {max_len}")
     x = item_vectors + ad.gather(params["pos_emb"], np.arange(length))
     x = encoder_forward(x, mask, params)
     return masked_mean_pool(x, mask)
 
 
-def encode_history(item_vectors: np.ndarray, params: ModelParams,
-                   *, bypass_transformer: bool = False) -> np.ndarray:
+def encode_history(item_vectors: np.ndarray, params: ModelParams) -> np.ndarray:
     """The d1 guidance signal of one history, (L, d1) item embeddings in
     chronological order, through :func:`encode_batch`."""
     vecs = np.asarray(item_vectors)
     if vecs.shape[0] == 0:
         raise DataError("empty history")
-    out = encode_batch(Tensor(vecs[None]), np.ones((1, vecs.shape[0]), dtype=bool),
-                       params, bypass_transformer=bypass_transformer)
+    out = encode_batch(Tensor(vecs[None]), np.ones((1, vecs.shape[0]), dtype=bool), params)
     return out.data[0]

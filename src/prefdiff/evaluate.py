@@ -16,7 +16,6 @@ from .errors import ConfigurationError, DataError
 from .params import ModelParams
 from .rng import make_rng
 from .schedule import Schedule
-from .variants import Pipeline
 
 
 @dataclass(frozen=True)
@@ -41,12 +40,11 @@ class EvalReport:
 
 
 def infer_user(u_init: np.ndarray, h, cfg: RunConfig, s: Schedule,
-               params: ModelParams, pipeline: Pipeline | None = None,
-               rng: np.random.Generator | None = None) -> np.ndarray:
+               params: ModelParams, rng: np.random.Generator | None = None) -> np.ndarray:
     """Guided reverse rollout from the user's own embedding.
 
-    Applies cfg's t_prime reverse steps (noise-free at t=1) to the
-    pipeline's initial state; t_prime = 0 returns that state unchanged.
+    Applies cfg's t_prime reverse steps (noise-free at t=1) to the initial
+    state of the model's wiring; t_prime = 0 returns that state unchanged.
     The steps run on plain arrays, without an autodiff graph. The noise z is
     float64, so the state is float64 from the first step on, and later
     denoiser matmuls are float64 state times model-dtype weights.
@@ -54,7 +52,7 @@ def infer_user(u_init: np.ndarray, h, cfg: RunConfig, s: Schedule,
     t_prime = cfg.resolved_t_prime()
     if not 0 <= t_prime <= s.T:
         raise ConfigurationError(f"t_prime={t_prime} outside 0..{s.T}")
-    pipeline = pipeline or Pipeline("main")
+    pipeline = params.meta.pipeline
     x = pipeline.inference_init(np.asarray(u_init),
                                 None if h is None else np.asarray(h))
     omega = cfg.omega if pipeline.guided else 0.0
@@ -78,16 +76,16 @@ def report_from_errors(errors: np.ndarray,
 
 def evaluate(params: ModelParams, s: Schedule, source: DomainData,
              target: DomainData, split: ColdStartSplit, cfg: RunConfig,
-             pipeline: Pipeline | None = None,
              collect_per_user: bool = False) -> EvalReport:
-    """Score every held-out target rating of every cold-start test user.
+    """Score every held-out target rating of every cold-start test user,
+    under the wiring the parameters were trained with.
 
     Per-user noise streams are keyed by (seed, global user index) so the
     report is independent of evaluation order. A rating's prediction is the
     float64 inner product of the user's scoring embedding and the item's
     target embedding, not clipped to the rating range.
     """
-    pipeline = pipeline or Pipeline("main")
+    pipeline = params.meta.pipeline
     universe = data_mod.user_universe(source, target)
     test_users = data_mod.users_with_history(source, sorted(split.cold_start_test))
     histories = data_mod.build_histories(source, test_users, cfg.max_history_len)
@@ -103,13 +101,11 @@ def evaluate(params: ModelParams, s: Schedule, source: DomainData,
             continue
         hist = histories[uid]
         item_vecs = params["item_emb_src"].data[list(hist.item_indices)]
-        h = encode_history(item_vecs, params,
-                           bypass_transformer=pipeline.bypass_transformer) \
-            if pipeline.uses_history else None
+        h = encode_history(item_vecs, params) if pipeline.uses_history else None
         u_idx = universe[uid]
         u_init = np.array(params["user_emb"].data[u_idx], copy=True)
         rng = make_rng(cfg.seed, u_idx)
-        x0 = Tensor(infer_user(u_init, h, cfg, s, params, pipeline, rng)) \
+        x0 = Tensor(infer_user(u_init, h, cfg, s, params, rng)) \
             if pipeline.uses_diffusion else None
         emb = pipeline.score_embedding(
             x0, None if h is None else Tensor(h), Tensor(u_init), params)

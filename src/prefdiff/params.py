@@ -1,59 +1,54 @@
 """All learnable state: embedding tables, denoiser MLP, null token, fixed
 sinusoidal step embeddings, encoder weights, and checkpoint save/load.
 
-Checkpoint layout: a directory holding `manifest.tsv` (array name, shape,
-dtype, byte offset, plus `# key=value` metadata lines) and `params.bin`, one
-little-endian binary blob in manifest order.
+Checkpoint layout: a directory holding `manifest.tsv` and `params.bin`.
+The manifest opens with `# key = value` metadata lines: the three data
+sizes, then the normalized text of the run config that trained the arrays,
+less its input paths. One line per array follows (name, shape, dtype, byte
+offset). `params.bin` is one little-endian binary blob in manifest order.
 """
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .autodiff import Tensor
+from .config import RunConfig, normalized_text, parse_config_text
 from .errors import CheckpointError, ConfigurationError
 from .rng import make_rng
+from .variants import Pipeline, build_pipeline
 
 MANIFEST_NAME = "manifest.tsv"
 BLOB_NAME = "params.bin"
+SIZE_KEYS = ("n_users", "n_items_src", "n_items_tgt")
+# left out of the manifest, so a checkpoint's bytes do not name its inputs
+PATH_KEYS = ("source_path", "target_path")
+CONFIG_KEYS = tuple(f.name for f in fields(RunConfig) if f.name not in PATH_KEYS)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelMeta:
-    """Architecture hyper-parameters needed to interpret the arrays, then
-    the schedule and wiring the arrays were trained under."""
-    d1: int
+    """The run config the arrays were trained under (input paths cleared)
+    and the data sizes that fix the table shapes."""
+    cfg: RunConfig
     n_users: int
     n_items_src: int
     n_items_tgt: int
-    hidden: int
-    mlp_layers: int
-    enc_layers: int
-    n_heads: int
-    max_len: int
-    T: int
-    state_mult: int = 1      # 1 for the main model, 2 for concatenated-state variants
-    with_projection: bool = False
-    encoder_layer_norm: bool = True
-    dtype: str = "float32"
-    # None until `trainer.train` binds them to its config; `eval` refuses a
-    # checkpoint whose values differ from its own config, None included
-    eta: float | None = None
-    alpha_min: float | None = None
-    alpha_max: float | None = None
-    variant: int | None = None
-    ablation: str | None = None
+
+    @property
+    def pipeline(self) -> Pipeline:
+        return build_pipeline(self.cfg.variant, self.cfg.ablation)
 
     @property
     def state_dim(self) -> int:
-        return self.state_mult * self.d1
+        return self.pipeline.state_mult * self.cfg.d1
 
     @property
     def denoiser_in(self) -> int:
         # [state || condition || step embedding]
-        return self.state_dim + 2 * self.d1
+        return self.state_dim + 2 * self.cfg.d1
 
 
 class ModelParams:
@@ -62,7 +57,8 @@ class ModelParams:
     def __init__(self, arrays: dict[str, Tensor], meta: ModelMeta):
         self.arrays = arrays
         self.meta = meta
-        self.step_table = step_embedding_table(meta.T, meta.d1).astype(meta.dtype)
+        cfg = meta.cfg
+        self.step_table = step_embedding_table(cfg.T, cfg.d1).astype(cfg.dtype)
 
     def __getitem__(self, name: str) -> Tensor:
         return self.arrays[name]
@@ -88,20 +84,21 @@ def step_embedding_table(T: int, d1: int) -> np.ndarray:
 
 
 def _array_specs(meta: ModelMeta) -> dict[str, tuple[int, ...]]:
-    d1, h = meta.d1, meta.hidden
+    cfg = meta.cfg
+    d1, h = cfg.d1, cfg.hidden
     specs: dict[str, tuple[int, ...]] = {
         "user_emb": (meta.n_users, d1),
         "item_emb_src": (meta.n_items_src, d1),
         "item_emb_tgt": (meta.n_items_tgt, d1),
         "null_token": (d1,),
-        "pos_emb": (meta.max_len, d1),
+        "pos_emb": (cfg.max_history_len, d1),
     }
-    widths = [meta.denoiser_in] + [h] * (meta.mlp_layers - 1) + [meta.state_dim]
-    for layer in range(meta.mlp_layers):
+    widths = [meta.denoiser_in] + [h] * (cfg.mlp_layers - 1) + [meta.state_dim]
+    for layer in range(cfg.mlp_layers):
         specs[f"den_w{layer}"] = (widths[layer], widths[layer + 1])
         specs[f"den_b{layer}"] = (widths[layer + 1],)
     d_ff = 2 * d1
-    for layer in range(meta.enc_layers):
+    for layer in range(cfg.enc_layers):
         p = f"enc{layer}_"
         specs[p + "wq"] = (d1, d1)
         specs[p + "wk"] = (d1, d1)
@@ -115,36 +112,24 @@ def _array_specs(meta: ModelMeta) -> dict[str, tuple[int, ...]]:
         specs[p + "ff_b1"] = (d_ff,)
         specs[p + "ff_w2"] = (d_ff, d1)
         specs[p + "ff_b2"] = (d1,)
-    if meta.with_projection:
+    if meta.pipeline.with_projection:
         specs["proj_w"] = (2 * d1, d1)
         specs["proj_b"] = (d1,)
     return specs
 
 
-def init_params(n_users: int, n_items_src: int, n_items_tgt: int, d1: int,
-                seed: int, init_scale: float = 0.1, *,
-                hidden: int = 64, mlp_layers: int = 3, enc_layers: int = 2,
-                n_heads: int = 1, max_len: int = 50, T: int = 200,
-                state_mult: int = 1, with_projection: bool = False,
-                encoder_layer_norm: bool = True,
-                dtype: str = "float32") -> ModelParams:
-    """Uniform(-init_scale, init_scale) init of every table, deterministic per
-    seed. Null token starts at zero; layer-norm gains at one."""
-    for name, v in [("n_users", n_users), ("n_items_src", n_items_src),
-                    ("n_items_tgt", n_items_tgt), ("d1", d1),
-                    ("hidden", hidden), ("mlp_layers", mlp_layers)]:
+def init_params(cfg: RunConfig, n_users: int, n_items_src: int,
+                n_items_tgt: int) -> ModelParams:
+    """Uniform(-cfg.init_scale, cfg.init_scale) init of every table for
+    cfg's architecture and wiring, deterministic per cfg.seed. Null token
+    starts at zero; layer-norm gains at one."""
+    sizes = dict(zip(SIZE_KEYS, (n_users, n_items_src, n_items_tgt)))
+    for name, v in sizes.items():
         if v < 1:
             raise ConfigurationError(f"{name} must be positive, got {v}")
-    if d1 % n_heads != 0:
-        raise ConfigurationError(f"d1={d1} not divisible by n_heads={n_heads}")
-    meta = ModelMeta(d1=d1, n_users=n_users, n_items_src=n_items_src,
-                     n_items_tgt=n_items_tgt, hidden=hidden,
-                     mlp_layers=mlp_layers, enc_layers=enc_layers,
-                     n_heads=n_heads, max_len=max_len, T=T,
-                     state_mult=state_mult, with_projection=with_projection,
-                     encoder_layer_norm=encoder_layer_norm, dtype=dtype)
-    rng = make_rng(seed, 0xA11)
-    np_dtype = np.dtype(dtype)
+    meta = ModelMeta(replace(cfg, **dict.fromkeys(PATH_KEYS, "")), **sizes)
+    rng = make_rng(cfg.seed, 0xA11)
+    np_dtype = np.dtype(cfg.dtype)
     arrays: dict[str, Tensor] = {}
     for name, shape in _array_specs(meta).items():
         suffix = name.rsplit("_", 1)[-1]
@@ -153,26 +138,37 @@ def init_params(n_users: int, n_items_src: int, n_items_tgt: int, d1: int,
         elif suffix == "g":
             values = np.ones(shape)
         else:
-            values = rng.uniform(-init_scale, init_scale, size=shape)
+            values = rng.uniform(-cfg.init_scale, cfg.init_scale, size=shape)
         arrays[name] = Tensor(values.astype(np_dtype), requires_grad=True)
     return ModelParams(arrays, meta)
 
 
-# the run settings a checkpoint is bound to besides T and the state layout
-RUN_FIELDS = ("eta", "alpha_min", "alpha_max", "variant", "ablation")
-_PARSE = {"int": int, "float": float, "str": str, "bool": lambda s: s == "True"}
+def _meta_lines(meta: ModelMeta) -> list[str]:
+    sizes = [f"{key} = {getattr(meta, key)}" for key in SIZE_KEYS]
+    config = [line for line in normalized_text(meta.cfg).splitlines()
+              if line.partition(" = ")[0] in CONFIG_KEYS]
+    return [f"# {line}" for line in sizes + config]
 
 
-def _parse(kind: str, text: str):
-    """A manifest value back as the type `kind` of its ModelMeta field."""
-    if kind.endswith(" | None") and text == "None":
-        return None
-    return _PARSE[kind.removesuffix(" | None")](text)
+def _parse_meta(lines: list[str]) -> ModelMeta:
+    """ModelMeta from the `key = value` metadata lines; a manifest written
+    in any other form raises CheckpointError."""
+    values = {key.strip(): value.strip()
+              for key, _, value in (line.partition("=") for line in lines)}
+    missing = [key for key in SIZE_KEYS + CONFIG_KEYS if key not in values]
+    if missing:
+        raise CheckpointError(f"manifest missing metadata fields {missing}")
+    try:
+        sizes = {key: int(values.pop(key)) for key in SIZE_KEYS}
+        cfg = parse_config_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+    except (ValueError, ConfigurationError) as exc:
+        raise CheckpointError(f"bad manifest metadata: {exc}") from None
+    return ModelMeta(cfg, **sizes)
 
 
 def save_checkpoint(params: ModelParams, path) -> None:
     os.makedirs(path, exist_ok=True)
-    lines = [f"# {f.name}={getattr(params.meta, f.name)}" for f in fields(ModelMeta)]
+    lines = _meta_lines(params.meta)
     offset = 0
     blobs = []
     for name, tensor in params.arrays.items():
@@ -195,7 +191,7 @@ def load_checkpoint(path) -> ModelParams:
     blob_path = os.path.join(path, BLOB_NAME)
     if not os.path.exists(manifest_path) or not os.path.exists(blob_path):
         raise CheckpointError(f"missing checkpoint files under {path}")
-    meta_kv: dict[str, str] = {}
+    meta_lines: list[str] = []
     entries: list[tuple[str, tuple[int, ...], str, int]] = []
     with open(manifest_path, "r", encoding="utf-8") as fh:
         for line in fh:
@@ -203,16 +199,12 @@ def load_checkpoint(path) -> ModelParams:
             if not line:
                 continue
             if line.startswith("#"):
-                key, _, value = line[1:].strip().partition("=")
-                meta_kv[key] = value
+                meta_lines.append(line[1:])
                 continue
             name, shape_s, dtype_s, offset_s = line.split("\t")
             shape = tuple(int(x) for x in shape_s.split(",")) if shape_s else ()
             entries.append((name, shape, dtype_s, int(offset_s)))
-    try:
-        meta = ModelMeta(**{f.name: _parse(f.type, meta_kv[f.name]) for f in fields(ModelMeta)})
-    except KeyError as exc:
-        raise CheckpointError(f"manifest missing metadata field {exc}") from None
+    meta = _parse_meta(meta_lines)
 
     expected = _array_specs(meta)
     names_seen = [e[0] for e in entries]

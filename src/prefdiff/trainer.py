@@ -5,7 +5,7 @@ L = L_rec + lambda * L_diff, and adaptive gradient updates.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
@@ -17,10 +17,9 @@ from .data import ColdStartSplit, DomainData
 from .diffusion import denoise, forward_marginal
 from .encoder import encode_batch
 from .errors import DataError, TrainingError
-from .params import RUN_FIELDS, ModelParams, init_params
+from .params import ModelParams, init_params
 from .rng import make_rng
 from .schedule import Schedule, build_schedule
-from .variants import Pipeline, build_pipeline
 
 logger = logging.getLogger(__name__)
 
@@ -140,11 +139,12 @@ def sample_draws(rng: np.random.Generator, B: int, state_dim: int, T: int,
 
 
 def compute_batch_loss(batch: list[TrainExample], params: ModelParams,
-                       cfg: RunConfig, s: Schedule, pipeline: Pipeline,
-                       draws: BatchDraws):
-    """Joint loss over a batch as an autodiff scalar, plus the loss report."""
-    dtype = params.meta.dtype
-    d1 = params.meta.d1
+                       cfg: RunConfig, s: Schedule, draws: BatchDraws):
+    """Joint loss over a batch as an autodiff scalar, plus the loss report,
+    under the wiring the parameters were built for."""
+    pipeline = params.meta.pipeline
+    dtype = params.meta.cfg.dtype
+    d1 = params.meta.cfg.d1
     users, hist, mask, items, ratings = _batch_arrays(batch, dtype)
     B = len(batch)
 
@@ -153,8 +153,7 @@ def compute_batch_loss(batch: list[TrainExample], params: ModelParams,
     h = None
     if pipeline.uses_history:
         item_vecs = ad.gather(params["item_emb_src"], hist)
-        h = encode_batch(item_vecs, mask, params,
-                         bypass_transformer=pipeline.bypass_transformer)
+        h = encode_batch(item_vecs, mask, params)
 
     n_masked = 0
     null_row = params["null_token"].reshape((1, d1))
@@ -201,18 +200,16 @@ def compute_batch_loss(batch: list[TrainExample], params: ModelParams,
 
 
 def train_step(batch: list[TrainExample], params: ModelParams,
-               state: TrainerState, cfg: RunConfig, s: Schedule,
-               pipeline: Pipeline | None = None) -> dict:
+               state: TrainerState, cfg: RunConfig, s: Schedule) -> dict:
     """One gradient update on the joint loss over a batch; returns the loss
     report. Steps t and condition masks are sampled per example."""
     if not batch:
         raise DataError("empty batch")
-    pipeline = pipeline or build_pipeline(cfg.variant, cfg.ablation)
-    state_dim = pipeline.state_mult * params.meta.d1
-    draws = sample_draws(state.rng, len(batch), state_dim, s.T,
-                         pipeline.uses_masking, params.meta.dtype)
+    meta = params.meta
+    draws = sample_draws(state.rng, len(batch), meta.state_dim, s.T,
+                         meta.pipeline.uses_masking, meta.cfg.dtype)
     params.zero_grads()
-    total, report = compute_batch_loss(batch, params, cfg, s, pipeline, draws)
+    total, report = compute_batch_loss(batch, params, cfg, s, draws)
     state.masked_examples += report["masked"]
     state.total_examples += report["batch"]
     total.backward()
@@ -242,21 +239,12 @@ def build_examples(source: DomainData, target: DomainData, split: ColdStartSplit
 
 
 def train(source: DomainData, target: DomainData, split: ColdStartSplit,
-          cfg: RunConfig, pipeline: Pipeline | None = None) -> tuple[ModelParams, list[dict]]:
-    """Run the full training loop; deterministic per cfg.seed. The returned
-    parameters are bound to cfg's schedule and wiring (`RUN_FIELDS`)."""
-    pipeline = pipeline or build_pipeline(cfg.variant, cfg.ablation)
+          cfg: RunConfig) -> tuple[ModelParams, list[dict]]:
+    """Run the full training loop under cfg's wiring; deterministic per
+    cfg.seed. The returned parameters carry cfg in their metadata."""
     s = build_schedule(cfg.T, cfg.eta, cfg.alpha_min, cfg.alpha_max)
     universe = data_mod.user_universe(source, target)
-    params = init_params(
-        n_users=len(universe), n_items_src=source.n_items,
-        n_items_tgt=target.n_items, d1=cfg.d1, seed=cfg.seed,
-        init_scale=cfg.init_scale, hidden=cfg.hidden,
-        mlp_layers=cfg.mlp_layers, enc_layers=cfg.enc_layers,
-        n_heads=cfg.n_heads, max_len=cfg.max_history_len, T=cfg.T,
-        state_mult=pipeline.state_mult,
-        with_projection=pipeline.with_projection, dtype=cfg.dtype)
-    params.meta = replace(params.meta, **{key: getattr(cfg, key) for key in RUN_FIELDS})
+    params = init_params(cfg, len(universe), source.n_items, target.n_items)
     examples = build_examples(source, target, split, universe,
                               cfg.max_history_len)
     if not examples and cfg.epochs > 0:
@@ -269,7 +257,7 @@ def train(source: DomainData, target: DomainData, split: ColdStartSplit,
         n_batches = 0
         for start in range(0, len(examples), cfg.batch_size):
             batch = [examples[i] for i in order[start:start + cfg.batch_size]]
-            report = train_step(batch, params, state, cfg, s, pipeline)
+            report = train_step(batch, params, state, cfg, s)
             for k in sums:
                 sums[k] += report[k]
             n_batches += 1

@@ -16,7 +16,6 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigurationError
-from .params import ModelParams
 
 
 @dataclass(frozen=True)
@@ -81,9 +80,9 @@ class Pipeline:
         return mask
 
     def score_embedding(self, x0_hat: Tensor, h: Tensor | None,
-                        u0: Tensor, params: ModelParams) -> Tensor:
+                        u0: Tensor, params) -> Tensor:
         """Map the (predicted) clean state to the d1 embedding dotted with
-        the target-item embedding."""
+        the target-item embedding; `params` is the model's ModelParams."""
         if not self.with_projection:
             return x0_hat
         x = _join([{"x": x0_hat, "u": u0, "h": h}[p] for p in self.wiring.projection])

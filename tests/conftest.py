@@ -3,15 +3,16 @@ import math
 import numpy as np
 import pytest
 
+from prefdiff.config import RunConfig
 from prefdiff.params import init_params
 
 
 @pytest.fixture
 def tiny_params():
     """d1=4 float64 model, small enough for finite-difference checks."""
-    return init_params(n_users=6, n_items_src=8, n_items_tgt=9, d1=4, seed=11,
-                       init_scale=0.3, hidden=8, mlp_layers=3, enc_layers=2,
-                       n_heads=1, max_len=5, T=5, dtype="float64")
+    return init_params(RunConfig(d1=4, seed=11, init_scale=0.3, hidden=8,
+                                 mlp_layers=3, enc_layers=2, n_heads=1,
+                                 max_history_len=5, T=5, dtype="float64"), 6, 8, 9)
 
 
 def central_difference(fn, arr: np.ndarray, step: float = 1e-5) -> np.ndarray:

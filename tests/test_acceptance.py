@@ -24,7 +24,6 @@ from prefdiff.schedule import build_schedule, posterior_mean_coeffs
 from prefdiff.synthetic import generate_pair, write_tsv
 from prefdiff.trainer import (BatchDraws, build_examples, compute_batch_loss,
                               sample_draws, train)
-from prefdiff.variants import Pipeline
 
 from conftest import central_difference, forward_chain_step, relative_error
 from test_trainer import toy_batch
@@ -122,18 +121,17 @@ def test_criterion_04_posterior_oracle():
 
 def test_criterion_05_gradient_check():
     start = time.perf_counter()
-    p = init_params(n_users=6, n_items_src=8, n_items_tgt=9, d1=4, seed=11,
-                    init_scale=0.3, hidden=8, mlp_layers=3, enc_layers=2,
-                    max_len=5, T=5, dtype="float64")
+    p = init_params(RunConfig(d1=4, seed=11, init_scale=0.3, hidden=8,
+                              mlp_layers=3, enc_layers=2, max_history_len=5,
+                              T=5, dtype="float64"), 6, 8, 9)
     cfg = RunConfig(batch_size=2, epochs=1, lam=0.5, T=5, eta=0.5, d1=4,
                     max_history_len=5, seed=0, hidden=8, dtype="float64")
     s = build_schedule(5, 0.5, 0.1, 10.0)
-    pipe = Pipeline("main")
     batch = toy_batch(p, n=2)
     draws = sample_draws(make_rng(50, 0), 2, 4, 5, True, "float64")
 
     def loss():
-        total, _ = compute_batch_loss(batch, p, cfg, s, pipe, draws)
+        total, _ = compute_batch_loss(batch, p, cfg, s, draws)
         return total
 
     p.zero_grads()
@@ -155,9 +153,9 @@ def test_criterion_05_gradient_check():
 
 def test_criterion_06_guidance_algebra_and_masking_rate():
     start = time.perf_counter()
-    p = init_params(n_users=4, n_items_src=4, n_items_tgt=4, d1=4, seed=2,
-                    init_scale=0.3, hidden=8, mlp_layers=2, enc_layers=1,
-                    max_len=4, T=5, dtype="float64")
+    p = init_params(RunConfig(d1=4, seed=2, init_scale=0.3, hidden=8,
+                              mlp_layers=2, enc_layers=1, max_history_len=4,
+                              T=5, dtype="float64"), 4, 4, 4)
     rng = make_rng(60, 0)
     u, h = rng.standard_normal(4), rng.standard_normal(4)
     ok = np.array_equal(guided_predict(u, h, 3, 0.0, p),
@@ -171,7 +169,7 @@ def test_criterion_06_guidance_algebra_and_masking_rate():
     _, report = compute_batch_loss(
         toy_batch(p, n=8) * (head // 8), p,
         RunConfig(p_uncond=p_uncond, T=5, dtype="float64"),
-        build_schedule(5, 0.5, 0.1, 10.0), Pipeline("main"),
+        build_schedule(5, 0.5, 0.1, 10.0),
         BatchDraws(r=draws[:head], t=np.full(head, 3), eps=np.zeros((head, 4))))
     dropped = report["masked"] + int(np.sum(draws[head:] < p_uncond))
     assert dropped == int(np.sum(draws < p_uncond))
@@ -185,9 +183,9 @@ def test_criterion_06_guidance_algebra_and_masking_rate():
 
 def test_criterion_07_inference_step_identities():
     start = time.perf_counter()
-    p = init_params(n_users=4, n_items_src=4, n_items_tgt=4, d1=4, seed=5,
-                    init_scale=0.3, hidden=8, mlp_layers=2, enc_layers=1,
-                    max_len=4, T=5, dtype="float64")
+    p = init_params(RunConfig(d1=4, seed=5, init_scale=0.3, hidden=8,
+                              mlp_layers=2, enc_layers=1, max_history_len=4,
+                              T=5, dtype="float64"), 4, 4, 4)
     s = build_schedule(5, 0.5, 0.1, 10.0)
     rng = make_rng(70, 0)
     u, h = rng.standard_normal(4), rng.standard_normal(4)
@@ -217,15 +215,13 @@ def test_criterion_08_synthetic_directional(tmp_path):
                         mlp_layers=3, enc_layers=2, dtype="float32",
                         omega=2.0, t_prime=50)
         s = build_schedule(cfg.T, cfg.eta, cfg.alpha_min, cfg.alpha_max)
-        for kind, sink in (("main", main_maes), ("v1", v1_maes)):
-            pipe = Pipeline(kind)
-            params, _ = train(src, tgt, split, cfg, pipeline=pipe)
-            rep = evaluate(params, s, src, tgt, split, cfg, pipe)
+        for variant, sink in ((0, main_maes), (1, v1_maes)):
+            run_cfg = replace(cfg, variant=variant)
+            params, _ = train(src, tgt, split, run_cfg)
+            rep = evaluate(params, s, src, tgt, split, run_cfg)
             sink.append(rep.mae)
-        pipe = Pipeline("main")
-        untrained, _ = train(src, tgt, split, replace(cfg, epochs=0),
-                             pipeline=pipe)
-        rep0 = evaluate(untrained, s, src, tgt, split, cfg, pipe)
+        untrained, _ = train(src, tgt, split, replace(cfg, epochs=0))
+        rep0 = evaluate(untrained, s, src, tgt, split, cfg)
         init_maes.append(rep0.mae)
     m, v, i = (statistics.median(x) for x in (main_maes, v1_maes, init_maes))
     gap_v1 = (v - m) / v

@@ -6,7 +6,7 @@ import pytest
 from click.testing import CliRunner
 
 from prefdiff.cli import main
-from prefdiff.errors import CheckpointError, ConfigurationError
+from prefdiff.errors import ConfigurationError
 from prefdiff.synthetic import generate_pair, write_tsv
 
 
@@ -36,6 +36,17 @@ def invoke(*args):
     result = CliRunner().invoke(main, list(args))
     assert result.exit_code == 0, result.output + str(result.exception)
     return result
+
+
+def error_line(result, error_type):
+    """The message of the one `Error: <Type>: <message>` line a package
+    error leaves on stderr, with exit code 1 and no traceback."""
+    assert result.exit_code == 1, result.output
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and "Traceback" not in result.output, result.output
+    prefix = f"Error: {error_type}: "
+    assert lines[0].startswith(prefix), lines
+    return lines[0][len(prefix):]
 
 
 def test_ingest_stats(data_files, tmp_path):
@@ -139,8 +150,7 @@ def test_sweep_rejects_bad_values_before_any_work(run_config, monkeypatch,
     monkeypatch.setattr("prefdiff.cli.train", lambda *a: work.append("train"))
     result = CliRunner().invoke(main, ["sweep", "--config", run_config,
                                        "--sweep-axis", "T", "--sweep-values", values])
-    assert isinstance(result.exception, ConfigurationError)
-    message = str(result.exception)
+    message = error_line(result, "ConfigurationError")
     assert all(problem in message for problem in bad), message
     assert good is None or good not in message
     assert work == []
@@ -170,7 +180,17 @@ def test_bad_config_reports_error(run_config, tmp_path, data_files):
     bad.write_text(f"source_path = {src}\ntarget_path = {tgt}\nbogus = 1\n")
     result = CliRunner().invoke(
         main, ["train", "--config", str(bad), "--out", str(tmp_path / "o")])
-    assert result.exit_code != 0
+    assert "unknown config keys: ['bogus']" in error_line(result, "ConfigurationError")
+
+
+def test_package_error_is_raised_without_standalone_mode(run_config, data_files, tmp_path):
+    # callers that run the group in-process still get the exception itself
+    src, tgt = data_files
+    bad = tmp_path / "bad.conf"
+    bad.write_text(f"source_path = {src}\ntarget_path = {tgt}\nbogus = 1\n")
+    with pytest.raises(ConfigurationError, match="bogus"):
+        main.main(["train", "--config", str(bad), "--out", str(tmp_path / "o")],
+                  standalone_mode=False)
 
 
 @pytest.fixture(scope="module")
@@ -185,9 +205,7 @@ def _eval_mismatch(main_checkpoint, run_config, tmp_path, extra):
     conf.write_text(open(run_config).read() + extra)
     result = CliRunner().invoke(
         main, ["eval", "--checkpoint", main_checkpoint, "--config", str(conf)])
-    assert result.exit_code != 0
-    assert isinstance(result.exception, CheckpointError)
-    return str(result.exception)
+    return error_line(result, "CheckpointError")
 
 
 def test_eval_rejects_longer_schedule(main_checkpoint, run_config, tmp_path):
@@ -205,13 +223,14 @@ def test_eval_rejects_shorter_schedule(main_checkpoint, run_config, tmp_path):
 def test_eval_rejects_other_wiring(main_checkpoint, run_config, tmp_path):
     # variant 4 needs a projection the main model's checkpoint lacks
     msg = _eval_mismatch(main_checkpoint, run_config, tmp_path, "variant = 4\n")
-    assert "with_projection is False in the checkpoint but True" in msg
+    assert "variant is 0 in the checkpoint but 4 in the config" in msg
 
 
 def test_eval_lists_every_checkpoint_mismatch(main_checkpoint, run_config, tmp_path):
     msg = _eval_mismatch(main_checkpoint, run_config, tmp_path,
                          "T = 4\nt_prime = 3\nvariant = 2\n")
-    assert "T is 5" in msg and "state_mult is 1" in msg and "with_projection" in msg
+    assert msg.count(" in the checkpoint but ") == 2
+    assert "T is 5" in msg and "variant is 0" in msg
 
 
 @pytest.mark.parametrize("extra,expected", [
@@ -221,6 +240,10 @@ def test_eval_lists_every_checkpoint_mismatch(main_checkpoint, run_config, tmp_p
     # variant 1 has the main model's state layout, so only the binding refuses it
     ("variant = 1\n", "variant is 0 in the checkpoint but 1 in the config"),
     ("ablation = no_tf\n", "ablation is none in the checkpoint but no_tf in the config"),
+    # the architecture and the split, which the checkpoint used to leave unbound
+    ("max_history_len = 3\n", "max_history_len is 5 in the checkpoint but 3 in the config"),
+    ("d1 = 16\n", "d1 is 8 in the checkpoint but 16 in the config"),
+    ("fraction = 0.3\n", "fraction is 0.2 in the checkpoint but 0.3 in the config"),
 ])
 def test_eval_rejects_other_run_setting(main_checkpoint, run_config, tmp_path,
                                         extra, expected):
@@ -244,3 +267,22 @@ def test_eval_accepts_other_inference_settings(main_checkpoint, run_config, tmp_
     result = invoke("eval", "--checkpoint", main_checkpoint, "--config", str(conf),
                     "--seed", "9")
     assert "MAE=" in result.output
+
+
+def test_eval_splits_as_the_checkpoint(main_checkpoint, run_config, tmp_path):
+    # --seed keys only the rollout noise: with no reverse step the reports
+    # under two seeds are the same bytes, over the checkpoint's test users
+    conf = tmp_path / "eval.conf"
+    conf.write_text(open(run_config).read() + "t_prime = 0\n")
+    reports = []
+    for seed in ("7", "9"):
+        out = tmp_path / f"seed{seed}.tsv"
+        invoke("eval", "--checkpoint", main_checkpoint, "--config", str(conf),
+               "--seed", seed, "--per-user", "--out", str(out))
+        reports.append((out.read_bytes(), (tmp_path / f"seed{seed}.tsv.per_user").read_bytes()))
+    assert reports[0] == reports[1]
+    split = os.path.join(os.path.dirname(main_checkpoint), "split.tsv")
+    test_users = {line.split("\t")[0] for line in open(split).read().splitlines()
+                  if line.endswith("\ttest")}
+    scored = {line.split("\t")[0] for line in reports[0][1].decode().splitlines()[1:]}
+    assert scored == test_users and len(test_users) == 12

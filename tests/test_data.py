@@ -150,7 +150,7 @@ def test_history_empty_user_raises(tiny_params):
     d = make_domain([RatingRecord("u", "a", 3.0, 1)])
     assert set(build_histories(d, ["ghost", "u"], max_len=5)) == {"u"}
     with pytest.raises(DataError, match="empty history"):
-        encode_history(np.zeros((0, tiny_params.meta.d1)), tiny_params)
+        encode_history(np.zeros((0, tiny_params.meta.cfg.d1)), tiny_params)
 
 
 def test_build_histories_matches_single():

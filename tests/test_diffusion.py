@@ -6,14 +6,13 @@ import numpy as np
 import pytest
 
 from prefdiff.autodiff import Tensor
-from prefdiff.config import parse_config_text
+from prefdiff.config import RunConfig, parse_config_text
 from prefdiff.diffusion import (denoise, forward_marginal, guided_predict,
                                 predict_u0, reverse_step)
 from prefdiff.errors import ConfigurationError
 from prefdiff.params import init_params
 from prefdiff.rng import make_rng
 from prefdiff.schedule import build_schedule, posterior_mean_coeffs
-from prefdiff.variants import build_pipeline
 
 from conftest import forward_chain_step
 from test_evaluate import SELECTORS
@@ -196,7 +195,7 @@ def test_straight_line_denoiser_reevaluation(tiny_params):
     # force an affine denoiser (tanh layers bypassed by zero weights except a
     # copied identity path) and check the reverse step against hand arithmetic
     p = tiny_params
-    for layer in range(p.meta.mlp_layers):
+    for layer in range(p.meta.cfg.mlp_layers):
         p[f"den_w{layer}"].data[:] = 0.0
         p[f"den_b{layer}"].data[:] = 0.0
     p["den_b2"].data[:] = np.array([0.3, -0.1, 0.0, 0.7])
@@ -229,11 +228,11 @@ def test_reverse_step_arrays_match_tensor_inputs(variant, ablation, t_prime, ome
     # agrees bitwise on array inputs and on Tensor inputs (the training
     # graph), through the float64 promotion, and the array reverse step
     # equals the same step built on the graph
-    pipe = build_pipeline(variant, ablation)
-    p = init_params(n_users=3, n_items_src=3, n_items_tgt=3, d1=4, seed=4,
-                    init_scale=0.3, hidden=8, mlp_layers=3, enc_layers=1,
-                    max_len=4, T=5, state_mult=pipe.state_mult,
-                    with_projection=pipe.with_projection, dtype="float32")
+    p = init_params(RunConfig(d1=4, seed=4, init_scale=0.3, hidden=8,
+                              mlp_layers=3, enc_layers=1, max_history_len=4,
+                              T=5, variant=variant, ablation=ablation,
+                              dtype="float32"), 3, 3, 3)
+    pipe = p.meta.pipeline
     rng = make_rng(15, variant)
     for name in p.arrays:  # null token and biases start at zero or one
         p[name].data[...] += rng.uniform(-0.3, 0.3, size=p[name].shape)

@@ -1,4 +1,6 @@
 """Preference encoder: pooling, masking, padding invariance, gradients."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from prefdiff.autodiff import Tensor
 from prefdiff.encoder import (encode_batch, encode_history, layer_norm,
                               masked_mean_pool)
 from prefdiff.errors import DataError
+from prefdiff.params import ModelParams
 from prefdiff.rng import make_rng
 
 from conftest import central_difference, relative_error
@@ -13,7 +16,7 @@ from conftest import central_difference, relative_error
 
 def rand_hist(params, batch, length, seed=0):
     rng = make_rng(seed, 77)
-    return rng.standard_normal((batch, length, params.meta.d1))
+    return rng.standard_normal((batch, length, params.meta.cfg.d1))
 
 
 def test_masked_mean_pool_matches_numpy_mean():
@@ -72,7 +75,7 @@ def test_identity_weights_reduce_to_average_pooling(tiny_params):
     # positional embeddings zeroed the encoder is exactly average pooling
     p = tiny_params
     p["pos_emb"].data[:] = 0.0
-    for layer in range(p.meta.enc_layers):
+    for layer in range(p.meta.cfg.enc_layers):
         p[f"enc{layer}_wo"].data[:] = 0.0
         p[f"enc{layer}_ff_w2"].data[:] = 0.0
         p[f"enc{layer}_ff_b2"].data[:] = 0.0
@@ -82,18 +85,23 @@ def test_identity_weights_reduce_to_average_pooling(tiny_params):
 
 
 def test_bypass_transformer_is_raw_mean(tiny_params):
+    # the no_tf ablation of the same arrays pools the raw item embeddings
+    meta = tiny_params.meta
+    no_tf = ModelParams(tiny_params.arrays,
+                        replace(meta, cfg=replace(meta.cfg, ablation="no_tf")))
     x = rand_hist(tiny_params, 2, 3, seed=7)
     mask = np.array([[1, 1, 1], [1, 0, 1]], dtype=bool)
-    out = encode_batch(Tensor(x), mask, tiny_params, bypass_transformer=True).data
+    out = encode_batch(Tensor(x), mask, no_tf).data
     assert np.allclose(out[0], x[0].mean(axis=0))
     assert np.allclose(out[1], x[1][[0, 2]].mean(axis=0))
 
 
 def test_multi_head_shapes():
+    from prefdiff.config import RunConfig
     from prefdiff.params import init_params
-    p = init_params(n_users=3, n_items_src=4, n_items_tgt=4, d1=8, seed=1,
-                    hidden=8, mlp_layers=2, enc_layers=2, n_heads=2,
-                    max_len=4, T=3, dtype="float64")
+    p = init_params(RunConfig(d1=8, seed=1, hidden=8, mlp_layers=2, enc_layers=2,
+                              n_heads=2, max_history_len=4, T=3, dtype="float64"),
+                    3, 4, 4)
     x = Tensor(make_rng(0, 1).standard_normal((3, 4, 8)))
     out = encode_batch(x, np.ones((3, 4), dtype=bool), p)
     assert out.data.shape == (3, 8)
@@ -101,7 +109,7 @@ def test_multi_head_shapes():
 
 def test_length_over_max_raises(tiny_params):
     x = Tensor(rand_hist(tiny_params, 1, 6))
-    with pytest.raises(DataError, match="max_len"):
+    with pytest.raises(DataError, match="max_history_len"):
         encode_batch(x, np.ones((1, 6), dtype=bool), tiny_params)
 
 
@@ -111,7 +119,7 @@ def test_empty_history_raises(tiny_params):
     with pytest.raises(DataError):
         encode_batch(x, mask, tiny_params)
     with pytest.raises(DataError):
-        encode_history(np.zeros((0, tiny_params.meta.d1)), tiny_params)
+        encode_history(np.zeros((0, tiny_params.meta.cfg.d1)), tiny_params)
 
 
 def test_encode_history_matches_batch(tiny_params):
@@ -128,7 +136,7 @@ def test_encoder_gradients_match_finite_differences(tiny_params, name):
     p = tiny_params
     x_np = rand_hist(p, 2, 3, seed=13)
     mask = np.array([[1, 1, 0], [1, 1, 1]], dtype=bool)
-    probe = make_rng(3, 4).standard_normal((2, p.meta.d1))
+    probe = make_rng(3, 4).standard_normal((2, p.meta.cfg.d1))
 
     def loss_tensor():
         out = encode_batch(Tensor(x_np), mask, p)

@@ -1,5 +1,6 @@
 """Inference rollout and cold-start evaluation."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,10 +13,10 @@ from prefdiff.encoder import encode_history
 from prefdiff.errors import ConfigurationError, DataError
 from prefdiff.evaluate import (EvalReport, evaluate, infer_user,
                                report_from_errors)
+from prefdiff.params import ModelParams
 from prefdiff.rng import make_rng
 from prefdiff.schedule import build_schedule, posterior_mean_coeffs
 from prefdiff.trainer import train
-from prefdiff.variants import Pipeline, build_pipeline
 
 from test_trainer import tiny_cfg, toy_domains
 
@@ -156,14 +157,12 @@ def test_evaluate_scores_are_unclipped_float64_dots():
 
 def test_evaluate_runs_for_every_pipeline():
     src, tgt, split, params, s = _trained_setup(epochs=1)
-    for kind in ("main", "v1", "no_dm"):
-        pipe = Pipeline(kind)
-        if pipe.with_projection or pipe.state_mult != 1:
-            continue
-        # main-shaped params serve any wiring without extra arrays
-        rep = evaluate(params, s, src, tgt, split,
-                       tiny_cfg(omega=0.5, t_prime=2, seed=1),
-                       pipeline=pipe)
+    for variant, ablation in ((0, "none"), (1, "none"), (0, "no_tf"), (0, "no_gs")):
+        # main-shaped params serve every wiring without extra arrays
+        cfg = replace(params.meta.cfg, variant=variant, ablation=ablation)
+        rewired = ModelParams(params.arrays, replace(params.meta, cfg=cfg))
+        rep = evaluate(rewired, s, src, tgt, split,
+                       tiny_cfg(omega=0.5, t_prime=2, seed=1))
         assert np.isfinite(rep.mae)
 
 
@@ -178,10 +177,10 @@ def test_every_pipeline_at_every_t_prime(variant, ablation, t_prime):
     split = split_cold_start(src, tgt, 0.2, seed=1)
     cfg = tiny_cfg(epochs=1, batch_size=16, variant=variant, ablation=ablation,
                    omega=1.0, t_prime=t_prime)
-    pipe = build_pipeline(variant, ablation)
-    params, _ = train(src, tgt, split, cfg, pipe)
+    params, _ = train(src, tgt, split, cfg)
+    pipe = params.meta.pipeline
     s = build_schedule(cfg.T, cfg.eta, cfg.alpha_min, cfg.alpha_max)
-    rep = evaluate(params, s, src, tgt, split, cfg, pipe)
+    rep = evaluate(params, s, src, tgt, split, cfg)
     assert np.isfinite(rep.mae)
     if t_prime != 0:
         return
@@ -192,10 +191,9 @@ def test_every_pipeline_at_every_t_prime(variant, ablation, t_prime):
     for rec in sorted(held_out_ratings(tgt, split), key=lambda r: r.user_id):
         u = params["user_emb"].data[universe[rec.user_id]]
         items = list(histories[rec.user_id].item_indices)
-        h = encode_history(params["item_emb_src"].data[items], params,
-                           bypass_transformer=pipe.bypass_transformer)
+        h = encode_history(params["item_emb_src"].data[items], params)
         x = pipe.inference_init(u, h)
-        assert np.array_equal(infer_user(u, h, cfg, s, params, pipe), x)
+        assert np.array_equal(infer_user(u, h, cfg, s, params), x)
         emb = pipe.score_embedding(Tensor(x) if pipe.uses_diffusion else None,
                                    Tensor(h), Tensor(u), params).data
         v = params["item_emb_tgt"].data[tgt.item_index[rec.item_id]]
@@ -210,10 +208,9 @@ def _tiny_run_report(variant, ablation):
     split = split_cold_start(src, tgt, 0.2, seed=1)
     cfg = tiny_cfg(epochs=2, batch_size=16, variant=variant, ablation=ablation,
                    omega=2.0, t_prime=5, dtype="float32")
-    pipe = build_pipeline(variant, ablation)
-    params, _ = train(src, tgt, split, cfg, pipe)
+    params, _ = train(src, tgt, split, cfg)
     s = build_schedule(cfg.T, cfg.eta, cfg.alpha_min, cfg.alpha_max)
-    return evaluate(params, s, src, tgt, split, cfg, pipe)
+    return evaluate(params, s, src, tgt, split, cfg)
 
 
 # report lines recorded from the code before inference ran without the

@@ -1,24 +1,31 @@
 """Parameter initialization, step embeddings, and checkpoint round-trips."""
 import gc
 import math
+import tempfile
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from prefdiff.config import RunConfig
 from prefdiff.errors import CheckpointError, ConfigurationError
 from prefdiff.params import (BLOB_NAME, MANIFEST_NAME, init_params,
                              load_checkpoint, save_checkpoint,
                              step_embedding_table)
 
+SELECTORS = [(v, "none") for v in range(7)] + [(0, a) for a in ("no_tf", "no_gs", "no_dm")]
 
-def small_params(**kw):
-    defaults = dict(n_users=7, n_items_src=5, n_items_tgt=6, d1=4, seed=3,
-                    hidden=8, mlp_layers=2, enc_layers=1, max_len=5, T=6,
-                    dtype="float64")
+
+def small_params(n_users=7, **kw):
+    """A float64 model for 7 users, 5 source and 6 target items; `kw` are
+    RunConfig keys."""
+    defaults = dict(d1=4, seed=3, hidden=8, mlp_layers=2, enc_layers=1,
+                    max_history_len=5, T=6, dtype="float64")
     defaults.update(kw)
-    return init_params(**defaults)
+    return init_params(RunConfig(**defaults), n_users, 5, 6)
 
 
 def test_step_embedding_matches_direct_formula():
@@ -45,7 +52,7 @@ def test_step_embedding_lookup_is_one_based():
 
 
 def test_init_shapes_and_special_values():
-    p = small_params(with_projection=True)
+    p = small_params(variant=4)
     m = p.meta
     assert p["user_emb"].data.shape == (7, 4)
     assert p["den_w0"].data.shape == (m.denoiser_in, 8)
@@ -60,7 +67,7 @@ def test_init_shapes_and_special_values():
 
 
 def test_state_mult_widens_denoiser():
-    p = small_params(state_mult=2)
+    p = small_params(variant=2)
     assert p.meta.state_dim == 8
     assert p["den_w0"].data.shape[0] == 8 + 2 * 4
     assert p["den_w1"].data.shape[1] == 8
@@ -75,13 +82,14 @@ def test_init_deterministic_and_seed_sensitive():
 def test_init_validation():
     with pytest.raises(ConfigurationError):
         small_params(n_users=0)
-    with pytest.raises(ConfigurationError):
-        small_params(d1=4, n_heads=3)
+    # the architecture is checked once, by RunConfig.validate
+    with pytest.raises(ConfigurationError, match="n_heads"):
+        replace(small_params().meta.cfg, n_heads=3).validate()
 
 
 def test_checkpoint_round_trip_bitwise(tmp_path):
     for dtype in ("float32", "float64"):
-        p = small_params(dtype=dtype, with_projection=True, state_mult=2)
+        p = small_params(dtype=dtype, variant=2)
         out = tmp_path / f"ckpt_{dtype}"
         save_checkpoint(p, out)
         q = load_checkpoint(out)
@@ -95,15 +103,17 @@ def test_checkpoint_round_trip_bitwise(tmp_path):
 
 
 def test_checkpoint_round_trips_run_binding(tmp_path):
-    # init_params leaves the schedule and wiring unbound; `train` binds them
-    p = small_params()
-    assert (p.meta.eta, p.meta.variant, p.meta.ablation) == (None, None, None)
-    save_checkpoint(p, tmp_path / "unbound")
-    assert load_checkpoint(tmp_path / "unbound").meta == p.meta
-    p.meta = replace(p.meta, eta=0.25, alpha_min=0.5, alpha_max=4.0, variant=3,
-                     ablation="none")
+    # the metadata is the run config less its input paths, which stay out
+    # of the manifest so that its bytes do not depend on where inputs live
+    p = small_params(eta=0.25, alpha_min=0.5, alpha_max=4.0, variant=3,
+                     source_path="/data/a.tsv", target_path="b.tsv")
+    assert p.meta.cfg == RunConfig(d1=4, seed=3, hidden=8, mlp_layers=2,
+                                   enc_layers=1, max_history_len=5, T=6,
+                                   dtype="float64", eta=0.25, alpha_min=0.5,
+                                   alpha_max=4.0, variant=3)
     save_checkpoint(p, tmp_path / "bound")
     assert load_checkpoint(tmp_path / "bound").meta == p.meta
+    assert "a.tsv" not in (tmp_path / "bound" / MANIFEST_NAME).read_text()
 
 
 def test_load_checkpoint_closes_its_files(tmp_path):
@@ -164,6 +174,71 @@ def test_checkpoint_truncated_blob(tmp_path):
 def test_checkpoint_missing_meta(tmp_path):
     p = small_params()
     save_checkpoint(p, tmp_path)
-    _corrupt_manifest(tmp_path, lambda ls: [l for l in ls if not l.startswith("# d1=")])
+    _corrupt_manifest(tmp_path, lambda ls: [l for l in ls if not l.startswith("# d1 = ")])
+    with pytest.raises(CheckpointError, match="metadata fields \\['d1'\\]"):
+        load_checkpoint(tmp_path)
+
+
+def test_checkpoint_bad_meta_value(tmp_path):
+    save_checkpoint(small_params(), tmp_path)
+    _corrupt_manifest(tmp_path, lambda ls: [l.replace("# T = 6", "# T = 0") for l in ls])
+    with pytest.raises(CheckpointError, match="T must be >= 1"):
+        load_checkpoint(tmp_path)
+
+
+# the metadata lines that `prefdiff train` wrote before the manifest carried
+# the run config: ModelMeta's own fields as `# key=value`
+OLD_META = ["d1=4", "n_users=7", "n_items_src=5", "n_items_tgt=6", "hidden=8",
+            "mlp_layers=2", "enc_layers=1", "n_heads=1", "max_len=5", "T=6",
+            "state_mult=1", "with_projection=False", "encoder_layer_norm=True",
+            "dtype=float64", "eta=0.1", "alpha_min=0.1", "alpha_max=10.0",
+            "variant=0", "ablation=none"]
+
+
+def test_old_format_checkpoint_is_refused(tmp_path):
+    save_checkpoint(small_params(), tmp_path)
+    _corrupt_manifest(tmp_path, lambda ls: [f"# {line}" for line in OLD_META]
+                      + [l for l in ls if not l.startswith("#")])
     with pytest.raises(CheckpointError, match="metadata"):
         load_checkpoint(tmp_path)
+
+
+@st.composite
+def run_configs(draw):
+    """Valid RunConfigs over every selector, both dtypes and T from 1."""
+    T = draw(st.integers(1, 4))
+    n_heads = draw(st.integers(1, 2))
+    variant, ablation = draw(st.sampled_from(SELECTORS))
+    alpha_min = draw(st.floats(0.01, 5.0))
+    cfg = RunConfig(
+        fraction=draw(st.floats(0.01, 0.99)), seed=draw(st.integers(0, 2**32 - 1)),
+        d1=n_heads * draw(st.integers(1, 3)), hidden=draw(st.integers(1, 4)),
+        mlp_layers=draw(st.integers(1, 3)), enc_layers=draw(st.integers(0, 2)),
+        n_heads=n_heads, max_history_len=draw(st.integers(1, 4)), T=T,
+        eta=draw(st.floats(0.01, 1.0)), alpha_min=alpha_min,
+        alpha_max=alpha_min + draw(st.floats(0.01, 10.0)),
+        batch_size=draw(st.integers(1, 512)),
+        learning_rate=draw(st.floats(1e-5, 1.0)), epochs=draw(st.integers(0, 20)),
+        lam=draw(st.floats(0.0, 1.0)), p_uncond=draw(st.floats(0.0, 1.0)),
+        loss_weighting=draw(st.sampled_from(["simplified", "variance_weighted"])),
+        init_scale=draw(st.floats(1e-3, 1.0)), omega=draw(st.floats(0.0, 8.0)),
+        t_prime=draw(st.integers(-1, T)), variant=variant, ablation=ablation,
+        dtype=draw(st.sampled_from(["float32", "float64"])))
+    cfg.validate()
+    return cfg
+
+
+@settings(max_examples=60, deadline=None)
+@given(cfg=run_configs(), sizes=st.tuples(*[st.integers(1, 4)] * 3))
+@example(cfg=RunConfig(d1=2, hidden=2, mlp_layers=1, enc_layers=0, T=1,
+                       max_history_len=1, variant=6), sizes=(1, 1, 1))
+def test_checkpoint_round_trip_property(cfg, sizes):
+    p = init_params(cfg, *sizes)
+    with tempfile.TemporaryDirectory() as tmp:
+        save_checkpoint(p, tmp)
+        q = load_checkpoint(tmp)
+    assert q.meta == p.meta
+    assert list(q.arrays) == list(p.arrays)
+    for name, tensor in p.arrays.items():
+        assert q[name].data.dtype == tensor.data.dtype == np.dtype(cfg.dtype)
+        assert q[name].data.tobytes() == tensor.data.tobytes()

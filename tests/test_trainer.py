@@ -1,6 +1,7 @@
 """Training loop: losses, gradient flow, masking statistics, determinism."""
 import hashlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from prefdiff.config import RunConfig
 from prefdiff.data import (RatingRecord, make_domain,
                            split_cold_start, user_universe)
 from prefdiff.errors import ConfigurationError, DataError
-from prefdiff.params import save_checkpoint
+from prefdiff.params import init_params, save_checkpoint
 from prefdiff.rng import make_rng
 from prefdiff.schedule import build_schedule
 from prefdiff.trainer import (AdamState, BatchDraws, TrainExample,
@@ -18,7 +19,6 @@ from prefdiff.trainer import (AdamState, BatchDraws, TrainExample,
                               diffusion_coefficient, loss_history_tsv,
                               new_trainer_state, rec_loss, sample_draws, train,
                               train_step)
-from prefdiff.variants import Pipeline, build_pipeline
 
 from conftest import central_difference, relative_error
 
@@ -116,10 +116,10 @@ def test_batch_arrays_pads_histories_like_a_loop():
 
 def _constant_denoiser(p, out):
     """Zero every denoiser weight so that it predicts `out` for any input."""
-    for layer in range(p.meta.mlp_layers):
+    for layer in range(p.meta.cfg.mlp_layers):
         p[f"den_w{layer}"].data[:] = 0.0
         p[f"den_b{layer}"].data[:] = 0.0
-    p[f"den_b{p.meta.mlp_layers - 1}"].data[:] = out
+    p[f"den_b{p.meta.cfg.mlp_layers - 1}"].data[:] = out
 
 
 def test_diffusion_loss_value(tiny_params):
@@ -136,11 +136,11 @@ def test_diffusion_loss_value(tiny_params):
     draws = BatchDraws(r=np.ones(3), t=t,
                        eps=make_rng(9, 9).standard_normal((3, 4)))
     sq = 1.0 + 4.0 + 0.25 + 4.0
-    _, report = compute_batch_loss(batch, p, tiny_cfg(), s, Pipeline("main"), draws)
+    _, report = compute_batch_loss(batch, p, tiny_cfg(), s, draws)
     assert report["diff"] == pytest.approx(sq, rel=1e-12)
     coefs = [diffusion_coefficient(s, int(tt), "variance_weighted") for tt in t]
     _, report = compute_batch_loss(batch, p, tiny_cfg(loss_weighting="variance_weighted"),
-                                   s, Pipeline("main"), draws)
+                                   s, draws)
     assert report["diff"] == pytest.approx(sq * np.mean(coefs), rel=1e-12)
 
 
@@ -154,7 +154,7 @@ def test_masking_boundary_keeps_condition_at_p_uncond(tiny_params):
         draws = BatchDraws(r=np.array(r, dtype=float), t=np.full(4, 2),
                            eps=np.zeros((4, 4)))
         return compute_batch_loss(batch, p, tiny_cfg(p_uncond=p_uncond), s,
-                                  Pipeline("main"), draws)[1]
+                                  draws)[1]
 
     assert run([0.05, 0.1, 0.99, 0.0999], 0.1)["masked"] == 2
     assert run([0.1] * 4, 0.1)["masked"] == 0
@@ -173,8 +173,7 @@ def test_masking_empirical_rate(tiny_params):
     p_uncond, n = 0.1, 20_000
     draws = sample_draws(make_rng(20, 20), n, 4, 5, True, "float64")
     _, report = compute_batch_loss(toy_batch(p, n=8) * (n // 8), p,
-                                   tiny_cfg(p_uncond=p_uncond), s,
-                                   Pipeline("main"), draws)
+                                   tiny_cfg(p_uncond=p_uncond), s, draws)
     assert report["masked"] == int(np.sum(draws.r < p_uncond))
     sigma = math.sqrt(p_uncond * (1 - p_uncond) / n)
     assert abs(report["masked"] / n - p_uncond) < 4 * sigma
@@ -192,12 +191,11 @@ def test_full_model_gradients_match_finite_differences(tiny_params):
     p = tiny_params
     cfg = tiny_cfg(lam=0.5)
     s = build_schedule(cfg.T, cfg.eta, cfg.alpha_min, cfg.alpha_max)
-    pipe = Pipeline("main")
     batch = toy_batch(p, n=2)
-    draws = sample_draws(make_rng(7, 0), 2, p.meta.d1, cfg.T, True, "float64")
+    draws = sample_draws(make_rng(7, 0), 2, p.meta.cfg.d1, cfg.T, True, "float64")
 
     def loss():
-        total, _ = compute_batch_loss(batch, p, cfg, s, pipe, draws)
+        total, _ = compute_batch_loss(batch, p, cfg, s, draws)
         return total
 
     p.zero_grads()
@@ -216,12 +214,11 @@ def test_full_model_gradients_match_finite_differences(tiny_params):
 def test_total_loss_linear_in_lambda(tiny_params):
     p = tiny_params
     s = build_schedule(5, 0.5, 0.1, 10.0)
-    pipe = Pipeline("main")
     batch = toy_batch(p, n=3)
     draws = sample_draws(make_rng(8, 0), 3, 4, 5, True, "float64")
     totals = {}
     for lam in (0.0, 0.5, 1.0):
-        total, rep = compute_batch_loss(batch, p, tiny_cfg(lam=lam), s, pipe, draws)
+        total, rep = compute_batch_loss(batch, p, tiny_cfg(lam=lam), s, draws)
         totals[lam] = float(total.data)
         assert rep["total"] == pytest.approx(rep["rec"] + lam * rep["diff"])
     diff = totals[1.0] - totals[0.0]
@@ -258,10 +255,8 @@ def test_train_step_changes_params_and_reports(tiny_params):
 
 def test_adam_first_step_is_signed_lr():
     # with fresh moments, a single update moves each coordinate by ~lr*sign(g)
-    from prefdiff.params import init_params
-    p = init_params(n_users=2, n_items_src=2, n_items_tgt=2, d1=2, seed=0,
-                    hidden=2, mlp_layers=2, enc_layers=1, max_len=2, T=2,
-                    dtype="float64")
+    p = init_params(RunConfig(d1=2, seed=0, hidden=2, mlp_layers=2, enc_layers=1,
+                              max_history_len=2, T=2, dtype="float64"), 2, 2, 2)
     g = make_rng(1, 1).standard_normal(p["user_emb"].data.shape)
     p["user_emb"].grad = g
     before = p["user_emb"].data.copy()
@@ -294,12 +289,10 @@ class _OutOfPlaceAdam(AdamState):
 
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
 def test_adam_update_matches_out_of_place_formula_bitwise(dtype):
-    from prefdiff.params import init_params
     runs = []
     for adam in (AdamState(), _OutOfPlaceAdam()):
-        p = init_params(n_users=5, n_items_src=4, n_items_tgt=4, d1=4, seed=2,
-                        hidden=4, mlp_layers=2, enc_layers=1, max_len=3, T=3,
-                        dtype=dtype)
+        p = init_params(RunConfig(d1=4, seed=2, hidden=4, mlp_layers=2, enc_layers=1,
+                                  max_history_len=3, T=3, dtype=dtype), 5, 4, 4)
         rng = make_rng(4, 4)
         for step in range(5):
             for name, tensor in p.arrays.items():
@@ -339,16 +332,11 @@ def test_backward_functions_leave_gradients_unwritten(variant, ablation, monkeyp
 
     monkeypatch.setattr(ad, "_make", read_only_make)
     cfg = tiny_cfg(variant=variant, ablation=ablation)
-    pipe = build_pipeline(variant, ablation)
-    from prefdiff.params import init_params
-    p = init_params(n_users=6, n_items_src=8, n_items_tgt=9, d1=4, seed=11,
-                    init_scale=0.3, hidden=8, mlp_layers=3, enc_layers=2,
-                    max_len=5, T=5, state_mult=pipe.state_mult,
-                    with_projection=pipe.with_projection)
+    p = init_params(replace(cfg, seed=11, dtype="float32"), 6, 8, 9)
     s = build_schedule(cfg.T, cfg.eta, cfg.alpha_min, cfg.alpha_max)
     draws = sample_draws(make_rng(5, 0), 6, p.meta.state_dim, cfg.T,
-                         pipe.uses_masking, "float64")
-    total, _ = compute_batch_loss(toy_batch(p, n=6), p, cfg, s, pipe, draws)
+                         p.meta.pipeline.uses_masking, "float64")
+    total, _ = compute_batch_loss(toy_batch(p, n=6), p, cfg, s, draws)
     total.backward()
     assert p["user_emb"].grad is not None
     AdamState().update(p, 0.01)
@@ -360,10 +348,11 @@ def test_train_binds_checkpoint_to_config_and_wiring():
     cfg = tiny_cfg(epochs=0, eta=0.3, alpha_min=0.2, alpha_max=5.0, variant=4)
     params, _ = train(src, tgt, split, cfg)
     meta = params.meta
-    assert (meta.eta, meta.alpha_min, meta.alpha_max) == (0.3, 0.2, 5.0)
-    assert (meta.variant, meta.ablation) == (4, "none")
-    # without a pipeline argument the config's wiring is trained
-    assert "proj_w" in params.arrays and meta.with_projection
+    assert meta.cfg == cfg
+    assert (meta.cfg.eta, meta.cfg.alpha_min, meta.cfg.alpha_max) == (0.3, 0.2, 5.0)
+    assert (meta.cfg.variant, meta.cfg.ablation) == (4, "none")
+    # the config's wiring is trained
+    assert "proj_w" in params.arrays and meta.pipeline.with_projection
 
 
 def test_build_examples_respects_split_and_histories():
@@ -394,7 +383,7 @@ def test_train_zero_epochs_returns_init():
     split = split_cold_start(src, tgt, 0.2, seed=1)
     params, history = train(src, tgt, split, tiny_cfg(epochs=0))
     assert history == []
-    assert params.meta.d1 == 4
+    assert params.meta.cfg.d1 == 4
 
 
 def test_loss_history_tsv_format():
@@ -429,7 +418,7 @@ def test_tiny_train_outputs_match_golden(variant, ablation, dtype, tmp_path):
     split = split_cold_start(src, tgt, 0.2, seed=1)
     cfg = tiny_cfg(epochs=2, batch_size=16, variant=variant, ablation=ablation,
                    dtype=dtype)
-    params, history = train(src, tgt, split, cfg, build_pipeline(variant, ablation))
+    params, history = train(src, tgt, split, cfg)
     save_checkpoint(params, tmp_path)
     digests = (hashlib.sha256(loss_history_tsv(history).encode()).hexdigest()[:16],
                hashlib.sha256((tmp_path / "params.bin").read_bytes()).hexdigest()[:16])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from prefdiff.autodiff import Tensor
+from prefdiff.config import RunConfig
 from prefdiff.errors import ConfigurationError
 from prefdiff.params import init_params
 from prefdiff.rng import make_rng
@@ -15,11 +16,17 @@ from test_trainer import tiny_cfg, toy_batch, toy_domains
 from prefdiff.data import split_cold_start
 
 
-def params_for(pipe, d1=4):
-    return init_params(n_users=6, n_items_src=8, n_items_tgt=9, d1=d1, seed=2,
-                       init_scale=0.3, hidden=8, mlp_layers=2, enc_layers=1,
-                       max_len=5, T=5, state_mult=pipe.state_mult,
-                       with_projection=pipe.with_projection, dtype="float64")
+# the config selector of each wiring
+SELECTOR = {"main": (0, "none"), **{f"v{i}": (i, "none") for i in range(1, 7)},
+            "no_dm": (0, "no_dm")}
+
+
+def params_for(kind, d1=4):
+    variant, ablation = SELECTOR[kind]
+    return init_params(RunConfig(d1=d1, seed=2, init_scale=0.3, hidden=8,
+                                 mlp_layers=2, enc_layers=1, max_history_len=5,
+                                 T=5, variant=variant, ablation=ablation,
+                                 dtype="float64"), 6, 8, 9)
 
 
 def test_capability_matrix():
@@ -94,27 +101,26 @@ def test_score_embedding_paths():
     x_wide = Tensor(rng.standard_normal((2, 8)))
     x = Tensor(rng.standard_normal((2, 4)))
 
-    main = Pipeline("main")
-    assert Pipeline("main").score_embedding(x, h, u, params_for(main)) is x
+    assert Pipeline("main").score_embedding(x, h, u, params_for("main")) is x
 
     for kind, state in (("v2", x_wide), ("v3", x_wide), ("v5", x_wide)):
         pipe = Pipeline(kind)
-        p = params_for(pipe)
+        p = params_for(kind)
         want = state.data @ p["proj_w"].data + p["proj_b"].data
         assert np.allclose(pipe.score_embedding(state, h, u, p).data, want)
 
     pipe = Pipeline("v4")
-    p = params_for(pipe)
+    p = params_for("v4")
     want = np.concatenate([x.data, h.data], axis=1) @ p["proj_w"].data + p["proj_b"].data
     assert np.allclose(pipe.score_embedding(x, h, u, p).data, want)
 
     pipe = Pipeline("v6")
-    p = params_for(pipe)
+    p = params_for("v6")
     want = np.concatenate([x.data, u.data], axis=1) @ p["proj_w"].data + p["proj_b"].data
     assert np.allclose(pipe.score_embedding(x, h, u, p).data, want)
 
     pipe = Pipeline("no_dm")
-    p = params_for(pipe)
+    p = params_for("no_dm")
     want = np.concatenate([u.data, h.data], axis=1) @ p["proj_w"].data + p["proj_b"].data
     assert np.allclose(pipe.score_embedding(None, h, u, p).data, want)
 
@@ -149,13 +155,13 @@ def test_lint_warns_on_signal_noising_with_high_eta():
 @pytest.mark.parametrize("kind", ["main", "v1", "v2", "v3", "v4", "v5", "v6", "no_dm"])
 def test_batch_loss_runs_and_is_finite(kind):
     pipe = Pipeline(kind)
-    p = params_for(pipe)
+    p = params_for(kind)
     cfg = tiny_cfg()
     s = build_schedule(cfg.T, cfg.eta, cfg.alpha_min, cfg.alpha_max)
     batch = toy_batch(p, n=3)
     draws = sample_draws(make_rng(4, 4), 3, pipe.state_mult * 4, cfg.T,
                          pipe.uses_masking, "float64")
-    total, report = compute_batch_loss(batch, p, cfg, s, pipe, draws)
+    total, report = compute_batch_loss(batch, p, cfg, s, draws)
     assert np.isfinite(float(total.data))
     if not pipe.uses_diffusion:
         assert report["diff"] == 0.0
@@ -164,7 +170,7 @@ def test_batch_loss_runs_and_is_finite(kind):
 def test_partial_noising_leaves_second_half_clean():
     # variants that re-inject the signal every reverse step never corrupt it
     pipe = Pipeline("v3")
-    p = params_for(pipe)
+    p = params_for("v3")
     cfg = tiny_cfg()
     s = build_schedule(cfg.T, cfg.eta, cfg.alpha_min, cfg.alpha_max)
     mask = pipe.noise_mask(4)
@@ -184,7 +190,9 @@ def test_variant_training_end_to_end(kind):
     src, tgt = toy_domains(n_overlap=15, seed=6)
     split = split_cold_start(src, tgt, 0.2, seed=2)
     pipe = Pipeline(kind)
-    params, history = train(src, tgt, split, tiny_cfg(epochs=3, batch_size=8),
-                            pipeline=pipe)
-    assert params.meta.state_mult == pipe.state_mult
+    variant, ablation = SELECTOR[kind]
+    params, history = train(src, tgt, split, tiny_cfg(epochs=3, batch_size=8,
+                                                      variant=variant, ablation=ablation))
+    assert params.meta.pipeline.state_mult == pipe.state_mult
+    assert params.meta.state_dim == pipe.state_mult * 4
     assert history[-1]["total"] < history[0]["total"]
