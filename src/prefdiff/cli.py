@@ -72,7 +72,7 @@ def ingest(source_path, target_path, out):
     overlap = len(data_mod.overlapping_users(source, target))
     lines = ["domain\tusers\toverlap\titems\tratings"]
     for name, d in (("source", source), ("target", target)):
-        lines.append(f"{name}\t{d.n_users}\t{overlap}\t{d.n_items}\t{len(d.records)}")
+        lines.append(f"{name}\t{d.n_users}\t{overlap}\t{d.n_items}\t{d.n_ratings}")
     text = "\n".join(lines) + "\n"
     click.echo(text, nl=False)
     if overlap == 0:

@@ -1,7 +1,7 @@
 """Flat `key = value` run configuration with typed validation.
 
-Unknown keys are rejected (all offenders listed at once); the normalized
-form written next to run outputs re-runs to identical results.
+Unknown and repeated keys are rejected (all offenders listed at once); the
+normalized form written next to run outputs re-runs to identical results.
 """
 from __future__ import annotations
 
@@ -95,7 +95,7 @@ def parse_config_text(text: str, **overrides) -> RunConfig:
     """Parse and validate a config; `overrides` that are not None replace
     the file's values before the one validation."""
     values = {}
-    unknown = []
+    unknown, repeated = [], set()
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -107,9 +107,16 @@ def parse_config_text(text: str, **overrides) -> RunConfig:
         if key not in _FIELD_TYPES:
             unknown.append(key)
             continue
+        if key in values:
+            repeated.add(key)
         values[key] = _coerce(key, raw)
+    problems = []
     if unknown:
-        raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
+        problems.append(f"unknown config keys: {sorted(unknown)}")
+    if repeated:
+        problems.append(f"config keys given more than once: {sorted(repeated)}")
+    if problems:
+        raise ConfigurationError("; ".join(problems))
     values.update({k: v for k, v in overrides.items() if v is not None})
     cfg = RunConfig(**values)
     cfg.validate()

@@ -1,39 +1,51 @@
-"""Two-domain rating data: loading, overlap bookkeeping, cold-start split,
-and chronological interaction histories.
+"""Two-domain rating data held as numpy columns: loading, overlap
+bookkeeping, the cold-start split, and chronological interaction histories.
+
+A domain is one row per (user, item) pair, in the order in which each pair
+first appears in its file. Histories, training ratings and held-out ratings
+are row indices into these columns or tables built from them.
 """
 from __future__ import annotations
 
 import logging
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
+
+import numpy as np
 
 from .errors import DataError
 from .rng import make_rng
 
 logger = logging.getLogger(__name__)
 
-
-@dataclass(frozen=True)
-class RatingRecord:
-    user_id: str
-    item_id: str
-    rating: float
-    timestamp: int
-    position: int = 0  # line order in the source file, used for tie-breaks
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DomainData:
-    """One domain's users, items, and rating records.
+    """One domain's users, items and ratings.
 
     `users`/`items` are ordered by first appearance; index maps are
-    bijections onto 0..n-1. Immutable after construction.
+    bijections onto 0..n-1. Row k is a rating of user `user[k]` for item
+    `item[k]` (int64 indices into `users`/`items`), with a float64 `rating`,
+    an int64 `timestamp` and the int64 source-file line `position` that
+    breaks timestamp ties. Immutable after construction: the columns are
+    read-only.
     """
     users: tuple[str, ...]
     items: tuple[str, ...]
-    records: tuple[RatingRecord, ...]
     user_index: dict[str, int] = field(repr=False)
     item_index: dict[str, int] = field(repr=False)
+    user: np.ndarray = field(repr=False)
+    item: np.ndarray = field(repr=False)
+    rating: np.ndarray = field(repr=False)
+    timestamp: np.ndarray = field(repr=False)
+    position: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        for column in (self.user, self.item, self.rating, self.timestamp, self.position):
+            column.flags.writeable = False
 
     @property
     def n_users(self) -> int:
@@ -42,6 +54,10 @@ class DomainData:
     @property
     def n_items(self) -> int:
         return len(self.items)
+
+    @property
+    def n_ratings(self) -> int:
+        return len(self.rating)
 
 
 @dataclass(frozen=True)
@@ -52,57 +68,96 @@ class ColdStartSplit:
     seed: int
 
 
-@dataclass(frozen=True)
-class History:
-    user_id: str
-    item_indices: tuple[int, ...]
-    max_len: int
+def _codes(ids) -> tuple[tuple[str, ...], dict[str, int], np.ndarray]:
+    """The distinct ids in first-appearance order, their index map, and the
+    int64 index of every id."""
+    index = {name: k for k, name in enumerate(dict.fromkeys(ids))}
+    return tuple(index), index, np.fromiter(map(index.__getitem__, ids), np.int64,
+                                            count=len(ids))
 
 
-def make_domain(records: list[RatingRecord]) -> DomainData:
-    users: dict[str, int] = {}
-    items: dict[str, int] = {}
-    for r in records:
-        users.setdefault(r.user_id, len(users))
-        items.setdefault(r.item_id, len(items))
-    return DomainData(
-        users=tuple(users), items=tuple(items), records=tuple(records),
-        user_index=users, item_index=items,
-    )
+def make_domain(user_ids, item_ids, rating, timestamp, position=None) -> DomainData:
+    """A domain from per-row columns, kept in the given row order: user and
+    item ids, ratings, timestamps, and source lines (default 1..n)."""
+    users, user_index, user = _codes(user_ids)
+    items, item_index, item = _codes(item_ids)
+    if position is None:
+        position = np.arange(1, len(user) + 1)
+    return DomainData(users=users, items=items, user_index=user_index,
+                      item_index=item_index, user=user, item=item,
+                      rating=np.array(rating, dtype=np.float64),
+                      timestamp=np.array(timestamp, dtype=np.int64),
+                      position=np.array(position, dtype=np.int64))
+
+
+def _check_line(path, lineno: int, line: str, lo: float, hi: float) -> None:
+    """Raise the DataError that names a bad line; a good line passes."""
+    parts = line.split("\t")
+    if len(parts) != 4:
+        raise DataError(f"{path}:{lineno}: expected 4 tab-separated fields, got {len(parts)}")
+    try:
+        rating = float(parts[2])
+        timestamp = int(parts[3])
+    except ValueError as exc:
+        raise DataError(f"{path}:{lineno}: {exc}") from None
+    if not math.isfinite(rating) or not lo <= rating <= hi:
+        raise DataError(f"{path}:{lineno}: rating {rating} outside [{lo}, {hi}]")
+    if timestamp < 0:
+        raise DataError(f"{path}:{lineno}: negative timestamp {timestamp}")
+    if timestamp > _INT64_MAX:
+        raise DataError(f"{path}:{lineno}: timestamp {timestamp} beyond int64")
+
+
+def _parse_columns(fields: list[str], lo: float, hi: float):
+    """The rating and timestamp columns of four-field lines, or None if any
+    line fails a check of `_check_line`."""
+    try:
+        rating = np.fromiter(map(float, fields[2::4]), np.float64, count=len(fields) // 4)
+        timestamp = np.fromiter(map(int, fields[3::4]), np.int64, count=len(fields) // 4)
+    except (ValueError, OverflowError):
+        return None
+    if np.all(np.isfinite(rating) & (rating >= lo) & (rating <= hi)) \
+            and np.all(timestamp >= 0):
+        return rating, timestamp
+    return None
 
 
 def load_ratings(path, rating_range: tuple[float, float] = (0.0, 5.0)) -> DomainData:
     """Parse a ratings TSV (`user \\t item \\t rating \\t timestamp`).
 
-    Duplicate (user, item) pairs keep the latest-timestamp record; ties keep
-    the later line.
+    Blank lines are skipped. Timestamps are non-negative and fit in int64.
+    Duplicate (user, item) pairs keep the latest-timestamp line, ties the
+    later line, at the row of the pair's first line. A bad line raises a
+    DataError that names the first one.
     """
     lo, hi = rating_range
-    kept: dict[tuple[str, str], RatingRecord] = {}
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 4:
-                raise DataError(f"{path}:{lineno}: expected 4 tab-separated fields, got {len(parts)}")
-            user_id, item_id, rating_s, ts_s = parts
-            try:
-                rating = float(rating_s)
-                timestamp = int(ts_s)
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from None
-            if not math.isfinite(rating) or not lo <= rating <= hi:
-                raise DataError(f"{path}:{lineno}: rating {rating} outside [{lo}, {hi}]")
-            if timestamp < 0:
-                raise DataError(f"{path}:{lineno}: negative timestamp {timestamp}")
-            rec = RatingRecord(user_id, item_id, rating, timestamp, position=lineno)
-            key = (user_id, item_id)
-            prev = kept.get(key)
-            if prev is None or rec.timestamp >= prev.timestamp:
-                kept[key] = rec
-    return make_domain(list(kept.values()))
+        lines = fh.read().split("\n")
+    lineno = np.flatnonzero(np.fromiter(map(len, lines), np.int64, count=len(lines))) + 1
+    lines = list(filter(None, lines))
+    if not lines:
+        return make_domain([], [], [], [])
+    fields = "\t".join(lines).split("\t")
+    tabs = np.fromiter(map(str.count, lines, repeat("\t")), np.int64, count=len(lines))
+    columns = _parse_columns(fields, lo, hi) if np.all(tabs == 3) else None
+    if columns is None:
+        for k, line in zip(lineno.tolist(), lines):
+            _check_line(path, k, line, lo, hi)
+        raise AssertionError(f"{path}: the bulk check failed on lines that pass alone")
+    rating, timestamp = columns
+    users, user_index, user = _codes(fields[0::4])
+    items, item_index, item = _codes(fields[1::4])
+    # per pair, the last line of the latest timestamp, at the pair's first row
+    pair = user * len(items) + item
+    order = np.lexsort((timestamp, pair))
+    new_pair = np.flatnonzero(np.diff(pair[order])) + 1
+    winners = order[np.append(new_pair - 1, len(order) - 1)]
+    first_rows = np.minimum.reduceat(order, np.insert(new_pair, 0, 0))
+    keep = winners[np.argsort(first_rows)]
+    return DomainData(users=users, items=items, user_index=user_index,
+                      item_index=item_index, user=user[keep], item=item[keep],
+                      rating=rating[keep], timestamp=timestamp[keep],
+                      position=lineno[keep])
 
 
 def overlapping_users(source: DomainData, target: DomainData) -> list[str]:
@@ -129,35 +184,55 @@ def split_cold_start(source: DomainData, target: DomainData,
                           fraction=fraction, seed=seed)
 
 
-def build_histories(source: DomainData, users, max_len: int) -> dict[str, History]:
-    """Chronological, truncated histories for many users in one pass over the
-    records. Users with no interactions are omitted."""
-    wanted = set(users)
-    grouped: dict[str, list[RatingRecord]] = {}
-    for r in source.records:
-        if r.user_id in wanted:
-            grouped.setdefault(r.user_id, []).append(r)
-    out: dict[str, History] = {}
-    for u, recs in grouped.items():
-        recs.sort(key=lambda r: (r.timestamp, r.position))
-        recs = recs[-max_len:]
-        out[u] = History(
-            user_id=u,
-            item_indices=tuple(source.item_index[r.item_id] for r in recs),
-            max_len=max_len,
-        )
-    return out
+def build_histories(source: DomainData, users, max_len: int):
+    """Chronological histories, truncated to the latest `max_len` items, of
+    many users at once.
+
+    Returns `(table, lengths, row_of)`: a zero-padded (n, max_len) int64
+    table of source item indices, oldest first, the int64 history lengths,
+    and the table row of each user id. Rows follow the order of `users`;
+    users with no interactions are omitted. Ties in timestamp go by file
+    line.
+    """
+    row_of: dict[str, int] = {}
+    for u in users:
+        if u in source.user_index:
+            row_of.setdefault(u, len(row_of))
+    slot = np.full(source.n_users, -1, dtype=np.int64)
+    slot[np.fromiter(map(source.user_index.__getitem__, row_of), np.int64,
+                     count=len(row_of))] = np.arange(len(row_of))
+    row = slot[source.user]
+    picked = np.flatnonzero(row >= 0)
+    order = picked[np.lexsort((source.position[picked], source.timestamp[picked],
+                               row[picked]))]
+    row = row[order]
+    counts = np.bincount(row, minlength=len(row_of))
+    lengths = np.minimum(counts, max_len)
+    # column of each rating in its user's table row; the oldest fall off
+    col = np.arange(len(order)) - (np.cumsum(counts) - lengths)[row]
+    kept = col >= 0
+    table = np.zeros((len(row_of), max_len), dtype=np.int64)
+    table[row[kept], col[kept]] = source.item[order[kept]]
+    return table, lengths, row_of
 
 
-def training_ratings(target: DomainData, split: ColdStartSplit) -> list[RatingRecord]:
-    """Target-domain records visible to training: those of overlap-train
-    users only, never a cold-start test user's."""
-    return [r for r in target.records if r.user_id in split.overlap_train]
+def _rows_of(domain: DomainData, users) -> np.ndarray:
+    """Row indices, in row order, of the ratings of the given users."""
+    member = np.zeros(domain.n_users, dtype=bool)
+    member[[domain.user_index[u] for u in users if u in domain.user_index]] = True
+    return np.flatnonzero(member[domain.user])
 
 
-def held_out_ratings(target: DomainData, split: ColdStartSplit) -> list[RatingRecord]:
-    """Target-domain records of cold-start test users (evaluation only)."""
-    return [r for r in target.records if r.user_id in split.cold_start_test]
+def training_ratings(target: DomainData, split: ColdStartSplit) -> np.ndarray:
+    """Rows of the target-domain ratings visible to training: those of
+    overlap-train users only, never a cold-start test user's."""
+    return _rows_of(target, split.overlap_train)
+
+
+def held_out_ratings(target: DomainData, split: ColdStartSplit) -> np.ndarray:
+    """Rows of the target-domain ratings of cold-start test users
+    (evaluation only)."""
+    return _rows_of(target, split.cold_start_test)
 
 
 def write_split_manifest(split: ColdStartSplit, path) -> None:
@@ -182,9 +257,8 @@ def user_universe(source: DomainData, target: DomainData) -> dict[str, int]:
 def users_with_history(domain: DomainData, users) -> list[str]:
     """Filter to users with at least one source interaction; logs the count
     of excluded users (the encoder is undefined on empty input)."""
-    have = {r.user_id for r in domain.records}
     users = list(users)
-    kept = [u for u in users if u in have]
+    kept = [u for u in users if u in domain.user_index]
     dropped = len(users) - len(kept)
     if dropped:
         logger.info("excluded %d users with empty source history", dropped)

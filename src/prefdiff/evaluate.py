@@ -88,19 +88,23 @@ def evaluate(params: ModelParams, s: Schedule, source: DomainData,
     pipeline = params.meta.pipeline
     universe = data_mod.user_universe(source, target)
     test_users = data_mod.users_with_history(source, sorted(split.cold_start_test))
-    histories = data_mod.build_histories(source, test_users, cfg.max_history_len)
-    recs_by_user: dict[str, list] = {}
-    for r in data_mod.held_out_ratings(target, split):
-        recs_by_user.setdefault(r.user_id, []).append(r)
+    histories, lengths, row_of = data_mod.build_histories(
+        source, test_users, cfg.max_history_len)
+    # held-out rows grouped by target user, each group in row order
+    rows = data_mod.held_out_ratings(target, split)
+    rows = rows[np.argsort(target.user[rows], kind="stable")]
+    counts = np.bincount(target.user[rows], minlength=target.n_users)
+    ends = np.cumsum(counts)
     errors: list[np.ndarray] = []
     per_user: dict[str, tuple[float, float, int]] = {}
     tgt_emb = params["item_emb_tgt"].data
     for uid in test_users:
-        recs = recs_by_user.get(uid, [])
-        if not recs:
+        code = target.user_index[uid]
+        user_rows = rows[ends[code] - counts[code]:ends[code]]
+        if not user_rows.size:
             continue
-        hist = histories[uid]
-        item_vecs = params["item_emb_src"].data[list(hist.item_indices)]
+        k = row_of[uid]
+        item_vecs = params["item_emb_src"].data[histories[k, :lengths[k]]]
         h = encode_history(item_vecs, params) if pipeline.uses_history else None
         u_idx = universe[uid]
         u_init = np.array(params["user_emb"].data[u_idx], copy=True)
@@ -110,10 +114,10 @@ def evaluate(params: ModelParams, s: Schedule, source: DomainData,
         emb = pipeline.score_embedding(
             x0, None if h is None else Tensor(h), Tensor(u_init), params)
         emb = emb.data if isinstance(emb, Tensor) else np.asarray(emb)
-        rows = tgt_emb[[target.item_index[rec.item_id] for rec in recs]]
+        item_rows = tgt_emb[target.item[user_rows]]
         # np.vecdot is bitwise np.dot per row; V @ e would round differently
-        ue = np.vecdot(emb.astype(np.float64), rows.astype(np.float64)) \
-            - np.array([rec.rating for rec in recs])
+        ue = np.vecdot(emb.astype(np.float64), item_rows.astype(np.float64)) \
+            - target.rating[user_rows]
         errors.append(ue)
         if collect_per_user:
             per_user[uid] = (float(np.mean(np.abs(ue))),

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import DomainData, RatingRecord, make_domain
+from .data import DomainData, make_domain
 from .rng import make_rng
 
 
@@ -20,25 +20,25 @@ def generate_pair(n_users: int = 2000, n_items: int = 300, latent_dim: int = 8,
     rng = make_rng(seed, 0x5E17)
     z_users = rng.standard_normal((n_users, latent_dim))
     domains = []
+    user_ids = [f"u{i}" for i in range(n_users) for _ in range(ratings_per_user)]
+    timestamps = np.tile(np.arange(ratings_per_user), n_users)
     for d in range(2):
         z_items = rng.standard_normal((n_items, latent_dim))
-        records: list[RatingRecord] = []
-        position = 0
+        items = np.empty((n_users, ratings_per_user), dtype=np.int64)
+        ratings = np.empty((n_users, ratings_per_user))
         for i in range(n_users):
-            items = rng.choice(n_items, size=ratings_per_user, replace=False)
-            scores = z_users[i] @ z_items[items].T / np.sqrt(latent_dim)
+            items[i] = rng.choice(n_items, size=ratings_per_user, replace=False)
+            scores = z_users[i] @ z_items[items[i]].T / np.sqrt(latent_dim)
             noise = rng.standard_normal(ratings_per_user) * noise_std
-            ratings = np.clip(2.5 + 1.0 * scores + noise, 0.0, 5.0)
-            for k, (j, y) in enumerate(zip(items, ratings)):
-                position += 1
-                records.append(RatingRecord(
-                    user_id=f"u{i}", item_id=f"d{d}_i{j}",
-                    rating=float(y), timestamp=k, position=position))
-        domains.append(make_domain(records))
+            ratings[i] = np.clip(2.5 + 1.0 * scores + noise, 0.0, 5.0)
+        item_ids = [f"d{d}_i{j}" for j in items.ravel().tolist()]
+        domains.append(make_domain(user_ids, item_ids, ratings.ravel(), timestamps))
     return domains[0], domains[1]
 
 
 def write_tsv(domain: DomainData, path) -> None:
+    users, items = domain.users, domain.items
     with open(path, "w", encoding="utf-8") as fh:
-        for r in domain.records:
-            fh.write(f"{r.user_id}\t{r.item_id}\t{r.rating:.6f}\t{r.timestamp}\n")
+        fh.writelines(f"{users[u]}\t{items[i]}\t{r:.6f}\t{t}\n" for u, i, r, t in zip(
+            domain.user.tolist(), domain.item.tolist(), domain.rating.tolist(),
+            domain.timestamp.tolist()))

@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -25,11 +24,18 @@ logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
-class TrainExample:
-    user_idx: int
-    history: tuple[int, ...]   # source-item indices, chronological
-    target_item_idx: int
-    rating: float
+class Examples:
+    """Training examples as columns, one row per visible target rating.
+
+    Example k's source history is row `history_row[k]` of `histories`, a
+    zero-padded table of source item indices, oldest first, whose first
+    `lengths[history_row[k]]` entries are the history."""
+    user: np.ndarray          # (n,) global user index
+    item: np.ndarray          # (n,) target item index
+    rating: np.ndarray        # (n,) float64
+    history_row: np.ndarray   # (n,)
+    histories: np.ndarray     # (n_histories, max_history_len) int64
+    lengths: np.ndarray       # (n_histories,)
 
 
 class AdamState:
@@ -108,17 +114,16 @@ def diffusion_coefficient(s: Schedule, t, weighting: str):
     return float(coef) if coef.ndim == 0 else coef
 
 
-def _batch_arrays(batch: list[TrainExample], dtype: str):
-    B = len(batch)
-    lengths = np.fromiter((len(e.history) for e in batch), dtype=np.int64, count=B)
-    mask = np.arange(lengths.max()) < lengths[:, None]
-    hist = np.zeros(mask.shape, dtype=np.int64)
-    hist[mask] = np.fromiter(chain.from_iterable(e.history for e in batch),
-                             dtype=np.int64, count=int(lengths.sum()))
-    users = np.array([e.user_idx for e in batch], dtype=np.int64)
-    items = np.array([e.target_item_idx for e in batch], dtype=np.int64)
-    ratings = np.array([e.rating for e in batch], dtype=dtype)
-    return users, hist, mask, items, ratings
+def _batch_arrays(examples: Examples, rows: np.ndarray, dtype: str):
+    """The batch's columns; histories are cut to the longest one in the
+    batch and padded with item 0, which `mask` marks as padding."""
+    hist_rows = examples.history_row[rows]
+    lengths = examples.lengths[hist_rows]
+    width = lengths.max()
+    hist = examples.histories[hist_rows, :width]
+    mask = np.arange(width) < lengths[:, None]
+    return (examples.user[rows], hist, mask, examples.item[rows],
+            examples.rating[rows].astype(dtype))
 
 
 @dataclass(frozen=True)
@@ -138,15 +143,16 @@ def sample_draws(rng: np.random.Generator, B: int, state_dim: int, T: int,
     return BatchDraws(r=r, t=t, eps=eps)
 
 
-def compute_batch_loss(batch: list[TrainExample], params: ModelParams,
+def compute_batch_loss(examples: Examples, rows: np.ndarray, params: ModelParams,
                        cfg: RunConfig, s: Schedule, draws: BatchDraws):
-    """Joint loss over a batch as an autodiff scalar, plus the loss report,
-    under the wiring the parameters were built for."""
+    """Joint loss over the batch of examples at `rows` as an autodiff
+    scalar, plus the loss report, under the wiring the parameters were built
+    for."""
     pipeline = params.meta.pipeline
     dtype = params.meta.cfg.dtype
     d1 = params.meta.cfg.d1
-    users, hist, mask, items, ratings = _batch_arrays(batch, dtype)
-    B = len(batch)
+    users, hist, mask, items, ratings = _batch_arrays(examples, rows, dtype)
+    B = len(rows)
 
     u0 = ad.gather(params["user_emb"], users)
 
@@ -199,17 +205,18 @@ def compute_batch_loss(batch: list[TrainExample], params: ModelParams,
     return total, report
 
 
-def train_step(batch: list[TrainExample], params: ModelParams,
+def train_step(examples: Examples, rows: np.ndarray, params: ModelParams,
                state: TrainerState, cfg: RunConfig, s: Schedule) -> dict:
-    """One gradient update on the joint loss over a batch; returns the loss
-    report. Steps t and condition masks are sampled per example."""
-    if not batch:
+    """One gradient update on the joint loss over the batch of examples at
+    `rows`; returns the loss report. Steps t and condition masks are sampled
+    per example."""
+    if len(rows) == 0:
         raise DataError("empty batch")
     meta = params.meta
-    draws = sample_draws(state.rng, len(batch), meta.state_dim, s.T,
+    draws = sample_draws(state.rng, len(rows), meta.state_dim, s.T,
                          meta.pipeline.uses_masking, meta.cfg.dtype)
     params.zero_grads()
-    total, report = compute_batch_loss(batch, params, cfg, s, draws)
+    total, report = compute_batch_loss(examples, rows, params, cfg, s, draws)
     state.masked_examples += report["masked"]
     state.total_examples += report["batch"]
     total.backward()
@@ -219,23 +226,23 @@ def train_step(batch: list[TrainExample], params: ModelParams,
 
 
 def build_examples(source: DomainData, target: DomainData, split: ColdStartSplit,
-                   universe: dict[str, int], max_history_len: int) -> list[TrainExample]:
-    """One example per visible (user, target item, rating) triple, for train
-    users with a non-empty source history."""
+                   universe: dict[str, int], max_history_len: int) -> Examples:
+    """One example per visible (user, target item, rating) row, in row
+    order, for train users with a non-empty source history."""
     eligible = data_mod.users_with_history(source, sorted(split.overlap_train))
-    histories = {u: hist.item_indices for u, hist in
-                 data_mod.build_histories(source, eligible, max_history_len).items()}
-    examples = []
-    for rec in data_mod.training_ratings(target, split):
-        if rec.user_id not in histories:
-            continue
-        examples.append(TrainExample(
-            user_idx=universe[rec.user_id],
-            history=histories[rec.user_id],
-            target_item_idx=target.item_index[rec.item_id],
-            rating=rec.rating,
-        ))
-    return examples
+    histories, lengths, row_of = data_mod.build_histories(source, eligible,
+                                                          max_history_len)
+    rows = data_mod.training_ratings(target, split)
+    # per target user: the global index, and the history row (-1: none)
+    global_idx = np.fromiter(map(universe.__getitem__, target.users), np.int64,
+                             count=target.n_users)
+    user_hist = np.fromiter((row_of.get(u, -1) for u in target.users), np.int64,
+                            count=target.n_users)
+    rows = rows[user_hist[target.user[rows]] >= 0]
+    users = target.user[rows]
+    return Examples(user=global_idx[users], item=target.item[rows],
+                    rating=target.rating[rows], history_row=user_hist[users],
+                    histories=histories, lengths=lengths)
 
 
 def train(source: DomainData, target: DomainData, split: ColdStartSplit,
@@ -247,17 +254,18 @@ def train(source: DomainData, target: DomainData, split: ColdStartSplit,
     params = init_params(cfg, len(universe), source.n_items, target.n_items)
     examples = build_examples(source, target, split, universe,
                               cfg.max_history_len)
-    if not examples and cfg.epochs > 0:
+    n_examples = len(examples.user)
+    if n_examples == 0 and cfg.epochs > 0:
         raise DataError("no training examples")
     state = new_trainer_state(cfg.seed)
     history: list[dict] = []
     for epoch in range(cfg.epochs):
-        order = state.rng.permutation(len(examples))
+        order = state.rng.permutation(n_examples)
         sums = {"rec": 0.0, "diff": 0.0, "total": 0.0}
         n_batches = 0
-        for start in range(0, len(examples), cfg.batch_size):
-            batch = [examples[i] for i in order[start:start + cfg.batch_size]]
-            report = train_step(batch, params, state, cfg, s)
+        for start in range(0, n_examples, cfg.batch_size):
+            report = train_step(examples, order[start:start + cfg.batch_size],
+                                params, state, cfg, s)
             for k in sums:
                 sums[k] += report[k]
             n_batches += 1

@@ -131,7 +131,7 @@ def test_criterion_05_gradient_check():
     draws = sample_draws(make_rng(50, 0), 2, 4, 5, True, "float64")
 
     def loss():
-        total, _ = compute_batch_loss(batch, p, cfg, s, draws)
+        total, _ = compute_batch_loss(*batch, p, cfg, s, draws)
         return total
 
     p.zero_grads()
@@ -166,8 +166,9 @@ def test_criterion_06_guidance_algebra_and_masking_rate():
     draws = rng.uniform(size=n)
     # the training loss masks the first 1,000 draws' conditions itself
     head = 1000
+    examples, rows = toy_batch(p, n=8)
     _, report = compute_batch_loss(
-        toy_batch(p, n=8) * (head // 8), p,
+        examples, np.tile(rows, head // 8), p,
         RunConfig(p_uncond=p_uncond, T=5, dtype="float64"),
         build_schedule(5, 0.5, 0.1, 10.0),
         BatchDraws(r=draws[:head], t=np.full(head, 3), eps=np.zeros((head, 4))))
@@ -261,19 +262,19 @@ def test_criterion_10_leakage_guard(monkeypatch):
     split = split_cold_start(src, tgt, 0.2, seed=17)
     cfg = RunConfig(batch_size=64, epochs=1, T=5, d1=8, hidden=8,
                     mlp_layers=2, enc_layers=1, max_history_len=5, seed=0)
-    # spies: the records training reads, the examples it builds from them,
-    # and any call that would read the held-out records
+    # spies: the target rows training reads, the examples it builds from
+    # them, and any call that would read the held-out rows
     returned, examples, held_out_calls = [], [], []
     training_ratings, build = data_mod.training_ratings, build_examples
 
-    def spy_training_ratings(*args, **kwargs):
-        records = training_ratings(*args, **kwargs)
-        returned.extend(records)
-        return records
+    def spy_training_ratings(target, *args, **kwargs):
+        rows = training_ratings(target, *args, **kwargs)
+        returned.extend(target.users[u] for u in target.user[rows])
+        return rows
 
     def spy_build_examples(*args, **kwargs):
         out = build(*args, **kwargs)
-        examples.extend(out)
+        examples.extend(out.user.tolist())
         return out
 
     monkeypatch.setattr(data_mod, "training_ratings", spy_training_ratings)
@@ -283,8 +284,8 @@ def test_criterion_10_leakage_guard(monkeypatch):
     train(src, tgt, split, cfg)
     universe = data_mod.user_universe(src, tgt)
     test_idx = {universe[u] for u in split.cold_start_test}
-    read = {r.user_id for r in returned}
+    read = set(returned)
     ok = not held_out_calls and bool(read) and not read & split.cold_start_test
-    ok &= bool(examples) and not {e.user_idx for e in examples} & test_idx
+    ok &= bool(examples) and not set(examples) & test_idx
     _report(10, "no target-domain reads of held-out users during training", ok,
             f"{len(read)} train users read")

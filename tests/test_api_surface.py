@@ -2,7 +2,8 @@
 
 The test wraps each function, method and property getter of the package
 with a call counter, runs every CLI command on a tiny synthetic pair, and
-lists the names that no run called. Dataclass-generated dunders (compiled
+lists the names that no run called; one `ingest` of a file with a bad
+line reaches the error path. Dataclass-generated dunders (compiled
 from generated source, not from the module's file) and the error classes
 are exempt. The synthetic pair is made through the wrapped generator, as
 the benchmark and `tools/output_digest.py` make theirs.
@@ -84,6 +85,7 @@ def test_every_name_is_reached_by_a_command(tmp_path, monkeypatch):
     # a function, a command, a method and a property getter are all counted
     assert {"prefdiff.diffusion.denoise", "prefdiff.cli.cmd_train",
             "prefdiff.autodiff.Tensor.backward", "prefdiff.autodiff.Tensor.shape"} <= set(counts)
+    from prefdiff.cli import main
     from prefdiff.synthetic import generate_pair, write_tsv
     source, target = generate_pair(n_users=40, n_items=12, ratings_per_user=4, seed=2)
     write_tsv(source, tmp_path / "source.tsv")
@@ -95,6 +97,11 @@ def test_every_name_is_reached_by_a_command(tmp_path, monkeypatch):
 
     _cli("ingest", tmp_path / "source.tsv", tmp_path / "target.tsv",
          "--out", tmp_path / "stats.tsv")
+    # a bad ratings line is reported by the per-line check that names it
+    (tmp_path / "bad.tsv").write_text("u0\ti0\t3.0\t1\nu1\ti0\t9.0\t2\n")
+    result = CliRunner().invoke(main, ["ingest", str(tmp_path / "bad.tsv"),
+                                       str(tmp_path / "target.tsv")])
+    assert result.exit_code == 1 and "bad.tsv:2: rating 9.0 outside" in result.stderr
     _cli("schedule-dump", "--steps", T)
     for variant, ablation in SELECTORS:
         run = tmp_path / f"v{variant}_{ablation}"

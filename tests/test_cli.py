@@ -200,9 +200,19 @@ def main_checkpoint(run_config, tmp_path_factory):
     return str(run / "checkpoint")
 
 
-def _eval_mismatch(main_checkpoint, run_config, tmp_path, extra):
+def _with_keys(run_config, tmp_path, extra):
+    """A copy of the run config with the `key = value` lines of `extra` in
+    place of the lines that set the same keys."""
+    keys = {line.partition("=")[0].strip() for line in extra.splitlines()}
+    kept = [line for line in open(run_config).read().splitlines()
+            if line.partition("=")[0].strip() not in keys]
     conf = tmp_path / "eval.conf"
-    conf.write_text(open(run_config).read() + extra)
+    conf.write_text("\n".join(kept) + "\n" + extra)
+    return conf
+
+
+def _eval_mismatch(main_checkpoint, run_config, tmp_path, extra):
+    conf = _with_keys(run_config, tmp_path, extra)
     result = CliRunner().invoke(
         main, ["eval", "--checkpoint", main_checkpoint, "--config", str(conf)])
     return error_line(result, "CheckpointError")
@@ -262,18 +272,26 @@ def test_eval_lists_every_run_setting_mismatch(main_checkpoint, run_config, tmp_
 
 
 def test_eval_accepts_other_inference_settings(main_checkpoint, run_config, tmp_path):
-    conf = tmp_path / "eval.conf"
-    conf.write_text(open(run_config).read() + "omega = 0\nt_prime = 1\n")
+    conf = _with_keys(run_config, tmp_path, "omega = 0\nt_prime = 1\n")
     result = invoke("eval", "--checkpoint", main_checkpoint, "--config", str(conf),
                     "--seed", "9")
     assert "MAE=" in result.output
 
 
+def test_eval_rejects_a_repeated_key(main_checkpoint, run_config, tmp_path):
+    # an appended line used to override the earlier one without a word
+    conf = tmp_path / "eval.conf"
+    conf.write_text(open(run_config).read() + "t_prime = 0\n")
+    result = CliRunner().invoke(
+        main, ["eval", "--checkpoint", main_checkpoint, "--config", str(conf)])
+    msg = error_line(result, "ConfigurationError")
+    assert msg == "config keys given more than once: ['t_prime']"
+
+
 def test_eval_splits_as_the_checkpoint(main_checkpoint, run_config, tmp_path):
     # --seed keys only the rollout noise: with no reverse step the reports
     # under two seeds are the same bytes, over the checkpoint's test users
-    conf = tmp_path / "eval.conf"
-    conf.write_text(open(run_config).read() + "t_prime = 0\n")
+    conf = _with_keys(run_config, tmp_path, "t_prime = 0\n")
     reports = []
     for seed in ("7", "9"):
         out = tmp_path / f"seed{seed}.tsv"

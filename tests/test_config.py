@@ -30,6 +30,22 @@ def test_unknown_keys_all_listed():
         parse_config_text("bogus2 = 1\nbogus1 = 2\nT = 5\n")
 
 
+def test_repeated_keys_all_listed():
+    # a pasted duplicate used to win silently: T = 8 here
+    with pytest.raises(ConfigurationError) as info:
+        parse_config_text("T = 5\nT = 8\neta = 0.2\nomega = 1\neta = 0.3\n")
+    msg = str(info.value)
+    assert "config keys given more than once: ['T', 'eta']" in msg
+    assert "omega" not in msg
+
+
+def test_unknown_and_repeated_keys_in_one_error():
+    with pytest.raises(ConfigurationError) as info:
+        parse_config_text("bogus = 1\nT = 5\nT = 5\n")
+    assert "unknown config keys: ['bogus']" in str(info.value)
+    assert "more than once: ['T']" in str(info.value)
+
+
 def test_bad_value_type():
     with pytest.raises(ConfigurationError, match="cannot parse"):
         parse_config_text("T = five\n")

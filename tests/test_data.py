@@ -3,10 +3,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from prefdiff.data import (RatingRecord, build_histories,
+from prefdiff.data import (build_histories,
                            held_out_ratings, load_ratings, make_domain,
                            overlapping_users, split_cold_start,
                            training_ratings, user_universe, users_with_history,
@@ -17,6 +17,19 @@ from prefdiff.errors import DataError
 
 def write_tsv(path, rows):
     path.write_text("".join(f"{u}\t{i}\t{r}\t{t}\n" for u, i, r, t in rows))
+
+
+def _domain(rows, position=None):
+    """A domain from (user, item, rating, timestamp) rows, in row order."""
+    users, items, ratings, timestamps = (list(col) for col in zip(*rows))
+    return make_domain(users, items, ratings, timestamps, position)
+
+
+def _history(d, users, max_len, user):
+    """One user's history as a tuple, through the bulk builder."""
+    table, lengths, row_of = build_histories(d, users, max_len)
+    row = row_of[user]
+    return tuple(table[row, :lengths[row]].tolist())
 
 
 def test_load_basic(tmp_path):
@@ -33,15 +46,16 @@ def test_load_dedupe_latest_timestamp_wins(tmp_path):
     p = tmp_path / "d.tsv"
     write_tsv(p, [("u1", "a", 1.0, 5), ("u1", "a", 4.0, 9), ("u1", "a", 2.0, 7)])
     d = load_ratings(p)
-    assert len(d.records) == 1
-    assert d.records[0].rating == 4.0
+    assert d.n_ratings == 1
+    assert d.rating[0] == 4.0
+    assert d.timestamp[0] == 9 and d.position[0] == 2
 
 
 def test_load_dedupe_tie_keeps_later_line(tmp_path):
     p = tmp_path / "d.tsv"
     write_tsv(p, [("u1", "a", 1.0, 5), ("u1", "a", 3.0, 5)])
     d = load_ratings(p)
-    assert d.records[0].rating == 3.0
+    assert d.rating.tolist() == [3.0] and d.position.tolist() == [2]
 
 
 @pytest.mark.parametrize("line,msg", [
@@ -66,10 +80,10 @@ def test_blank_lines_skipped(tmp_path):
 
 
 def _two_domains(n_overlap=10, n_src_only=5, n_tgt_only=5):
-    src = [RatingRecord(f"u{k}", "s0", 3.0, k) for k in range(n_overlap + n_src_only)]
-    tgt = [RatingRecord(f"u{k}", "t0", 3.0, k) for k in range(n_overlap)]
-    tgt += [RatingRecord(f"v{k}", "t0", 3.0, k) for k in range(n_tgt_only)]
-    return make_domain(src), make_domain(tgt)
+    src = [(f"u{k}", "s0", 3.0, k) for k in range(n_overlap + n_src_only)]
+    tgt = [(f"u{k}", "t0", 3.0, k) for k in range(n_overlap)]
+    tgt += [(f"v{k}", "t0", 3.0, k) for k in range(n_tgt_only)]
+    return _domain(src), _domain(tgt)
 
 
 def test_overlap_in_source_order():
@@ -104,8 +118,11 @@ def test_split_deterministic_and_seed_sensitive():
 def test_split_order_invariant():
     # the split depends on user ids, not record order
     src1, tgt = _two_domains(n_overlap=30)
-    shuffled = list(src1.records)[::-1]
-    src2 = make_domain(shuffled)
+    rows = np.arange(src1.n_ratings)[::-1]
+    src2 = make_domain([src1.users[u] for u in src1.user[rows]],
+                       [src1.items[i] for i in src1.item[rows]],
+                       src1.rating[rows], src1.timestamp[rows], src1.position[rows])
+    assert src2.users == src1.users[::-1]
     a = split_cold_start(src1, tgt, 0.2, seed=9)
     b = split_cold_start(src2, tgt, 0.2, seed=9)
     assert a.cold_start_test == b.cold_start_test
@@ -117,55 +134,52 @@ def test_split_validation():
         split_cold_start(src, tgt, 0.0, seed=1)
     with pytest.raises(DataError):
         split_cold_start(src, tgt, 1.0, seed=1)
-    empty = make_domain([RatingRecord("zz", "x", 3.0, 1)])
+    empty = _domain([("zz", "x", 3.0, 1)])
     with pytest.raises(DataError, match="no overlapping"):
         split_cold_start(src, empty, 0.2, seed=1)
 
 
 def test_history_chronological_and_truncated():
-    recs = [
-        RatingRecord("u", "c", 3.0, 30, position=1),
-        RatingRecord("u", "a", 3.0, 10, position=2),
-        RatingRecord("u", "b", 3.0, 20, position=3),
-        RatingRecord("u", "d", 3.0, 40, position=4),
-    ]
-    d = make_domain(recs)
-    h = build_histories(d, ["u"], max_len=3)["u"]
+    d = _domain([("u", "c", 3.0, 30), ("u", "a", 3.0, 10),
+                 ("u", "b", 3.0, 20), ("u", "d", 3.0, 40)], position=[1, 2, 3, 4])
+    table, lengths, row_of = build_histories(d, ["u"], max_len=3)
     # chronological order b, c, d after dropping the oldest
-    assert h.item_indices == (d.item_index["b"], d.item_index["c"], d.item_index["d"])
+    assert table.tolist() == [[d.item_index["b"], d.item_index["c"], d.item_index["d"]]]
+    assert lengths.tolist() == [3] and row_of == {"u": 0}
 
 
 def test_history_timestamp_ties_keep_file_order():
-    recs = [
-        RatingRecord("u", "a", 3.0, 10, position=1),
-        RatingRecord("u", "b", 3.0, 10, position=2),
-    ]
-    d = make_domain(recs)
-    assert build_histories(d, ["u"], max_len=5)["u"].item_indices == (0, 1)
+    d = _domain([("u", "a", 3.0, 10), ("u", "b", 3.0, 10)], position=[1, 2])
+    assert _history(d, ["u"], 5, "u") == (0, 1)
+    # the later file line comes later, whatever the row order
+    d = _domain([("u", "a", 3.0, 10), ("u", "b", 3.0, 10)], position=[2, 1])
+    assert _history(d, ["u"], 5, "u") == (1, 0)
 
 
 def test_history_empty_user_raises(tiny_params):
     # a user without source interactions gets no history, and an empty
     # history cannot be encoded into a guidance signal
-    d = make_domain([RatingRecord("u", "a", 3.0, 1)])
-    assert set(build_histories(d, ["ghost", "u"], max_len=5)) == {"u"}
+    d = _domain([("u", "a", 3.0, 1)])
+    table, lengths, row_of = build_histories(d, ["ghost", "u"], max_len=5)
+    assert row_of == {"u": 0}
+    # the table is zero-padded past the history's one item
+    assert table.tolist() == [[0, 0, 0, 0, 0]] and lengths.tolist() == [1]
     with pytest.raises(DataError, match="empty history"):
         encode_history(np.zeros((0, tiny_params.meta.cfg.d1)), tiny_params)
 
 
 def test_build_histories_matches_single():
-    recs = [RatingRecord(f"u{k % 3}", f"i{k}", 3.0, k) for k in range(20)]
-    d = make_domain(recs)
-    bulk = build_histories(d, ["u0", "u1", "u2"], max_len=4)
+    d = _domain([(f"u{k % 3}", f"i{k}", 3.0, k) for k in range(20)])
     for u in ("u0", "u1", "u2"):
-        assert bulk[u] == build_histories(d, [u], max_len=4)[u]
+        assert _history(d, ["u0", "u1", "u2"], 4, u) == _history(d, [u], 4, u)
 
 
 def test_training_ratings_excludes_test_users():
     src, tgt = _two_domains(n_overlap=40)
     split = split_cold_start(src, tgt, 0.25, seed=5)
-    recs = training_ratings(tgt, split)
-    users_seen = {r.user_id for r in recs}
+    rows = training_ratings(tgt, split)
+    assert rows.dtype == np.int64 and np.all(np.diff(rows) > 0)
+    users_seen = {tgt.users[u] for u in tgt.user[rows]}
     assert users_seen == split.overlap_train
     assert not users_seen & split.cold_start_test
 
@@ -173,7 +187,9 @@ def test_training_ratings_excludes_test_users():
 def test_held_out_ratings_are_test_only():
     src, tgt = _two_domains(n_overlap=40)
     split = split_cold_start(src, tgt, 0.25, seed=5)
-    assert {r.user_id for r in held_out_ratings(tgt, split)} == split.cold_start_test
+    rows = held_out_ratings(tgt, split)
+    assert {tgt.users[u] for u in tgt.user[rows]} == split.cold_start_test
+    assert len(rows) + len(training_ratings(tgt, split)) == 40
 
 
 def test_user_universe_order_and_coverage():
@@ -184,12 +200,12 @@ def test_user_universe_order_and_coverage():
 
 
 def test_users_with_history_filters_empty():
-    d = make_domain([RatingRecord("u0", "a", 3.0, 1)])
+    d = _domain([("u0", "a", 3.0, 1)])
     assert users_with_history(d, ["u0", "u1"]) == ["u0"]
 
 
 def test_users_with_history_counts_generator_input(caplog):
-    d = make_domain([RatingRecord("u0", "a", 3.0, 1)])
+    d = _domain([("u0", "a", 3.0, 1)])
     with caplog.at_level("INFO", logger="prefdiff.data"):
         kept = users_with_history(d, (u for u in ["u0", "u1", "u2"]))
     assert kept == ["u0"]
@@ -215,3 +231,147 @@ def test_split_size_property(n, frac, seed):
     split = split_cold_start(src, tgt, frac, seed=seed)
     assert len(split.cold_start_test) == int(math.floor(frac * n + 0.5))
     assert len(split.cold_start_test) + len(split.overlap_train) == n
+
+
+def test_load_columns(tmp_path):
+    p = tmp_path / "d.tsv"
+    p.write_text("u1\ta\t4.0\t10\n\nu2\tb\t2.5\t11\nu1\tb\t5.0\t9\n")
+    d = load_ratings(p)
+    assert d.user.tolist() == [0, 1, 0] and d.item.tolist() == [0, 1, 1]
+    assert d.rating.tolist() == [4.0, 2.5, 5.0]
+    assert d.timestamp.tolist() == [10, 11, 9]
+    assert d.position.tolist() == [1, 3, 4]    # file lines; line 2 is blank
+    assert [c.dtype for c in (d.user, d.item, d.timestamp, d.position)] == [np.int64] * 4
+    assert d.rating.dtype == np.float64 and d.n_ratings == 3
+    with pytest.raises(ValueError):
+        d.rating[0] = 1.0    # the columns are read-only
+
+
+def test_load_dedupe_keeps_the_pairs_first_row(tmp_path):
+    # the winner of (u1, a) is line 4, but the pair first appears on line 1
+    p = tmp_path / "d.tsv"
+    write_tsv(p, [("u1", "a", 1.0, 5), ("u2", "b", 2.0, 1), ("u1", "c", 3.0, 2),
+                  ("u1", "a", 4.0, 6), ("u1", "a", 0.5, 6), ("u1", "a", 2.0, 3)])
+    d = load_ratings(p)
+    assert d.item.tolist() == [0, 1, 2]
+    assert d.rating.tolist() == [0.5, 2.0, 3.0]
+    assert d.position.tolist() == [5, 2, 3]
+
+
+def test_load_empty_file(tmp_path):
+    p = tmp_path / "d.tsv"
+    p.write_text("\n\n")
+    d = load_ratings(p)
+    assert d.n_users == d.n_items == d.n_ratings == 0
+    assert d.user.dtype == np.int64 and d.rating.dtype == np.float64
+
+
+@pytest.mark.parametrize("timestamp", [2**63, 10**30])
+def test_load_rejects_timestamp_beyond_int64(tmp_path, timestamp):
+    p = tmp_path / "d.tsv"
+    p.write_text(f"u0\tz\t3.0\t{2**63 - 1}\n\nu1\ta\t4.0\t{timestamp}\n")
+    with pytest.raises(DataError) as exc:
+        load_ratings(p)
+    assert str(exc.value) == f"{p}:3: timestamp {timestamp} beyond int64"
+    # the largest int64 loads exactly
+    p.write_text(f"u0\tz\t3.0\t{2**63 - 1}\n")
+    assert load_ratings(p).timestamp.tolist() == [2**63 - 1]
+
+
+def test_load_reports_the_first_bad_line(tmp_path):
+    p = tmp_path / "d.tsv"
+    p.write_text("u0\tz\t3.0\t1\nu1\ta\t4.0\t-1\nu1\ta\tnope\t5\nu1\ta\n")
+    with pytest.raises(DataError, match=f"^{p}:2: negative timestamp -1$"):
+        load_ratings(p)
+
+
+def _load_per_line(path, rating_range=(0.0, 5.0)):
+    """The loader as first written, one record per line: the reference for
+    `load_ratings`. Returns (user, item) -> (rating, timestamp, line)."""
+    lo, hi = rating_range
+    kept = {}
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            parts = line.split("\t")
+            if len(parts) != 4:
+                raise DataError(f"{path}:{lineno}: expected 4 tab-separated fields, got {len(parts)}")
+            user_id, item_id, rating_s, ts_s = parts
+            try:
+                rating = float(rating_s)
+                timestamp = int(ts_s)
+            except ValueError as exc:
+                raise DataError(f"{path}:{lineno}: {exc}") from None
+            if not math.isfinite(rating) or not lo <= rating <= hi:
+                raise DataError(f"{path}:{lineno}: rating {rating} outside [{lo}, {hi}]")
+            if timestamp < 0:
+                raise DataError(f"{path}:{lineno}: negative timestamp {timestamp}")
+            prev = kept.get((user_id, item_id))
+            if prev is None or timestamp >= prev[1]:
+                kept[(user_id, item_id)] = (rating, timestamp, lineno)
+    return kept
+
+
+BAD_LINES = ["u1\ta\t4.0", "u1\ta\t4.0\t5\tx", "u1\ta\tnope\t5", "u1\ta\t9.5\t5",
+             "u1\ta\tnan\t5", "u1\ta\t-inf\t5", "u1\ta\t-0.5\t1", "u1\ta\t4.0\t-3",
+             "u1\ta\t4.0\t5.0", "u1\ta\t4.0\t", "u1\ta\t\t3", " ", "u1 a 4.0 5",
+             f"u1\ta\t4.0\t-{2**64}"]
+row_lines = st.builds(
+    lambda u, i, r, t: f"{u}\t{i}\t{r}\t{t}",
+    st.sampled_from(["u0", "u1", "ü2", "u 3"]), st.sampled_from(["a", "b", "c"]),
+    st.sampled_from(["0", "2.5", "5.0", "4", "3e0", " 1.5", "5", "0.0"]),
+    st.sampled_from(["0", "1", "2", "3", "+2", " 1", str(2**63 - 1)]))
+
+
+@given(lines=st.lists(st.one_of(row_lines, row_lines, st.just("")), max_size=30),
+       bad=st.none() | st.tuples(st.integers(min_value=0), st.sampled_from(BAD_LINES)),
+       newline=st.sampled_from(["\n", "\r\n"]), trailing=st.booleans())
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_load_matches_per_line_loader(tmp_path, lines, bad, newline, trailing):
+    # duplicate pairs and timestamp ties are common with so few ids
+    if bad is not None:
+        at, line = bad
+        lines = lines[:at % (len(lines) + 1)] + [line] + lines[at % (len(lines) + 1):]
+    p = tmp_path / "d.tsv"
+    p.write_bytes((newline.join(lines) + (newline if trailing else "")).encode("utf-8"))
+    try:
+        want = _load_per_line(p)
+    except DataError as exc:
+        with pytest.raises(DataError) as got:
+            load_ratings(p)
+        assert str(got.value) == str(exc)
+        return
+    d = load_ratings(p)
+    users = tuple(dict.fromkeys(u for u, _ in want))
+    items = tuple(dict.fromkeys(i for _, i in want))
+    assert d.users == users and d.items == items
+    assert d.user_index == {u: k for k, u in enumerate(users)}
+    assert d.item_index == {i: k for k, i in enumerate(items)}
+    assert d.user.tolist() == [d.user_index[u] for u, _ in want]
+    assert d.item.tolist() == [d.item_index[i] for _, i in want]
+    assert d.rating.tolist() == [r for r, _, _ in want.values()]
+    assert d.timestamp.tolist() == [t for _, t, _ in want.values()]
+    assert d.position.tolist() == [k for _, _, k in want.values()]
+
+
+@given(rows=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 5), st.integers(0, 3)),
+                     min_size=1, max_size=40),
+       users=st.lists(st.sampled_from(["u0", "u1", "u2", "u3", "u4", "ghost"]), max_size=8),
+       max_len=st.integers(1, 6), seed=st.integers(0, 2**16))
+@settings(max_examples=200, deadline=None)
+def test_build_histories_matches_per_user_sort(rows, users, max_len, seed):
+    position = np.random.default_rng(seed).permutation(len(rows)) + 1
+    d = _domain([(f"u{u}", f"i{i}", 3.0, t) for u, i, t in rows], position=position)
+    table, lengths, row_of = build_histories(d, users, max_len)
+    want_users = [u for u in dict.fromkeys(users) if u in d.user_index]
+    assert list(row_of) == want_users and list(row_of.values()) == list(range(len(want_users)))
+    assert table.shape == (len(want_users), max_len) and table.dtype == np.int64
+    for u, row in row_of.items():
+        mine = [k for k in range(d.n_ratings) if d.users[d.user[k]] == u]
+        mine.sort(key=lambda k: (d.timestamp[k], d.position[k]))
+        want = [int(d.item[k]) for k in mine[-max_len:]]
+        assert lengths[row] == len(want)
+        assert table[row].tolist() == want + [0] * (max_len - len(want))

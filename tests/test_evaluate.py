@@ -125,10 +125,10 @@ def test_evaluate_t_prime_zero_is_raw_embeddings():
                    tiny_cfg(omega=1.0, t_prime=0, seed=7))
     universe = user_universe(src, tgt)
     errors = []
-    for rec in held_out_ratings(tgt, split):
-        u = params["user_emb"].data[universe[rec.user_id]]
-        v = params["item_emb_tgt"].data[tgt.item_index[rec.item_id]]
-        errors.append(_dot64(u, v) - rec.rating)
+    for k in held_out_ratings(tgt, split):
+        u = params["user_emb"].data[universe[tgt.users[tgt.user[k]]]]
+        v = params["item_emb_tgt"].data[tgt.item[k]]
+        errors.append(_dot64(u, v) - tgt.rating[k])
     want = report_from_errors(np.asarray(errors))
     assert rep.mae == pytest.approx(want.mae, rel=1e-12)
 
@@ -143,11 +143,10 @@ def test_evaluate_scores_are_unclipped_float64_dots():
     universe = user_universe(src, tgt)
     preds = []
     for uid, (mae, rmse, n) in rep.per_user.items():
-        recs = [r for r in held_out_ratings(tgt, split) if r.user_id == uid]
+        recs = [k for k in held_out_ratings(tgt, split) if tgt.users[tgt.user[k]] == uid]
         u = params["user_emb"].data[universe[uid]]
-        p = [_dot64(u, params["item_emb_tgt"].data[tgt.item_index[r.item_id]])
-             for r in recs]
-        errors = np.array(p) - np.array([r.rating for r in recs])
+        p = [_dot64(u, params["item_emb_tgt"].data[tgt.item[k]]) for k in recs]
+        errors = np.array(p) - tgt.rating[recs]
         assert n == len(recs)
         assert mae == pytest.approx(np.mean(np.abs(errors)), rel=1e-12)
         assert rmse == pytest.approx(math.sqrt(np.mean(errors ** 2)), rel=1e-12)
@@ -186,18 +185,20 @@ def test_every_pipeline_at_every_t_prime(variant, ablation, t_prime):
         return
     # no reverse step: the score is the projection of the initial state
     universe = user_universe(src, tgt)
-    histories = build_histories(src, split.cold_start_test, cfg.max_history_len)
+    table, lengths, row_of = build_histories(src, split.cold_start_test,
+                                             cfg.max_history_len)
     errors = []
-    for rec in sorted(held_out_ratings(tgt, split), key=lambda r: r.user_id):
-        u = params["user_emb"].data[universe[rec.user_id]]
-        items = list(histories[rec.user_id].item_indices)
+    for k in sorted(held_out_ratings(tgt, split), key=lambda k: tgt.users[tgt.user[k]]):
+        uid = tgt.users[tgt.user[k]]
+        u = params["user_emb"].data[universe[uid]]
+        items = table[row_of[uid], :lengths[row_of[uid]]]
         h = encode_history(params["item_emb_src"].data[items], params)
         x = pipe.inference_init(u, h)
         assert np.array_equal(infer_user(u, h, cfg, s, params), x)
         emb = pipe.score_embedding(Tensor(x) if pipe.uses_diffusion else None,
                                    Tensor(h), Tensor(u), params).data
-        v = params["item_emb_tgt"].data[tgt.item_index[rec.item_id]]
-        errors.append(_dot64(emb, v) - rec.rating)
+        v = params["item_emb_tgt"].data[tgt.item[k]]
+        errors.append(_dot64(emb, v) - tgt.rating[k])
     assert rep.mae == pytest.approx(report_from_errors(np.asarray(errors)).mae,
                                     rel=1e-12)
 

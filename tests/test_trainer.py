@@ -1,20 +1,20 @@
 """Training loop: losses, gradient flow, masking statistics, determinism."""
 import hashlib
 import math
-from dataclasses import replace
+from dataclasses import dataclass, replace
+from itertools import chain
 
 import numpy as np
 import pytest
 
 from prefdiff import autodiff as ad
 from prefdiff.config import RunConfig
-from prefdiff.data import (RatingRecord, make_domain,
-                           split_cold_start, user_universe)
+from prefdiff.data import make_domain, split_cold_start, user_universe
 from prefdiff.errors import ConfigurationError, DataError
 from prefdiff.params import init_params, save_checkpoint
 from prefdiff.rng import make_rng
 from prefdiff.schedule import build_schedule
-from prefdiff.trainer import (AdamState, BatchDraws, TrainExample,
+from prefdiff.trainer import (AdamState, BatchDraws, Examples,
                               _batch_arrays, build_examples, compute_batch_loss,
                               diffusion_coefficient, loss_history_tsv,
                               new_trainer_state, rec_loss, sample_draws, train,
@@ -38,25 +38,29 @@ def toy_domains(n_overlap=20, n_items_src=8, n_items_tgt=9, seed=0):
     for k in range(n_overlap):
         u = f"u{k}"
         for j in rng.choice(n_items_src, size=4, replace=False):
-            src.append(RatingRecord(u, f"s{j}", 3.0, int(rng.integers(0, 100))))
+            src.append((u, f"s{j}", 3.0, int(rng.integers(0, 100))))
         for j in rng.choice(n_items_tgt, size=3, replace=False):
-            tgt.append(RatingRecord(u, f"t{j}", float(rng.integers(1, 6)),
-                                    int(rng.integers(0, 100))))
-    return make_domain(src), make_domain(tgt)
+            tgt.append((u, f"t{j}", float(rng.integers(1, 6)),
+                        int(rng.integers(0, 100))))
+    return (make_domain(*(list(col) for col in zip(*src))),
+            make_domain(*(list(col) for col in zip(*tgt))))
 
 
 def toy_batch(params, n=4, hist_len=3, seed=1):
+    """(examples, rows): n random examples with histories of hist_len
+    items, and the rows 0..n-1 that make them one batch."""
     rng = make_rng(seed, 17)
-    out = []
-    for i in range(n):
-        out.append(TrainExample(
-            user_idx=int(rng.integers(0, params.meta.n_users)),
-            history=tuple(int(x) for x in
-                          rng.integers(0, params.meta.n_items_src, size=hist_len)),
-            target_item_idx=int(rng.integers(0, params.meta.n_items_tgt)),
-            rating=float(rng.integers(1, 6)),
-        ))
-    return out
+    columns = []
+    for _ in range(n):
+        columns.append((int(rng.integers(0, params.meta.n_users)),
+                        rng.integers(0, params.meta.n_items_src, size=hist_len),
+                        int(rng.integers(0, params.meta.n_items_tgt)),
+                        float(rng.integers(1, 6))))
+    users, histories, items, ratings = zip(*columns)
+    examples = Examples(user=np.array(users), item=np.array(items),
+                        rating=np.array(ratings), history_row=np.arange(n),
+                        histories=np.array(histories), lengths=np.full(n, hist_len))
+    return examples, np.arange(n)
 
 
 def test_rec_loss_is_mse():
@@ -99,19 +103,28 @@ def test_diffusion_coefficient_array_matches_scalar_bitwise(weighting):
 
 
 def test_batch_arrays_pads_histories_like_a_loop():
-    batch = [TrainExample(user_idx=i, history=tuple(range(10 * i, 10 * i + n)),
-                          target_item_idx=i, rating=float(i))
-             for i, n in enumerate([3, 1, 5, 2])]
-    users, hist, mask, items, ratings = _batch_arrays(batch, "float32")
+    lengths = [3, 1, 5, 2]
+    histories = np.zeros((4, 7), dtype=np.int64)
+    for i, n in enumerate(lengths):
+        histories[i, :n] = range(10 * i + 1, 10 * i + 1 + n)
+    examples = Examples(user=np.arange(4), item=np.arange(4), rating=np.arange(4.0),
+                        history_row=np.array([3, 2, 1, 0]), histories=histories[::-1].copy(),
+                        lengths=np.array(lengths[::-1]))
+    users, hist, mask, items, ratings = _batch_arrays(examples, np.arange(4), "float32")
+    # as wide as the longest history in the batch, not the table
     want_hist = np.zeros((4, 5), dtype=np.int64)
     want_mask = np.zeros((4, 5), dtype=bool)
-    for i, e in enumerate(batch):
-        want_hist[i, :len(e.history)] = e.history
-        want_mask[i, :len(e.history)] = True
+    for i, n in enumerate(lengths):
+        want_hist[i, :n] = range(10 * i + 1, 10 * i + 1 + n)
+        want_mask[i, :n] = True
     assert hist.dtype == np.int64 and np.array_equal(hist, want_hist)
     assert mask.dtype == bool and np.array_equal(mask, want_mask)
     assert users.tolist() == items.tolist() == [0, 1, 2, 3]
     assert ratings.dtype == np.float32
+    # a batch of short histories is cut to its own longest one
+    _, hist, mask, _, _ = _batch_arrays(examples, np.array([1, 3, 1]), "float64")
+    assert hist.tolist() == [[11, 0], [31, 32], [11, 0]]
+    assert mask.tolist() == [[True, False], [True, True], [True, False]]
 
 
 def _constant_denoiser(p, out):
@@ -136,10 +149,10 @@ def test_diffusion_loss_value(tiny_params):
     draws = BatchDraws(r=np.ones(3), t=t,
                        eps=make_rng(9, 9).standard_normal((3, 4)))
     sq = 1.0 + 4.0 + 0.25 + 4.0
-    _, report = compute_batch_loss(batch, p, tiny_cfg(), s, draws)
+    _, report = compute_batch_loss(*batch, p, tiny_cfg(), s, draws)
     assert report["diff"] == pytest.approx(sq, rel=1e-12)
     coefs = [diffusion_coefficient(s, int(tt), "variance_weighted") for tt in t]
-    _, report = compute_batch_loss(batch, p, tiny_cfg(loss_weighting="variance_weighted"),
+    _, report = compute_batch_loss(*batch, p, tiny_cfg(loss_weighting="variance_weighted"),
                                    s, draws)
     assert report["diff"] == pytest.approx(sq * np.mean(coefs), rel=1e-12)
 
@@ -153,7 +166,7 @@ def test_masking_boundary_keeps_condition_at_p_uncond(tiny_params):
     def run(r, p_uncond):
         draws = BatchDraws(r=np.array(r, dtype=float), t=np.full(4, 2),
                            eps=np.zeros((4, 4)))
-        return compute_batch_loss(batch, p, tiny_cfg(p_uncond=p_uncond), s,
+        return compute_batch_loss(*batch, p, tiny_cfg(p_uncond=p_uncond), s,
                                   draws)[1]
 
     assert run([0.05, 0.1, 0.99, 0.0999], 0.1)["masked"] == 2
@@ -172,7 +185,8 @@ def test_masking_empirical_rate(tiny_params):
     s = build_schedule(5, 0.5, 0.1, 10.0)
     p_uncond, n = 0.1, 20_000
     draws = sample_draws(make_rng(20, 20), n, 4, 5, True, "float64")
-    _, report = compute_batch_loss(toy_batch(p, n=8) * (n // 8), p,
+    examples, rows = toy_batch(p, n=8)
+    _, report = compute_batch_loss(examples, np.tile(rows, n // 8), p,
                                    tiny_cfg(p_uncond=p_uncond), s, draws)
     assert report["masked"] == int(np.sum(draws.r < p_uncond))
     sigma = math.sqrt(p_uncond * (1 - p_uncond) / n)
@@ -195,7 +209,7 @@ def test_full_model_gradients_match_finite_differences(tiny_params):
     draws = sample_draws(make_rng(7, 0), 2, p.meta.cfg.d1, cfg.T, True, "float64")
 
     def loss():
-        total, _ = compute_batch_loss(batch, p, cfg, s, draws)
+        total, _ = compute_batch_loss(*batch, p, cfg, s, draws)
         return total
 
     p.zero_grads()
@@ -218,7 +232,7 @@ def test_total_loss_linear_in_lambda(tiny_params):
     draws = sample_draws(make_rng(8, 0), 3, 4, 5, True, "float64")
     totals = {}
     for lam in (0.0, 0.5, 1.0):
-        total, rep = compute_batch_loss(batch, p, tiny_cfg(lam=lam), s, draws)
+        total, rep = compute_batch_loss(*batch, p, tiny_cfg(lam=lam), s, draws)
         totals[lam] = float(total.data)
         assert rep["total"] == pytest.approx(rep["rec"] + lam * rep["diff"])
     diff = totals[1.0] - totals[0.0]
@@ -233,7 +247,7 @@ def test_masking_rate_in_band(tiny_params):
     batch = toy_batch(p, n=8)
     n_steps = 400
     for _ in range(n_steps):
-        train_step(batch, p, state, cfg, s)
+        train_step(*batch, p, state, cfg, s)
     rate = state.masked_examples / state.total_examples
     sigma = math.sqrt(0.25 * 0.75 / state.total_examples)
     assert abs(rate - 0.25) < 4 * sigma
@@ -245,12 +259,12 @@ def test_train_step_changes_params_and_reports(tiny_params):
     s = build_schedule(cfg.T, cfg.eta, cfg.alpha_min, cfg.alpha_max)
     state = new_trainer_state(1)
     before = p["user_emb"].data.copy()
-    report = train_step(toy_batch(p), p, state, cfg, s)
+    report = train_step(*toy_batch(p), p, state, cfg, s)
     assert not np.array_equal(p["user_emb"].data, before)
     assert set(report) >= {"rec", "diff", "total", "masked", "batch"}
     assert report["total"] == pytest.approx(report["rec"] + cfg.lam * report["diff"])
     with pytest.raises(DataError):
-        train_step([], p, state, cfg, s)
+        train_step(toy_batch(p)[0], np.arange(0), p, state, cfg, s)
 
 
 def test_adam_first_step_is_signed_lr():
@@ -336,7 +350,7 @@ def test_backward_functions_leave_gradients_unwritten(variant, ablation, monkeyp
     s = build_schedule(cfg.T, cfg.eta, cfg.alpha_min, cfg.alpha_max)
     draws = sample_draws(make_rng(5, 0), 6, p.meta.state_dim, cfg.T,
                          p.meta.pipeline.uses_masking, "float64")
-    total, _ = compute_batch_loss(toy_batch(p, n=6), p, cfg, s, draws)
+    total, _ = compute_batch_loss(*toy_batch(p, n=6), p, cfg, s, draws)
     total.backward()
     assert p["user_emb"].grad is not None
     AdamState().update(p, 0.01)
@@ -360,10 +374,88 @@ def test_build_examples_respects_split_and_histories():
     split = split_cold_start(src, tgt, 0.2, seed=5)
     uni = user_universe(src, tgt)
     examples = build_examples(src, tgt, split, uni, max_history_len=3)
-    users = {e.user_idx for e in examples}
+    users = set(examples.user.tolist())
     test_idx = {uni[u] for u in split.cold_start_test}
     assert not users & test_idx
-    assert all(1 <= len(e.history) <= 3 for e in examples)
+    lengths = examples.lengths[examples.history_row]
+    assert len(lengths) == len(examples.item) and np.all((1 <= lengths) & (lengths <= 3))
+    assert examples.histories.shape[1] == 3
+
+
+@dataclass(frozen=True)
+class _TrainExample:
+    """One training example as an object: the form the columns replaced."""
+    user_idx: int
+    history: tuple[int, ...]
+    target_item_idx: int
+    rating: float
+
+
+def _examples_per_object(source, target, split, universe, max_history_len):
+    """`build_examples` as first written, through a per-user sort of the
+    source ratings: the reference for the columns."""
+    histories = {}
+    for u in sorted(split.overlap_train):
+        if u not in source.user_index:
+            continue
+        rows = [k for k in range(source.n_ratings) if source.users[source.user[k]] == u]
+        rows.sort(key=lambda k: (source.timestamp[k], source.position[k]))
+        histories[u] = tuple(int(source.item[k]) for k in rows[-max_history_len:])
+    out = []
+    for k in range(target.n_ratings):
+        u = target.users[target.user[k]]
+        if u in split.overlap_train and u in histories:
+            out.append(_TrainExample(universe[u], histories[u], int(target.item[k]),
+                                     float(target.rating[k])))
+    return out
+
+
+def _batch_arrays_per_object(batch, dtype):
+    """`_batch_arrays` as first written, over example objects."""
+    B = len(batch)
+    lengths = np.fromiter((len(e.history) for e in batch), dtype=np.int64, count=B)
+    mask = np.arange(lengths.max()) < lengths[:, None]
+    hist = np.zeros(mask.shape, dtype=np.int64)
+    hist[mask] = np.fromiter(chain.from_iterable(e.history for e in batch),
+                             dtype=np.int64, count=int(lengths.sum()))
+    users = np.array([e.user_idx for e in batch], dtype=np.int64)
+    items = np.array([e.target_item_idx for e in batch], dtype=np.int64)
+    ratings = np.array([e.rating for e in batch], dtype=dtype)
+    return users, hist, mask, items, ratings
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_build_examples_and_batches_match_the_per_object_path_bitwise(dtype):
+    # user k has k % 8 + 1 source ratings, so with max_history_len 6 the
+    # histories take every length 1..6, some truncated, with timestamp ties
+    rng = make_rng(3, 3)
+    max_len = 6
+    src, tgt = [], []
+    for k in range(60):
+        for j in rng.choice(20, size=k % 8 + 1, replace=False):
+            src.append((f"u{k}", f"s{j}", 3.0, int(rng.integers(0, 4))))
+        for j in rng.choice(15, size=int(rng.integers(1, 4)), replace=False):
+            tgt.append((f"u{k}", f"t{j}", float(rng.uniform(0, 5)), 0))
+    src.append(("only_src", "s0", 1.0, 0))
+    tgt.append(("only_tgt", "t0", 1.0, 0))
+    source = make_domain(*(list(col) for col in zip(*src[::-1])))
+    target = make_domain(*(list(col) for col in zip(*tgt)))
+    split = split_cold_start(source, target, 0.2, seed=4)
+    universe = user_universe(source, target)
+    examples = build_examples(source, target, split, universe, max_len)
+    reference = _examples_per_object(source, target, split, universe, max_len)
+    assert len(examples.user) == len(reference) > 0
+    seen = set()
+    order = rng.permutation(len(reference))
+    for start in range(0, len(order), 7):
+        rows = order[start:start + 7]
+        got = _batch_arrays(examples, rows, dtype)
+        want = _batch_arrays_per_object([reference[i] for i in rows], dtype)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.shape == w.shape
+            assert g.tobytes() == w.tobytes()
+        seen.update(len(reference[i].history) for i in rows)
+    assert seen == set(range(1, max_len + 1))
 
 
 def test_train_decreases_loss_and_is_deterministic():

@@ -161,7 +161,7 @@ def test_batch_loss_runs_and_is_finite(kind):
     batch = toy_batch(p, n=3)
     draws = sample_draws(make_rng(4, 4), 3, pipe.state_mult * 4, cfg.T,
                          pipe.uses_masking, "float64")
-    total, report = compute_batch_loss(batch, p, cfg, s, draws)
+    total, report = compute_batch_loss(*batch, p, cfg, s, draws)
     assert np.isfinite(float(total.data))
     if not pipe.uses_diffusion:
         assert report["diff"] == 0.0

@@ -1,5 +1,6 @@
-"""Print the sha256 of every file that the commands which train or evaluate
-write: `prefdiff train` and `prefdiff eval --per-user` over all ten model
+"""Print the sha256 of every file that the commands which read, train or
+evaluate write: `prefdiff ingest --out` on both input pairs,
+`prefdiff train` and `prefdiff eval --per-user` over all ten model
 selectors, `prefdiff sweep` on each of its five axes, and
 `prefdiff variant-bench`.
 
@@ -61,6 +62,7 @@ def run_all(work: Path) -> None:
     source, target = generate_pair(n_users=2000, n_items=300, ratings_per_user=10, seed=5)
     write_tsv(source, "source.tsv")
     write_tsv(target, "target.tsv")
+    cli("ingest", "source.tsv", "target.tsv", "--out", "ingest.tsv")
     for variant, ablation in SELECTORS:
         run = f"v{variant}_{ablation}"
         selector = f"variant = {variant}\nablation = {ablation}\n"
@@ -76,6 +78,7 @@ def run_all(work: Path) -> None:
     source, target = generate_pair(n_users=200, n_items=40, ratings_per_user=5, seed=6)
     write_tsv(source, "small_source.tsv")
     write_tsv(target, "small_target.tsv")
+    cli("ingest", "small_source.tsv", "small_target.tsv", "--out", "small_ingest.tsv")
     Path("small.conf").write_text(SMALL_CONFIG)
     for axis, values in SWEEPS.items():
         cli("sweep", "--config", "small.conf", "--sweep-axis", axis,
