@@ -42,6 +42,14 @@ def _check_checkpoint(trained: RunConfig, cfg: RunConfig) -> None:
         raise CheckpointError("checkpoint does not match the config: " + "; ".join(problems))
 
 
+def _emit_table(text: str, out) -> None:
+    """Print a TSV table and, when out is given, write it there too."""
+    click.echo(text, nl=False)
+    if out:
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+
+
 class _Commands(click.Group):
     """Reports a package error as one `Error: <Type>: <message>` line and
     exit code 1; with standalone_mode=False the error is raised as is."""
@@ -73,13 +81,9 @@ def ingest(source_path, target_path, out):
     lines = ["domain\tusers\toverlap\titems\tratings"]
     for name, d in (("source", source), ("target", target)):
         lines.append(f"{name}\t{d.n_users}\t{overlap}\t{d.n_items}\t{d.n_ratings}")
-    text = "\n".join(lines) + "\n"
-    click.echo(text, nl=False)
+    _emit_table("\n".join(lines) + "\n", out)
     if overlap == 0:
         click.echo("warning: no overlapping users between the two domains", err=True)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
 
 
 @main.command("train")
@@ -167,8 +171,8 @@ def cmd_sweep(config_path, sweep_axis, sweep_values, seed, out):
     """Train/evaluate over one hyper-parameter axis; one TSV row per value.
 
     Every value is checked before any data is loaded; one error lists every
-    bad value. Inference-only axes (t_prime, omega) train once and
-    re-evaluate."""
+    bad value, and a list with no values is an error. Inference-only axes
+    (t_prime, omega) train once and re-evaluate."""
     base = load_config(config_path, seed=seed)
     name = SWEEP_AXES[sweep_axis]
     configs, problems = [], []
@@ -184,6 +188,8 @@ def cmd_sweep(config_path, sweep_axis, sweep_values, seed, out):
         configs.append((raw, cfg))
     if problems:
         raise ConfigurationError("bad sweep values: " + " | ".join(problems))
+    if not configs:
+        raise ConfigurationError(f"no sweep values in {sweep_values!r}")
     source, target, split = _load_run(base)
     rows = ["value\tmae\trmse\tn"]
     inference_only = sweep_axis in ("t_prime", "omega")
@@ -197,11 +203,7 @@ def cmd_sweep(config_path, sweep_axis, sweep_values, seed, out):
         s = schedule_mod.build_schedule(cfg.T, cfg.eta, cfg.alpha_min, cfg.alpha_max)
         report = evaluate(run_params, s, source, target, split, cfg)
         rows.append(f"{raw}\t{report.mae:.6f}\t{report.rmse:.6f}\t{report.n_predictions}")
-    text = "\n".join(rows) + "\n"
-    click.echo(text, nl=False)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    _emit_table("\n".join(rows) + "\n", out)
 
 
 @main.command("variant-bench")
@@ -222,11 +224,7 @@ def cmd_variant_bench(config_path, seed, out):
         report = evaluate(params, s, source, target, split,
                           replace(cfg, omega=0.0))
         rows.append(f"{vid}\t{report.mae:.6f}\t{report.rmse:.6f}\t{report.n_predictions}")
-    text = "\n".join(rows) + "\n"
-    click.echo(text, nl=False)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    _emit_table("\n".join(rows) + "\n", out)
 
 
 if __name__ == "__main__":

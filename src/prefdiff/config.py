@@ -124,8 +124,13 @@ def parse_config_text(text: str, **overrides) -> RunConfig:
 
 
 def load_config(path, **overrides) -> RunConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read(), **overrides)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(
+            f"{path}: not UTF-8 text: byte {exc.start}: {exc.reason}") from exc
+    return parse_config_text(text, **overrides)
 
 
 def normalized_text(cfg: RunConfig) -> str:

@@ -128,11 +128,15 @@ def load_ratings(path, rating_range: tuple[float, float] = (0.0, 5.0)) -> Domain
     Blank lines are skipped. Timestamps are non-negative and fit in int64.
     Duplicate (user, item) pairs keep the latest-timestamp line, ties the
     later line, at the row of the pair's first line. A bad line raises a
-    DataError that names the first one.
+    DataError that names the first one; a file that is not UTF-8 text
+    raises one that names the file.
     """
     lo, hi = rating_range
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: byte {exc.start}: {exc.reason}") from exc
     lineno = np.flatnonzero(np.fromiter(map(len, lines), np.int64, count=len(lines))) + 1
     lines = list(filter(None, lines))
     if not lines:

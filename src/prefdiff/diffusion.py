@@ -1,10 +1,10 @@
-"""Forward corruption, conditioned clean-state prediction, guidance-strength
-interpolation, and the single reverse step.
+"""Forward corruption, conditioned clean-state prediction, and the guided
+reverse step.
 
 Training runs `forward_marginal` and `denoise` inside its autodiff graph.
-Cold-start inference runs the rest on plain numpy arrays, without a graph:
-`predict_u0`, `guided_predict` and `reverse_step` take and return arrays,
-and call `denoise` with array inputs.
+Cold-start inference runs `reverse_step` on plain numpy arrays, without a
+graph: it takes and returns (B, d) state rows, and calls `denoise` with
+array inputs, once per step or twice when the guidance strength omega > 0.
 """
 from __future__ import annotations
 
@@ -14,7 +14,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigurationError
 from .params import ModelParams
 from .schedule import Schedule, posterior_mean_coeffs
 
@@ -59,48 +58,18 @@ def denoise(x_t, cond, t, params: ModelParams) -> Tensor:
     return x if graph else Tensor(x)
 
 
-def _as_cond_batch(h, x: np.ndarray, params: ModelParams) -> np.ndarray:
-    """The condition rows for the denoiser state x: h, or the null token when
-    h is None."""
-    if h is None:
-        null = params["null_token"].data
-        return null.reshape((1, null.shape[0])) * np.ones((x.shape[0], 1), dtype=null.dtype)
-    arr = np.asarray(h)
-    return arr if arr.ndim == 2 else arr[None, :]
+def reverse_step(x: np.ndarray, cond: np.ndarray, uncond: np.ndarray, t: int,
+                 omega: float, z, s: Schedule, params: ModelParams) -> np.ndarray:
+    """One reverse transition x_t -> x_{t-1} of the (B, d) state rows x.
 
-
-def predict_u0(u_t, h, t: int, params: ModelParams) -> np.ndarray:
-    """Prediction of the clean state for one state (d,) or a batch (B, d);
-    `h=None` uses the null token."""
-    x = np.asarray(u_t)
-    single = x.ndim == 1
-    if single:
-        x = x.reshape((1, x.shape[0]))
-    out = denoise(x, _as_cond_batch(h, x, params), t, params).data
-    return out[0] if single else out
-
-
-def guided_predict(u_t, h, t: int, omega: float, params: ModelParams) -> np.ndarray:
-    """Strength-controlled prediction: (1+w)*conditional - w*unconditional.
-
-    The w=0 and h=None cases short-circuit so the algebraic identities hold
-    exactly in floating point.
-    """
-    if omega < 0:
-        raise ConfigurationError(f"omega must be >= 0, got {omega}")
-    if h is None or omega == 0.0:
-        return predict_u0(u_t, h, t, params)
-    cond = predict_u0(u_t, h, t, params)
-    uncond = predict_u0(u_t, None, t, params)
-    return (1.0 + omega) * cond - omega * uncond
-
-
-def reverse_step(u_t: np.ndarray, h, t: int, omega: float, z, s: Schedule,
-                 params: ModelParams) -> np.ndarray:
-    """One reverse transition u_t -> u_{t-1} under guided prediction.
-
-    Caller supplies z ~ N(0, I) for t > 1 and z = 0 at t = 1.
+    cond holds the (B, d1) condition rows and uncond the null-token rows.
+    The guided prediction is (1+omega)*conditional - omega*unconditional;
+    omega = 0 calls the denoiser once, on cond alone, so it is exactly the
+    conditional prediction. Caller supplies z ~ N(0, I) for t > 1 and
+    z = 0 at t = 1.
     """
     coef_u0, coef_ut, variance = posterior_mean_coeffs(s, t)
-    pred = guided_predict(u_t, h, t, omega, params)
-    return coef_u0 * pred + coef_ut * u_t + math.sqrt(variance) * np.asarray(z)
+    pred = denoise(x, cond, t, params).data
+    if omega > 0:
+        pred = (1.0 + omega) * pred - omega * denoise(x, uncond, t, params).data
+    return coef_u0 * pred + coef_ut * x + math.sqrt(variance) * z

@@ -40,28 +40,30 @@ class EvalReport:
 
 
 def infer_user(u_init: np.ndarray, h, cfg: RunConfig, s: Schedule,
-               params: ModelParams, rng: np.random.Generator | None = None) -> np.ndarray:
-    """Guided reverse rollout from the user's own embedding.
+               params: ModelParams, rng: np.random.Generator) -> np.ndarray:
+    """Guided reverse rollout from the initial state of the model's wiring.
 
-    Applies cfg's t_prime reverse steps (noise-free at t=1) to the initial
-    state of the model's wiring; t_prime = 0 returns that state unchanged.
-    The steps run on plain arrays, without an autodiff graph. The noise z is
-    float64, so the state is float64 from the first step on, and later
-    denoiser matmuls are float64 state times model-dtype weights.
+    Applies cfg's t_prime reverse steps (noise-free at t=1) to that state;
+    t_prime = 0 returns it unchanged. The state holds the user's `user_emb`
+    row, which for a cold-start user is never gathered in training and so
+    is still its initialization draw. rng gives one `standard_normal` draw
+    of the state's width per noisy step. The steps run on plain arrays,
+    without an autodiff graph. The noise z is float64, so the state is
+    float64 from the first step on, and later denoiser matmuls are float64
+    state times model-dtype weights.
     """
     t_prime = cfg.resolved_t_prime()
     if not 0 <= t_prime <= s.T:
         raise ConfigurationError(f"t_prime={t_prime} outside 0..{s.T}")
     pipeline = params.meta.pipeline
-    x = pipeline.inference_init(np.asarray(u_init),
-                                None if h is None else np.asarray(h))
+    x = pipeline.inference_init(u_init, h)[None, :]
+    null = params["null_token"].data[None, :]
+    cond = h[None, :] if pipeline.guided else null
     omega = cfg.omega if pipeline.guided else 0.0
-    cond = h if pipeline.guided else None
     for t in range(t_prime, 0, -1):
-        z = rng.standard_normal(x.shape[0]) if t > 1 and rng is not None \
-            else np.zeros(x.shape[0])
-        x = reverse_step(x, cond, t, omega, z, s, params)
-    return x
+        z = rng.standard_normal(x.shape[1]) if t > 1 else np.zeros(x.shape[1])
+        x = reverse_step(x, cond, null, t, omega, z, s, params)
+    return x[0]
 
 
 def report_from_errors(errors: np.ndarray,
@@ -107,13 +109,10 @@ def evaluate(params: ModelParams, s: Schedule, source: DomainData,
         item_vecs = params["item_emb_src"].data[histories[k, :lengths[k]]]
         h = encode_history(item_vecs, params) if pipeline.uses_history else None
         u_idx = universe[uid]
-        u_init = np.array(params["user_emb"].data[u_idx], copy=True)
-        rng = make_rng(cfg.seed, u_idx)
-        x0 = Tensor(infer_user(u_init, h, cfg, s, params, rng)) \
+        u_init = params["user_emb"].data[u_idx]
+        x0 = Tensor(infer_user(u_init, h, cfg, s, params, make_rng(cfg.seed, u_idx))) \
             if pipeline.uses_diffusion else None
-        emb = pipeline.score_embedding(
-            x0, None if h is None else Tensor(h), Tensor(u_init), params)
-        emb = emb.data if isinstance(emb, Tensor) else np.asarray(emb)
+        emb = pipeline.score_embedding(x0, h, u_init, params).data
         item_rows = tgt_emb[target.item[user_rows]]
         # np.vecdot is bitwise np.dot per row; V @ e would round differently
         ue = np.vecdot(emb.astype(np.float64), item_rows.astype(np.float64)) \

@@ -79,18 +79,20 @@ class Pipeline:
         mask[:d1] = True
         return mask
 
-    def score_embedding(self, x0_hat: Tensor, h: Tensor | None,
-                        u0: Tensor, params) -> Tensor:
+    def score_embedding(self, x0_hat: Tensor | None, h, u0, params) -> Tensor:
         """Map the (predicted) clean state to the d1 embedding dotted with
-        the target-item embedding; `params` is the model's ModelParams."""
+        the target-item embedding; `params` is the model's ModelParams.
+        h and u0 may be arrays or graph Tensors."""
         if not self.with_projection:
             return x0_hat
         x = _join([{"x": x0_hat, "u": u0, "h": h}[p] for p in self.wiring.projection])
         return x @ params["proj_w"] + params["proj_b"]
 
     def inference_init(self, u_init: np.ndarray, h: np.ndarray | None) -> np.ndarray:
-        """Initial reverse-process state for a cold-start user (the user's
-        own embedding, never fresh noise); always a copy."""
+        """Initial reverse-process state for a cold-start user, built from
+        the user's `user_emb` row (and h, by the wiring), never fresh noise;
+        always a copy. A cold-start user's row is never gathered in
+        training, so Adam leaves it bitwise at its initialization draw."""
         parts = [{"u": u_init, "h": h}[p] for p in self.wiring.state]
         return np.array(parts[0], copy=True) if len(parts) == 1 else np.concatenate(parts)
 

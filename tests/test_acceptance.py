@@ -16,7 +16,7 @@ from prefdiff.cli import main as cli_main
 from prefdiff.config import RunConfig
 from prefdiff import data as data_mod
 from prefdiff.data import split_cold_start
-from prefdiff.diffusion import forward_marginal, guided_predict, predict_u0
+from prefdiff.diffusion import denoise, forward_marginal, reverse_step
 from prefdiff.evaluate import evaluate, infer_user
 from prefdiff.params import init_params
 from prefdiff.rng import make_rng
@@ -153,15 +153,22 @@ def test_criterion_05_gradient_check():
 
 def test_criterion_06_guidance_algebra_and_masking_rate():
     start = time.perf_counter()
-    p = init_params(RunConfig(d1=4, seed=2, init_scale=0.3, hidden=8,
-                              mlp_layers=2, enc_layers=1, max_history_len=4,
-                              T=5, dtype="float64"), 4, 4, 4)
+    model = RunConfig(d1=4, seed=2, init_scale=0.3, hidden=8, mlp_layers=2,
+                      enc_layers=1, max_history_len=4, T=5, dtype="float64")
+    p = init_params(model, 4, 4, 4)
+    s = build_schedule(5, 0.5, 0.1, 10.0)
     rng = make_rng(60, 0)
-    u, h = rng.standard_normal(4), rng.standard_normal(4)
-    ok = np.array_equal(guided_predict(u, h, 3, 0.0, p),
-                        predict_u0(u, h, 3, p))
-    ok &= np.array_equal(guided_predict(u, None, 3, 4.0, p),
-                         predict_u0(u, None, 3, p))
+    u, h, z = (rng.standard_normal((1, 4)) for _ in range(3))
+    # omega = 0 is bitwise the step on the conditional prediction
+    c0, ct, var = posterior_mean_coeffs(s, 3)
+    want = c0 * denoise(u, h, 3, p).data + ct * u + math.sqrt(var) * z
+    null = p["null_token"].data[None, :]
+    ok = reverse_step(u, h, null, 3, 0.0, z, s, p).tobytes() == want.tobytes()
+    # no condition ignores omega: an unguided rollout is the same at 4 and 0
+    p1 = init_params(replace(model, variant=1), 4, 4, 4)
+    rollouts = [infer_user(u[0], None, RunConfig(omega=omega, t_prime=5), s, p1,
+                           make_rng(60, 1)) for omega in (4.0, 0.0)]
+    ok &= rollouts[0].tobytes() == rollouts[1].tobytes()
     n, p_uncond = 100_000, 0.1
     draws = rng.uniform(size=n)
     # the training loss masks the first 1,000 draws' conditions itself
@@ -190,12 +197,14 @@ def test_criterion_07_inference_step_identities():
     s = build_schedule(5, 0.5, 0.1, 10.0)
     rng = make_rng(70, 0)
     u, h = rng.standard_normal(4), rng.standard_normal(4)
-    out0 = infer_user(u, h, RunConfig(omega=2.0, t_prime=0), s, p)
+    out0 = infer_user(u, h, RunConfig(omega=2.0, t_prime=0), s, p, make_rng(0, 0))
     ok = out0.tobytes() == u.tobytes()
-    out1 = infer_user(u, h, RunConfig(omega=2.0, t_prime=1), s, p,
-                      rng=make_rng(0, 0))
+    out1 = infer_user(u, h, RunConfig(omega=2.0, t_prime=1), s, p, make_rng(0, 0))
     c0, ct, var = posterior_mean_coeffs(s, 1)
-    want = c0 * guided_predict(u, h, 1, 2.0, p) + ct * u
+    null = p["null_token"].data[None, :]
+    pred = 3.0 * denoise(u[None, :], h[None, :], 1, p).data[0] \
+        - 2.0 * denoise(u[None, :], null, 1, p).data[0]
+    want = c0 * pred + ct * u
     ok &= var == 0.0 and np.allclose(out1, want, atol=1e-12)
     elapsed = time.perf_counter() - start
     ok &= elapsed < 1.0

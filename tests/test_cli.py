@@ -71,6 +71,27 @@ def test_ingest_warns_on_no_overlap(tmp_path):
     assert "no overlapping users" in result.stderr
 
 
+def test_ingest_reports_non_utf8_file(data_files, tmp_path):
+    _, tgt = data_files
+    bad = tmp_path / "latin1.tsv"
+    bad.write_bytes(b"u1\ti1\t3.0\t1\nu\xff2\ti1\t4.0\t2\n")
+    result = CliRunner().invoke(main, ["ingest", str(bad), tgt])
+    message = error_line(result, "DataError")
+    assert message.startswith(f"{bad}: not UTF-8 text: byte 13"), message
+
+
+def test_train_reports_non_utf8_config(data_files, tmp_path):
+    src, tgt = data_files
+    bad = tmp_path / "latin1.conf"
+    bad.write_bytes(f"source_path = {src}\ntarget_path = {tgt}\n".encode()
+                    + b"# caf\xe9\nepochs = 1\n")
+    result = CliRunner().invoke(
+        main, ["train", "--config", str(bad), "--out", str(tmp_path / "o")])
+    message = error_line(result, "ConfigurationError")
+    assert message.startswith(f"{bad}: not UTF-8 text"), message
+    assert not (tmp_path / "o").exists()
+
+
 def test_schedule_dump(tmp_path):
     out = tmp_path / "sched.tsv"
     invoke("schedule-dump", "--steps", "6", "--eta", "0.5", "--out", str(out))
@@ -153,6 +174,16 @@ def test_sweep_rejects_bad_values_before_any_work(run_config, monkeypatch,
     message = error_line(result, "ConfigurationError")
     assert all(problem in message for problem in bad), message
     assert good is None or good not in message
+    assert work == []
+
+
+def test_sweep_rejects_an_empty_value_list(run_config, monkeypatch):
+    work = []
+    monkeypatch.setattr("prefdiff.cli._load_run", lambda *a: work.append("load"))
+    monkeypatch.setattr("prefdiff.cli.train", lambda *a: work.append("train"))
+    result = CliRunner().invoke(main, ["sweep", "--config", run_config,
+                                       "--sweep-axis", "omega", "--sweep-values", " , "])
+    assert "no sweep values" in error_line(result, "ConfigurationError")
     assert work == []
 
 

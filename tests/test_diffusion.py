@@ -1,5 +1,5 @@
-"""Forward corruption statistics, posterior recovery, guided prediction
-algebra, and the reverse step."""
+"""Forward corruption statistics, posterior recovery, the denoiser's
+clean-state prediction, and the guided reverse step."""
 import math
 
 import numpy as np
@@ -7,8 +7,7 @@ import pytest
 
 from prefdiff.autodiff import Tensor
 from prefdiff.config import RunConfig, parse_config_text
-from prefdiff.diffusion import (denoise, forward_marginal, guided_predict,
-                                predict_u0, reverse_step)
+from prefdiff.diffusion import denoise, forward_marginal, reverse_step
 from prefdiff.errors import ConfigurationError
 from prefdiff.params import init_params
 from prefdiff.rng import make_rng
@@ -102,73 +101,91 @@ def test_posterior_coefficients_recover_conditional_mean():
             assert abs(got - expected) < 5 * sem + 1e-4
 
 
+def _null(p, n=1):
+    """n null-token condition rows."""
+    return np.repeat(p["null_token"].data[None, :], n, axis=0)
+
+
 def test_predict_u0_single_vs_batch(tiny_params):
     p = tiny_params
     rng = make_rng(5, 5)
     u = rng.standard_normal(4)
     h = rng.standard_normal(4)
-    single = predict_u0(u, h, 2, p)
-    batch = predict_u0(np.stack([u, u]), np.stack([h, h]), 2, p)
-    assert single.shape == (4,) and batch.shape == (2, 4)
+    single = denoise(u[None, :], h[None, :], 2, p).data
+    batch = denoise(np.stack([u, u]), np.stack([h, h]), 2, p).data
+    assert single.shape == (1, 4) and batch.shape == (2, 4)
     assert np.array_equal(batch[0], batch[1])
-    assert np.allclose(single, batch[0])
+    assert np.allclose(single[0], batch[0])
 
 
 def test_predict_u0_null_vs_zero_condition(tiny_params):
-    # the null token starts at zero, so h=None equals an explicit zero h
+    # the null token starts at zero, so the null rows equal an explicit zero h
     rng = make_rng(6, 6)
-    u = rng.standard_normal(4)
-    a = predict_u0(u, None, 3, tiny_params)
-    b = predict_u0(u, np.zeros(4), 3, tiny_params)
+    u = rng.standard_normal((1, 4))
+    a = denoise(u, _null(tiny_params), 3, tiny_params).data
+    b = denoise(u, np.zeros((1, 4)), 3, tiny_params).data
     assert np.allclose(a, b)
 
 
 def test_predict_u0_depends_on_step(tiny_params):
     rng = make_rng(8, 8)
-    u, h = rng.standard_normal(4), rng.standard_normal(4)
-    a = predict_u0(u, h, 1, tiny_params)
-    b = predict_u0(u, h, 5, tiny_params)
+    u, h = rng.standard_normal((1, 4)), rng.standard_normal((1, 4))
+    a = denoise(u, h, 1, tiny_params).data
+    b = denoise(u, h, 5, tiny_params).data
     assert not np.allclose(a, b)
 
 
-def test_guided_predict_identities(tiny_params):
+def test_guided_predict_identities(tiny_params, monkeypatch):
     p = tiny_params
+    s = build_schedule(5, 0.5, 0.1, 10.0)
     rng = make_rng(9, 9)
-    u, h = rng.standard_normal(4), rng.standard_normal(4)
-    # omega = 0 is bitwise the conditional prediction
-    assert np.array_equal(guided_predict(u, h, 2, 0.0, p),
-                          predict_u0(u, h, 2, p))
-    # no condition is bitwise the unconditional prediction at any omega
-    assert np.array_equal(guided_predict(u, None, 2, 3.0, p),
-                          predict_u0(u, None, 2, p))
+    u, h, z = (rng.standard_normal((2, 4)) for _ in range(3))
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1])
+        return denoise(*args)
+
+    monkeypatch.setattr("prefdiff.diffusion.denoise", counted)
+    c0, ct, var = posterior_mean_coeffs(s, 2)
+    # omega = 0 calls the denoiser once, on the condition rows, and is
+    # bitwise the step on the conditional prediction
+    got = reverse_step(u, h, _null(p, 2), 2, 0.0, z, s, p)
+    want = c0 * denoise(u, h, 2, p).data + ct * u + math.sqrt(var) * z
+    assert got.tobytes() == want.tobytes()
+    assert len(calls) == 1 and calls[0] is h
+    # omega > 0 calls it a second time, on the null rows
+    calls.clear()
+    null = _null(p, 2)
+    reverse_step(u, h, null, 2, 3.0, z, s, p)
+    assert len(calls) == 2 and calls[0] is h and calls[1] is null
 
 
 def test_guided_predict_linear_in_omega(tiny_params):
+    # at t = 1 the step is affine in the guided prediction
     p = tiny_params
+    s = build_schedule(5, 0.5, 0.1, 10.0)
     rng = make_rng(10, 10)
-    u, h = rng.standard_normal(4), rng.standard_normal(4)
-    cond = predict_u0(u, h, 4, p)
-    uncond = predict_u0(u, None, 4, p)
+    u, h = rng.standard_normal((1, 4)), rng.standard_normal((1, 4))
+    cond = denoise(u, h, 1, p).data
+    uncond = denoise(u, _null(p), 1, p).data
+    c0, ct, _ = posterior_mean_coeffs(s, 1)
     for omega in (0.5, 1.0, 2.0):
-        got = guided_predict(u, h, 4, omega, p)
-        assert np.allclose(got, (1 + omega) * cond - omega * uncond, atol=1e-12)
-
-
-def test_guided_predict_rejects_negative_omega(tiny_params):
-    with pytest.raises(ConfigurationError):
-        guided_predict(np.zeros(4), np.zeros(4), 1, -0.5, tiny_params)
+        got = reverse_step(u, h, _null(p), 1, omega, np.zeros(4), s, p)
+        want = c0 * ((1 + omega) * cond - omega * uncond) + ct * u
+        assert np.allclose(got, want, atol=1e-12)
 
 
 def test_reverse_step_formula(tiny_params):
     p = tiny_params
     s = build_schedule(5, 0.5, 0.1, 10.0)
     rng = make_rng(12, 12)
-    u, h, z = (rng.standard_normal(4) for _ in range(3))
+    u, h, z = (rng.standard_normal((1, 4)) for _ in range(3))
     t, omega = 4, 1.5
     c0, ct, var = posterior_mean_coeffs(s, t)
-    pred = guided_predict(u, h, t, omega, p)
+    pred = (1 + omega) * denoise(u, h, t, p).data - omega * denoise(u, _null(p), t, p).data
     want = c0 * pred + ct * u + math.sqrt(var) * z
-    got = reverse_step(u, h, t, omega, z, s, p)
+    got = reverse_step(u, h, _null(p), t, omega, z, s, p)
     assert np.allclose(got, want, atol=1e-12)
 
 
@@ -177,9 +194,9 @@ def test_reverse_step_t1_deterministic(tiny_params):
     p = tiny_params
     s = build_schedule(5, 0.5, 0.1, 10.0)
     rng = make_rng(13, 13)
-    u, h = rng.standard_normal(4), rng.standard_normal(4)
-    got = reverse_step(u, h, 1, 2.0, np.zeros(4), s, p)
-    pred = guided_predict(u, h, 1, 2.0, p)
+    u, h = rng.standard_normal((1, 4)), rng.standard_normal((1, 4))
+    got = reverse_step(u, h, _null(p), 1, 2.0, np.zeros(4), s, p)
+    pred = 3.0 * denoise(u, h, 1, p).data - 2.0 * denoise(u, _null(p), 1, p).data
     assert np.allclose(got, pred, atol=1e-12)
 
 
@@ -203,7 +220,7 @@ def test_straight_line_denoiser_reevaluation(tiny_params):
     u = np.array([1.0, 2.0, -1.0, 0.5])
     for t in (1, 3, 5):
         c0, ct, var = posterior_mean_coeffs(s, t)
-        got = reverse_step(u, None, t, 0.0, np.zeros(4), s, p)
+        got = reverse_step(u[None, :], _null(p), _null(p), t, 0.0, np.zeros(4), s, p)[0]
         want = c0 * np.array([0.3, -0.1, 0.0, 0.7]) + ct * u
         assert np.allclose(got, want, atol=1e-12)
 
@@ -239,10 +256,10 @@ def test_reverse_step_arrays_match_tensor_inputs(variant, ablation, t_prime, ome
     s = build_schedule(5, 0.5, 0.1, 10.0)
     u = rng.standard_normal(4).astype(np.float32)
     h = rng.standard_normal(4).astype(np.float32)
-    x = pipe.inference_init(u, h)
-    cond = h if pipe.guided else None
+    x = pipe.inference_init(u, h)[None, :]
+    null = _null(p)
+    cond = h[None, :] if pipe.guided else null
     omega = omega if pipe.guided else 0.0
-    null = p["null_token"].data.reshape((1, 4)) * np.ones((1, 1), dtype=np.float32)
 
     def graph_predict(rows, c, t):
         on_arrays = denoise(rows, c, t, p)
@@ -252,17 +269,16 @@ def test_reverse_step_arrays_match_tensor_inputs(variant, ablation, t_prime, ome
         return on_graph
 
     for t in range(t_prime, 0, -1):
-        z = rng.standard_normal(x.shape[0]) if t > 1 else np.zeros(x.shape[0])
-        got = reverse_step(x, cond, t, omega, z, s, p)
-        rows = x[None, :]
-        if cond is None or omega == 0.0:
-            pred = graph_predict(rows, null if cond is None else cond[None, :], t)
+        z = rng.standard_normal(x.shape[1]) if t > 1 else np.zeros(x.shape[1])
+        got = reverse_step(x, cond, null, t, omega, z, s, p)
+        if omega == 0.0:
+            pred = graph_predict(x, cond, t)
         else:
-            pred = (1.0 + omega) * graph_predict(rows, cond[None, :], t) \
-                - omega * graph_predict(rows, null, t)
+            pred = (1.0 + omega) * graph_predict(x, cond, t) \
+                - omega * graph_predict(x, null, t)
         c0, ct, var = posterior_mean_coeffs(s, t)
-        want = c0 * pred + ct * Tensor(rows) + math.sqrt(var) * z
+        want = c0 * pred + ct * Tensor(x) + math.sqrt(var) * z
         assert isinstance(got, np.ndarray)
         assert got.dtype == want.data.dtype == np.float64
-        assert got.tobytes() == want.data[0].tobytes()
+        assert got.tobytes() == want.data.tobytes()
         x = got

@@ -8,7 +8,7 @@ import pytest
 from prefdiff.autodiff import Tensor
 from prefdiff.data import (build_histories, held_out_ratings, split_cold_start,
                            user_universe)
-from prefdiff.diffusion import guided_predict
+from prefdiff.diffusion import denoise
 from prefdiff.encoder import encode_history
 from prefdiff.errors import ConfigurationError, DataError
 from prefdiff.evaluate import (EvalReport, evaluate, infer_user,
@@ -29,7 +29,8 @@ def sched():
 def test_zero_steps_returns_input_bitwise(tiny_params, sched):
     u = make_rng(1, 0).standard_normal(4)
     h = make_rng(1, 1).standard_normal(4)
-    out = infer_user(u, h, tiny_cfg(omega=2.0, t_prime=0), sched, tiny_params)
+    out = infer_user(u, h, tiny_cfg(omega=2.0, t_prime=0), sched, tiny_params,
+                     make_rng(0, 0))
     assert out.tobytes() == u.tobytes()
     out[0] = 42.0
     assert u[0] != 42.0  # a copy, not a view
@@ -40,9 +41,11 @@ def test_single_step_matches_hand_rollout(tiny_params, sched):
     u = make_rng(2, 0).standard_normal(4)
     h = make_rng(2, 1).standard_normal(4)
     cfg = tiny_cfg(omega=1.5, t_prime=1, seed=0)
-    got = infer_user(u, h, cfg, sched, tiny_params, rng=make_rng(0, 0))
+    got = infer_user(u, h, cfg, sched, tiny_params, make_rng(0, 0))
     c0, ct, var = posterior_mean_coeffs(sched, 1)
-    pred = guided_predict(u, h, 1, 1.5, tiny_params)
+    null = tiny_params["null_token"].data[None, :]
+    pred = 2.5 * denoise(u[None, :], h[None, :], 1, tiny_params).data[0] \
+        - 1.5 * denoise(u[None, :], null, 1, tiny_params).data[0]
     assert var == 0.0
     assert np.allclose(got, c0 * pred + ct * u, atol=1e-12)
 
@@ -51,16 +54,17 @@ def test_rollout_deterministic_given_rng_key(tiny_params, sched):
     u = make_rng(3, 0).standard_normal(4)
     h = make_rng(3, 1).standard_normal(4)
     cfg = tiny_cfg(omega=1.0, t_prime=5, seed=9)
-    a = infer_user(u, h, cfg, sched, tiny_params, rng=make_rng(9, 4))
-    b = infer_user(u, h, cfg, sched, tiny_params, rng=make_rng(9, 4))
-    c = infer_user(u, h, cfg, sched, tiny_params, rng=make_rng(9, 5))
+    a = infer_user(u, h, cfg, sched, tiny_params, make_rng(9, 4))
+    b = infer_user(u, h, cfg, sched, tiny_params, make_rng(9, 4))
+    c = infer_user(u, h, cfg, sched, tiny_params, make_rng(9, 5))
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
 
 def test_t_prime_out_of_range(tiny_params, sched):
     with pytest.raises(ConfigurationError):
-        infer_user(np.zeros(4), None, tiny_cfg(t_prime=6), sched, tiny_params)
+        infer_user(np.zeros(4), None, tiny_cfg(t_prime=6), sched, tiny_params,
+                   make_rng(0, 0))
 
 
 def test_report_from_errors_values():
@@ -194,9 +198,9 @@ def test_every_pipeline_at_every_t_prime(variant, ablation, t_prime):
         items = table[row_of[uid], :lengths[row_of[uid]]]
         h = encode_history(params["item_emb_src"].data[items], params)
         x = pipe.inference_init(u, h)
-        assert np.array_equal(infer_user(u, h, cfg, s, params), x)
+        assert np.array_equal(infer_user(u, h, cfg, s, params, make_rng(0, 0)), x)
         emb = pipe.score_embedding(Tensor(x) if pipe.uses_diffusion else None,
-                                   Tensor(h), Tensor(u), params).data
+                                   h, u, params).data
         v = params["item_emb_tgt"].data[tgt.item[k]]
         errors.append(_dot64(emb, v) - tgt.rating[k])
     assert rep.mae == pytest.approx(report_from_errors(np.asarray(errors)).mae,
