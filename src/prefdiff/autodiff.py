@@ -313,14 +313,19 @@ def gather(table, indices) -> Tensor:
     return _make(data, (table,), backward)
 
 
+def softmax_values(x: np.ndarray, axis: int = -1) -> np.ndarray:
+    """The numbers of :func:`softmax`, on a plain array."""
+    m = x.max(axis=axis, keepdims=True)
+    e = np.exp(x - np.where(np.isfinite(m), m, 0.0))
+    s = e.sum(axis=axis, keepdims=True)
+    return np.divide(e, s, out=np.zeros_like(e), where=s > 0.0)
+
+
 def softmax(a, axis: int = -1) -> Tensor:
     """Softmax along `axis`; -inf entries map to exactly zero weight, and a
     slice that is entirely -inf maps to all-zero weights."""
     a = as_tensor(a)
-    m = a.data.max(axis=axis, keepdims=True)
-    e = np.exp(a.data - np.where(np.isfinite(m), m, 0.0))
-    s = e.sum(axis=axis, keepdims=True)
-    data = np.divide(e, s, out=np.zeros_like(e), where=s > 0.0)
+    data = softmax_values(a.data, axis)
 
     def backward(g):
         dot = (g * data).sum(axis=axis, keepdims=True)

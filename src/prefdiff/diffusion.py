@@ -41,18 +41,22 @@ def denoise(x_t, cond, t, params: ModelParams) -> Tensor:
     x_t: (B, state_dim); cond: (B, d1); t: int or (B,) ints. Tanh hidden
     layers, linear output. With a Tensor among x_t and cond the forward
     builds the autodiff graph (training); with arrays it runs on the
-    parameter arrays and returns a Tensor leaf without a graph.
+    parameter arrays, cast once to the input's dtype
+    (`ModelParams.denoiser_layers`), and returns a Tensor leaf without a
+    graph.
     """
     graph = isinstance(x_t, Tensor) or isinstance(cond, Tensor)
     cat, tanh = (ad.concat, ad.tanh) if graph else (np.concatenate, np.tanh)
     step = params.step_embedding(t)
     if step.ndim == 1:
-        step = np.repeat(step[None, :], x_t.shape[0], axis=0)
+        # the method: at B = 1, np.repeat's wrapper costs more than a matmul
+        step = step[None, :].repeat(x_t.shape[0], axis=0)
     x = cat([x_t, cond, step], axis=-1)
     n_layers = params.meta.cfg.mlp_layers
-    for layer in range(n_layers):
-        w, b = params[f"den_w{layer}"], params[f"den_b{layer}"]
-        x = x @ (w if graph else w.data) + (b if graph else b.data)
+    layers = [(params[f"den_w{layer}"], params[f"den_b{layer}"]) for layer in range(n_layers)] \
+        if graph else params.denoiser_layers(x.dtype)
+    for layer, (w, b) in enumerate(layers):
+        x = x @ w + b
         if layer < n_layers - 1:
             x = tanh(x)
     return x if graph else Tensor(x)

@@ -1,5 +1,10 @@
 """Preference encoder: pre-norm Transformer layers over a user's source
 history followed by average pooling, producing the guidance signal.
+
+One body serves both modes, as `diffusion.denoise` does: given graph
+Tensors (training) it builds the autodiff graph, and given plain arrays
+(inference) it runs the same operations, in the same order, on the parameter
+arrays, so both modes give the same bits.
 """
 from __future__ import annotations
 
@@ -10,68 +15,88 @@ from .autodiff import Tensor
 from .errors import DataError
 from .params import ModelParams
 
+# A float64 0-d array, not a Python float: under dtype = float32 it promotes
+# `var + _EPS`, and with it the encoder, to float64 in both modes, as the
+# graph's `var + 1e-5` always did (`as_tensor` makes a float64 0-d array of
+# a Python float). Keeping float32 end to end starts here.
+_EPS = np.asarray(1e-5)
 
-def layer_norm(x, gain, bias, eps: float = 1e-5):
-    mu = x.mean(axis=-1, keepdims=True)
+
+def layer_norm(x, gain, bias):
+    inv_d = 1.0 / x.shape[-1]
+    mu = x.sum(axis=-1, keepdims=True) * inv_d
     centered = x - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    return centered * (var + eps) ** -0.5 * gain + bias
+    var = (centered * centered).sum(axis=-1, keepdims=True) * inv_d
+    return centered * (var + _EPS) ** -0.5 * gain + bias
 
 
-def _split_heads(x: Tensor, n_heads: int) -> Tensor:
+def _split_heads(x, n_heads: int):
     b, l, d = x.shape
     return x.reshape((b, l, n_heads, d // n_heads)).transpose((0, 2, 1, 3))
 
 
-def _merge_heads(x: Tensor) -> Tensor:
+def _merge_heads(x):
     b, h, l, dh = x.shape
     return x.transpose((0, 2, 1, 3)).reshape((b, l, h * dh))
 
 
-def _attention(x: Tensor, mask: np.ndarray, layer: int, params: ModelParams) -> Tensor:
-    p = f"enc{layer}_"
-    n_heads = params.meta.cfg.n_heads
-    dh = params.meta.cfg.d1 // n_heads
-    q = _split_heads(x @ params[p + "wq"], n_heads)
-    k = _split_heads(x @ params[p + "wk"], n_heads)
-    v = _split_heads(x @ params[p + "wv"], n_heads)
+def _attention(x, mask: np.ndarray, p, n_heads: int):
+    """Masked multi-head self-attention; `p` maps a weight's name suffix to
+    the layer's weight."""
+    dh = x.shape[-1] // n_heads
+    q = _split_heads(x @ p("wq"), n_heads)
+    k = _split_heads(x @ p("wk"), n_heads)
+    v = _split_heads(x @ p("wv"), n_heads)
     scores = (q @ k.transpose((0, 1, 3, 2))) * (dh ** -0.5)
     # zero attention onto padded key positions, exactly
     key_mask = mask[:, None, None, :]
-    scores = ad.masked_fill(scores, key_mask, -np.inf)
-    weights = ad.softmax(scores, axis=-1)
-    return _merge_heads(weights @ v) @ params[p + "wo"]
+    if isinstance(scores, Tensor):
+        weights = ad.softmax(ad.masked_fill(scores, key_mask, -np.inf), axis=-1)
+    else:
+        weights = ad.softmax_values(np.where(key_mask, scores, -np.inf), axis=-1)
+    return _merge_heads(weights @ v) @ p("wo")
 
 
-def encoder_forward(x: Tensor, mask: np.ndarray, params: ModelParams) -> Tensor:
-    """Apply the Transformer stack to x of shape (batch, length, d1).
+def encoder_forward(x, mask: np.ndarray, params: ModelParams):
+    """Apply the Transformer stack to x of shape (batch, length, d1), a graph
+    Tensor or an array; the result is of the same kind.
 
     `mask` flags real (non-padded) positions. Padded positions never receive
     attention weight and never enter the pooled output.
     """
-    for layer in range(params.meta.cfg.enc_layers):
-        p = f"enc{layer}_"
-        a = layer_norm(x, params[p + "ln1_g"], params[p + "ln1_b"])
-        x = x + _attention(a, mask, layer, params)
-        b = layer_norm(x, params[p + "ln2_g"], params[p + "ln2_b"])
-        ff = ad.tanh(b @ params[p + "ff_w1"] + params[p + "ff_b1"]) @ params[p + "ff_w2"] + params[p + "ff_b2"]
+    graph = isinstance(x, Tensor)
+    tanh = ad.tanh if graph else np.tanh
+    cfg = params.meta.cfg
+    for layer in range(cfg.enc_layers):
+        prefix = f"enc{layer}_"
+
+        def p(name):
+            weight = params[prefix + name]
+            return weight if graph else weight.data
+
+        a = layer_norm(x, p("ln1_g"), p("ln1_b"))
+        x = x + _attention(a, mask, p, cfg.n_heads)
+        b = layer_norm(x, p("ln2_g"), p("ln2_b"))
+        ff = tanh(b @ p("ff_w1") + p("ff_b1")) @ p("ff_w2") + p("ff_b2")
         x = x + ff
     return x
 
 
-def masked_mean_pool(x: Tensor, mask: np.ndarray) -> Tensor:
+def masked_mean_pool(x, mask: np.ndarray):
     """Batched average pooling over unmasked positions, (B, L, d) -> (B, d)."""
     counts = mask.sum(axis=1)
     if np.any(counts == 0):
         raise DataError("empty history in batch")
-    weights = (mask / counts[:, None]).astype(x.data.dtype)
+    dtype = (x.data if isinstance(x, Tensor) else x).dtype
+    weights = (mask / counts[:, None]).astype(dtype)
     return (x * weights[:, :, None]).sum(axis=1)
 
 
-def encode_batch(item_vectors: Tensor, mask: np.ndarray, params: ModelParams) -> Tensor:
+def encode_batch(item_vectors, mask: np.ndarray, params: ModelParams):
     """Guidance signals for a batch of padded histories.
 
-    item_vectors: (B, L, d1) source-item embeddings; mask: (B, L) booleans.
+    item_vectors: (B, L, d1) source-item embeddings, a graph Tensor or an
+    array; mask: (B, L) booleans. The result is of the kind of item_vectors.
     Under the encoder-removal ablation (`ablation = no_tf` in the model's
     config) the raw item embeddings are pooled directly.
     """
@@ -82,16 +107,18 @@ def encode_batch(item_vectors: Tensor, mask: np.ndarray, params: ModelParams) ->
     max_len = params.meta.cfg.max_history_len
     if length > max_len:
         raise DataError(f"history length {length} exceeds max_history_len {max_len}")
-    x = item_vectors + ad.gather(params["pos_emb"], np.arange(length))
-    x = encoder_forward(x, mask, params)
+    if isinstance(item_vectors, Tensor):
+        pos = ad.gather(params["pos_emb"], np.arange(length))
+    else:
+        pos = params["pos_emb"].data[:length]
+    x = encoder_forward(item_vectors + pos, mask, params)
     return masked_mean_pool(x, mask)
 
 
 def encode_history(item_vectors: np.ndarray, params: ModelParams) -> np.ndarray:
     """The d1 guidance signal of one history, (L, d1) item embeddings in
-    chronological order, through :func:`encode_batch`."""
+    chronological order, through :func:`encode_batch` on arrays."""
     vecs = np.asarray(item_vectors)
     if vecs.shape[0] == 0:
         raise DataError("empty history")
-    out = encode_batch(Tensor(vecs[None]), np.ones((1, vecs.shape[0]), dtype=bool), params)
-    return out.data[0]
+    return encode_batch(vecs[None], np.ones((1, vecs.shape[0]), dtype=bool), params)[0]

@@ -46,11 +46,12 @@ def infer_user(u_init: np.ndarray, h, cfg: RunConfig, s: Schedule,
     Applies cfg's t_prime reverse steps (noise-free at t=1) to that state;
     t_prime = 0 returns it unchanged. The state holds the user's `user_emb`
     row, which for a cold-start user is never gathered in training and so
-    is still its initialization draw. rng gives one `standard_normal` draw
-    of the state's width per noisy step. The steps run on plain arrays,
-    without an autodiff graph. The noise z is float64, so the state is
-    float64 from the first step on, and later denoiser matmuls are float64
-    state times model-dtype weights.
+    is still its initialization draw. rng gives one `standard_normal` block
+    of T'-1 rows of the state's width, row k the noise of the k-th step
+    (the same numbers as one draw per noisy step). The steps run on plain
+    arrays, without an autodiff graph. The noise z is float64, so the state
+    is float64 from the first step on, and later denoiser matmuls run in
+    float64.
     """
     t_prime = cfg.resolved_t_prime()
     if not 0 <= t_prime <= s.T:
@@ -60,8 +61,9 @@ def infer_user(u_init: np.ndarray, h, cfg: RunConfig, s: Schedule,
     null = params["null_token"].data[None, :]
     cond = h[None, :] if pipeline.guided else null
     omega = cfg.omega if pipeline.guided else 0.0
-    for t in range(t_prime, 0, -1):
-        z = rng.standard_normal(x.shape[1]) if t > 1 else np.zeros(x.shape[1])
+    noise = rng.standard_normal((max(t_prime - 1, 0), x.shape[1]))
+    for k, t in enumerate(range(t_prime, 0, -1)):
+        z = noise[k] if t > 1 else np.zeros(x.shape[1])
         x = reverse_step(x, cond, null, t, omega, z, s, params)
     return x[0]
 

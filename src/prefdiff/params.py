@@ -9,6 +9,7 @@ offset). `params.bin` is one little-endian binary blob in manifest order.
 """
 from __future__ import annotations
 
+import operator
 import os
 from dataclasses import dataclass, fields, replace
 
@@ -59,9 +60,31 @@ class ModelParams:
         self.meta = meta
         cfg = meta.cfg
         self.step_table = step_embedding_table(cfg.T, cfg.d1).astype(cfg.dtype)
+        self._denoiser_names = [f"den_{kind}{layer}" for layer in range(cfg.mlp_layers)
+                                for kind in "wb"]
+        # dtype -> (the source arrays, their (w, b) pairs in that dtype)
+        self._denoiser_casts: dict[np.dtype, tuple[list, list]] = {}
 
     def __getitem__(self, name: str) -> Tensor:
         return self.arrays[name]
+
+    def denoiser_layers(self, dtype) -> list[tuple[np.ndarray, np.ndarray]]:
+        """The denoiser's (w, b) arrays, each cast to its promotion with
+        `dtype`, the dtype of the denoiser's input: `x @ w + b` then gives
+        the same bits as with the model-dtype arrays, without casting them
+        on every call. An array already of that dtype is returned itself.
+
+        The casts are made once per parameter version and rebuilt when any
+        source array is not the one they were cast from (`is`); the cache
+        holds the sources, so their ids are never reused. This relies on a
+        contract: nothing in `src/` writes a parameter array in place. An
+        update rebinds `Tensor.data` (`AdamState.update`)."""
+        sources = [self.arrays[name].data for name in self._denoiser_names]
+        cached = self._denoiser_casts.get(dtype)
+        if cached is None or any(map(operator.is_not, cached[0], sources)):
+            cast = [a.astype(np.promote_types(dtype, a.dtype), copy=False) for a in sources]
+            cached = self._denoiser_casts[dtype] = (sources, list(zip(cast[::2], cast[1::2])))
+        return cached[1]
 
     def zero_grads(self) -> None:
         for t in self.arrays.values():

@@ -7,14 +7,17 @@ import pytest
 
 from prefdiff.autodiff import Tensor
 from prefdiff.config import RunConfig, parse_config_text
+from prefdiff.data import split_cold_start, user_universe
 from prefdiff.diffusion import denoise, forward_marginal, reverse_step
 from prefdiff.errors import ConfigurationError
-from prefdiff.params import init_params
+from prefdiff.params import ModelParams, init_params
 from prefdiff.rng import make_rng
 from prefdiff.schedule import build_schedule, posterior_mean_coeffs
+from prefdiff.trainer import build_examples, new_trainer_state, train_step
 
 from conftest import forward_chain_step
 from test_evaluate import SELECTORS
+from test_trainer import tiny_cfg, toy_domains
 
 
 def test_forward_marginal_exact_values():
@@ -235,6 +238,29 @@ def test_denoise_on_arrays_returns_leaf_tensor(tiny_params):
     graph = denoise(Tensor(x), cond, 3, p)
     assert graph._backward_fn is not None
     assert out.data.tobytes() == graph.data.tobytes()
+
+
+def test_denoise_never_uses_a_stale_cast():
+    # float64 rows against float32 weights run on cached float64 casts; a
+    # training step rebinds the weight arrays, and the next call must run on
+    # the new ones, as a model built from fresh copies of them does
+    cfg = tiny_cfg(dtype="float32", batch_size=8)
+    src, tgt = toy_domains()
+    split = split_cold_start(src, tgt, 0.2, seed=1)
+    universe = user_universe(src, tgt)
+    p = init_params(cfg, len(universe), src.n_items, tgt.n_items)
+    examples = build_examples(src, tgt, split, universe, cfg.max_history_len)
+    s = build_schedule(cfg.T, cfg.eta, cfg.alpha_min, cfg.alpha_max)
+    rng = make_rng(16, 16)
+    x, cond = rng.standard_normal((3, 4)), rng.standard_normal((3, 4))
+    before = denoise(x, cond, 2, p).data
+    assert before.dtype == np.float64
+    train_step(examples, np.arange(8), p, new_trainer_state(cfg.seed), cfg, s)
+    after = denoise(x, cond, 2, p).data
+    fresh = ModelParams({name: Tensor(t.data.copy()) for name, t in p.arrays.items()},
+                        p.meta)
+    assert after.tobytes() == denoise(x, cond, 2, fresh).data.tobytes()
+    assert after.tobytes() != before.tobytes()
 
 
 @pytest.mark.parametrize("omega", [0.0, 2.0])

@@ -163,3 +163,32 @@ def test_encoder_input_gradient(tiny_params):
     out.backward()
     numeric = central_difference(lambda: float((encode_batch(Tensor(x_np), mask, p) ** 2).sum().data), x_np)
     assert relative_error(x.grad, numeric) < 1e-6
+
+
+# (dtype, n_heads, enc_layers, ablation): the Transformer at every depth and
+# head count both dtypes, and the no_tf bypass
+ARRAY_PATH_CASES = [(dtype, heads, layers, "none") for dtype in ("float32", "float64")
+                    for heads in (1, 2, 4) for layers in range(4)] \
+    + [(dtype, 1, 1, "no_tf") for dtype in ("float32", "float64")]
+
+
+@pytest.mark.parametrize("dtype,n_heads,enc_layers,ablation", ARRAY_PATH_CASES)
+def test_array_path_equals_tensor_path_bitwise(dtype, n_heads, enc_layers, ablation):
+    # inference encodes plain arrays, training graph Tensors: one body, so
+    # the same bytes and dtype, float32's float64 promotion included
+    from prefdiff.config import RunConfig
+    from prefdiff.params import init_params
+    p = init_params(RunConfig(d1=8, seed=2, hidden=8, enc_layers=enc_layers,
+                              n_heads=n_heads, max_history_len=5, T=3,
+                              ablation=ablation, dtype=dtype), 3, 4, 4)
+    rng = make_rng(23, enc_layers)
+    for name in p.arrays:  # gains, biases and the null token start at one or zero
+        p[name].data[...] += rng.uniform(-0.3, 0.3, size=p[name].shape)
+    x = rng.standard_normal((4, 5, 8)).astype(dtype)
+    # padded rows of every length, two of length 1
+    mask = np.arange(5) < np.array([1, 5, 3, 1])[:, None]
+    on_arrays = encode_batch(x, mask, p)
+    on_graph = encode_batch(Tensor(x, requires_grad=True), mask, p)
+    assert isinstance(on_arrays, np.ndarray) and on_graph._backward_fn is not None
+    assert on_arrays.dtype == on_graph.data.dtype
+    assert on_arrays.tobytes() == on_graph.data.tobytes()

@@ -8,12 +8,12 @@ import pytest
 from prefdiff.autodiff import Tensor
 from prefdiff.data import (build_histories, held_out_ratings, split_cold_start,
                            user_universe)
-from prefdiff.diffusion import denoise
+from prefdiff.diffusion import denoise, reverse_step
 from prefdiff.encoder import encode_history
 from prefdiff.errors import ConfigurationError, DataError
 from prefdiff.evaluate import (EvalReport, evaluate, infer_user,
                                report_from_errors)
-from prefdiff.params import ModelParams
+from prefdiff.params import ModelParams, init_params
 from prefdiff.rng import make_rng
 from prefdiff.schedule import build_schedule, posterior_mean_coeffs
 from prefdiff.trainer import train
@@ -48,6 +48,26 @@ def test_single_step_matches_hand_rollout(tiny_params, sched):
         - 1.5 * denoise(u[None, :], null, 1, tiny_params).data[0]
     assert var == 0.0
     assert np.allclose(got, c0 * pred + ct * u, atol=1e-12)
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("t_prime", [0, 1, 2, 5])
+def test_rollout_matches_stepwise_hand_rollout(sched, t_prime, dtype):
+    # the rollout's one (T'-1, d) noise block gives the numbers of one
+    # standard_normal(d) draw per noisy step, in step order
+    cfg = tiny_cfg(omega=1.5, t_prime=t_prime, dtype=dtype)
+    p = init_params(cfg, 6, 8, 9)
+    u = make_rng(4, 0).standard_normal(4).astype(dtype)
+    h = make_rng(4, 1).standard_normal(4)
+    got = infer_user(u, h, cfg, sched, p, make_rng(cfg.seed, 5))
+    rng = make_rng(cfg.seed, 5)
+    null = p["null_token"].data[None, :]
+    x = u[None, :]
+    for t in range(t_prime, 0, -1):
+        z = rng.standard_normal(4) if t > 1 else np.zeros(4)
+        x = reverse_step(x, h[None, :], null, t, 1.5, z, sched, p)
+    assert got.dtype == x.dtype
+    assert got.tobytes() == x[0].tobytes()
 
 
 def test_rollout_deterministic_given_rng_key(tiny_params, sched):

@@ -1,15 +1,16 @@
 """Print the sha256 of every file that the commands which read, train or
 evaluate write: `prefdiff ingest --out` on both input pairs,
 `prefdiff train` and `prefdiff eval --per-user` over all ten model
-selectors, `prefdiff sweep` on each of its five axes, and
-`prefdiff variant-bench`.
+selectors and the main model at float64, `prefdiff sweep` on each of its
+five axes, and `prefdiff variant-bench`.
 
     python3 tools/output_digest.py > digest.tsv
     python3 tools/output_digest.py --src ../other-checkout/src > other.tsv
     diff digest.tsv other.tsv
 
-For each selector (variants 0-6 and the ablations no_tf, no_gs, no_dm) the
-script trains once and evaluates at t_prime 0, 1 and T, each at omega 0
+For each selector (variants 0-6 and the ablations no_tf, no_gs, no_dm) at
+the default dtype float32, and for the main model (variant 0) at float64,
+the script trains once and evaluates at t_prime 0, 1 and T, each at omega 0
 and 2, on `synthetic.generate_pair(n_users=2000, n_items=300,
 ratings_per_user=10, seed=5)` with d1=16, T=50, max_history_len=10,
 1 epoch, seed 3. The sweeps and the variant bench run on a smaller pair,
@@ -20,8 +21,8 @@ T, history_len) train once per value. The commands run in-process through
 `prefdiff.cli.main` with one BLAS thread, in a temporary directory that is
 the current directory, so the configs hold relative paths; their own
 messages go to standard error. Each output line is `path<TAB>sha256` for one file of the
-directory (inputs, configs and outputs), sorted by path; identical output
-at two commits means byte-identical training and evaluation outputs.
+directory (inputs, configs and outputs), sorted by path, 277 lines in all; identical output at two commits means
+byte-identical training and evaluation outputs.
 """
 from __future__ import annotations
 
@@ -38,6 +39,9 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
 SELECTORS = [(v, "none") for v in range(7)] + [(0, a) for a in ("no_tf", "no_gs", "no_dm")]
+# (run directory, config lines): every selector at float32, the main model at float64
+RUNS = [(f"v{v}_{a}", f"variant = {v}\nablation = {a}\n") for v, a in SELECTORS] \
+    + [("v0_none_float64", "variant = 0\nablation = none\ndtype = float64\n")]
 T = 50
 T_PRIMES = (0, 1, T)
 OMEGAS = (0.0, 2.0)
@@ -63,9 +67,7 @@ def run_all(work: Path) -> None:
     write_tsv(source, "source.tsv")
     write_tsv(target, "target.tsv")
     cli("ingest", "source.tsv", "target.tsv", "--out", "ingest.tsv")
-    for variant, ablation in SELECTORS:
-        run = f"v{variant}_{ablation}"
-        selector = f"variant = {variant}\nablation = {ablation}\n"
+    for run, selector in RUNS:
         Path(f"{run}.conf").write_text(BASE_CONFIG + selector)
         cli("train", "--config", f"{run}.conf", "--out", run)
         for t_prime in T_PRIMES:
