@@ -126,9 +126,7 @@ def cmd_eval(ckpt_path, config_path, seed, out, per_user):
     trained = params.meta.cfg
     _check_checkpoint(trained, cfg)
     source, target, split = _load_run(replace(cfg, seed=trained.seed))
-    s = schedule_mod.build_schedule(cfg.T, cfg.eta, cfg.alpha_min, cfg.alpha_max)
-    report = evaluate(params, s, source, target, split, cfg,
-                      collect_per_user=per_user)
+    report = evaluate(params, source, target, split, cfg, collect_per_user=per_user)
     click.echo(report.tsv(), nl=False)
     click.echo(f"MAE={report.mae:.4f} RMSE={report.rmse:.4f} over {report.n_predictions} ratings")
     if out:
@@ -200,8 +198,7 @@ def cmd_sweep(config_path, sweep_axis, sweep_values, seed, out):
         run_params = params
         if not inference_only:
             run_params, _ = train(source, target, split, cfg)
-        s = schedule_mod.build_schedule(cfg.T, cfg.eta, cfg.alpha_min, cfg.alpha_max)
-        report = evaluate(run_params, s, source, target, split, cfg)
+        report = evaluate(run_params, source, target, split, cfg)
         rows.append(f"{raw}\t{report.mae:.6f}\t{report.rmse:.6f}\t{report.n_predictions}")
     _emit_table("\n".join(rows) + "\n", out)
 
@@ -214,15 +211,13 @@ def cmd_variant_bench(config_path, seed, out):
     """Train and evaluate all six comparison wirings under one budget."""
     base = load_config(config_path, seed=seed)
     source, target, split = _load_run(base)
-    s = schedule_mod.build_schedule(base.T, base.eta, base.alpha_min, base.alpha_max)
     rows = ["variant\tmae\trmse\tn"]
     for vid in range(1, 7):
         cfg = replace(base, variant=vid, ablation="none")
         for warning in lint_pipeline(build_pipeline(vid), base.eta):
             click.echo(f"warning (variant {vid}): {warning}", err=True)
         params, _ = train(source, target, split, cfg)
-        report = evaluate(params, s, source, target, split,
-                          replace(cfg, omega=0.0))
+        report = evaluate(params, source, target, split, replace(cfg, omega=0.0))
         rows.append(f"{vid}\t{report.mae:.6f}\t{report.rmse:.6f}\t{report.n_predictions}")
     _emit_table("\n".join(rows) + "\n", out)
 

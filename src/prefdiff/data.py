@@ -7,7 +7,6 @@ are row indices into these columns or tables built from them.
 """
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, field
 from itertools import repeat
@@ -16,8 +15,6 @@ import numpy as np
 
 from .errors import DataError
 from .rng import make_rng
-
-logger = logging.getLogger(__name__)
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
@@ -62,10 +59,11 @@ class DomainData:
 
 @dataclass(frozen=True)
 class ColdStartSplit:
+    """Overlapping users split into training and cold-start test users;
+    neither set is empty. Every user is in both domains, so each has at
+    least one source rating (a history to encode) and one target rating."""
     overlap_train: frozenset[str]
     cold_start_test: frozenset[str]
-    fraction: float
-    seed: int
 
 
 def _codes(ids) -> tuple[tuple[str, ...], dict[str, int], np.ndarray]:
@@ -173,19 +171,23 @@ def overlapping_users(source: DomainData, target: DomainData) -> list[str]:
 def split_cold_start(source: DomainData, target: DomainData,
                      fraction: float, seed: int) -> ColdStartSplit:
     """Hold out `round(fraction * |overlap|)` overlapping users as cold-start
-    test users; the rest train. Deterministic given the seed."""
+    test users; the rest train. Deterministic given the seed. A split that
+    would leave either side empty raises a DataError."""
     if not 0.0 < fraction < 1.0:
         raise DataError(f"fraction must be in (0, 1), got {fraction}")
     overlap = sorted(overlapping_users(source, target))
     if not overlap:
         raise DataError("no overlapping users between the two domains")
-    n_test = int(math.floor(fraction * len(overlap) + 0.5))
+    n = len(overlap)
+    n_test = int(math.floor(fraction * n + 0.5))
+    if not 1 <= n_test <= n - 1:
+        raise DataError(f"fraction {fraction} holds out {n_test} of {n} overlapping "
+                        f"users; a split needs 1..{n - 1} test users")
     rng = make_rng(seed, 0x5711)
-    perm = rng.permutation(len(overlap))
+    perm = rng.permutation(n)
     test = frozenset(overlap[i] for i in perm[:n_test])
     train = frozenset(u for u in overlap if u not in test)
-    return ColdStartSplit(overlap_train=train, cold_start_test=test,
-                          fraction=fraction, seed=seed)
+    return ColdStartSplit(overlap_train=train, cold_start_test=test)
 
 
 def build_histories(source: DomainData, users, max_len: int):
@@ -257,13 +259,3 @@ def user_universe(source: DomainData, target: DomainData) -> dict[str, int]:
         universe.setdefault(u, len(universe))
     return universe
 
-
-def users_with_history(domain: DomainData, users) -> list[str]:
-    """Filter to users with at least one source interaction; logs the count
-    of excluded users (the encoder is undefined on empty input)."""
-    users = list(users)
-    kept = [u for u in users if u in domain.user_index]
-    dropped = len(users) - len(kept)
-    if dropped:
-        logger.info("excluded %d users with empty source history", dropped)
-    return kept

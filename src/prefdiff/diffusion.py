@@ -63,8 +63,9 @@ def denoise(x_t, cond, t, params: ModelParams) -> Tensor:
 
 
 def reverse_step(x: np.ndarray, cond: np.ndarray, uncond: np.ndarray, t: int,
-                 omega: float, z, s: Schedule, params: ModelParams) -> np.ndarray:
-    """One reverse transition x_t -> x_{t-1} of the (B, d) state rows x.
+                 omega: float, z, params: ModelParams) -> np.ndarray:
+    """One reverse transition x_t -> x_{t-1} of the (B, d) state rows x,
+    under the model's own schedule.
 
     cond holds the (B, d1) condition rows and uncond the null-token rows.
     The guided prediction is (1+omega)*conditional - omega*unconditional;
@@ -72,7 +73,7 @@ def reverse_step(x: np.ndarray, cond: np.ndarray, uncond: np.ndarray, t: int,
     conditional prediction. Caller supplies z ~ N(0, I) for t > 1 and
     z = 0 at t = 1.
     """
-    coef_u0, coef_ut, variance = posterior_mean_coeffs(s, t)
+    coef_u0, coef_ut, variance = posterior_mean_coeffs(params.schedule, t)
     pred = denoise(x, cond, t, params).data
     if omega > 0:
         pred = (1.0 + omega) * pred - omega * denoise(x, uncond, t, params).data

@@ -7,7 +7,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import data as data_mod
-from .autodiff import Tensor
 from .config import RunConfig
 from .data import ColdStartSplit, DomainData
 from .diffusion import reverse_step
@@ -15,7 +14,6 @@ from .encoder import encode_history
 from .errors import ConfigurationError, DataError
 from .params import ModelParams
 from .rng import make_rng
-from .schedule import Schedule
 
 
 @dataclass(frozen=True)
@@ -39,23 +37,24 @@ class EvalReport:
         return "\n".join(lines) + "\n"
 
 
-def infer_user(u_init: np.ndarray, h, cfg: RunConfig, s: Schedule,
-               params: ModelParams, rng: np.random.Generator) -> np.ndarray:
+def infer_user(u_init: np.ndarray, h, cfg: RunConfig, params: ModelParams,
+               rng: np.random.Generator) -> np.ndarray:
     """Guided reverse rollout from the initial state of the model's wiring.
 
-    Applies cfg's t_prime reverse steps (noise-free at t=1) to that state;
-    t_prime = 0 returns it unchanged. The state holds the user's `user_emb`
-    row, which for a cold-start user is never gathered in training and so
-    is still its initialization draw. rng gives one `standard_normal` block
-    of T'-1 rows of the state's width, row k the noise of the k-th step
-    (the same numbers as one draw per noisy step). The steps run on plain
-    arrays, without an autodiff graph. The noise z is float64, so the state
-    is float64 from the first step on, and later denoiser matmuls run in
+    Applies cfg's t_prime reverse steps (noise-free at t=1) to that state,
+    at cfg's omega, under the model's schedule; t_prime = 0 returns it
+    unchanged. The state holds the user's `user_emb` row, which for a
+    cold-start user is never gathered in training and so is still its
+    initialization draw. rng gives one `standard_normal` block of T'-1
+    rows of the state's width, row k the noise of the k-th step (the same
+    numbers as one draw per noisy step). The steps run on plain arrays,
+    without an autodiff graph. The noise z is float64, so the state is
+    float64 from the first step on, and later denoiser matmuls run in
     float64.
     """
     t_prime = cfg.resolved_t_prime()
-    if not 0 <= t_prime <= s.T:
-        raise ConfigurationError(f"t_prime={t_prime} outside 0..{s.T}")
+    if not 0 <= t_prime <= params.schedule.T:
+        raise ConfigurationError(f"t_prime={t_prime} outside 0..{params.schedule.T}")
     pipeline = params.meta.pipeline
     x = pipeline.inference_init(u_init, h)[None, :]
     null = params["null_token"].data[None, :]
@@ -64,7 +63,7 @@ def infer_user(u_init: np.ndarray, h, cfg: RunConfig, s: Schedule,
     noise = rng.standard_normal((max(t_prime - 1, 0), x.shape[1]))
     for k, t in enumerate(range(t_prime, 0, -1)):
         z = noise[k] if t > 1 else np.zeros(x.shape[1])
-        x = reverse_step(x, cond, null, t, omega, z, s, params)
+        x = reverse_step(x, cond, null, t, omega, z, params)
     return x[0]
 
 
@@ -78,11 +77,12 @@ def report_from_errors(errors: np.ndarray,
                       per_user=per_user)
 
 
-def evaluate(params: ModelParams, s: Schedule, source: DomainData,
-             target: DomainData, split: ColdStartSplit, cfg: RunConfig,
+def evaluate(params: ModelParams, source: DomainData, target: DomainData,
+             split: ColdStartSplit, cfg: RunConfig,
              collect_per_user: bool = False) -> EvalReport:
     """Score every held-out target rating of every cold-start test user,
-    under the wiring the parameters were trained with.
+    under the config, schedule and wiring the parameters were trained with.
+    From cfg it reads only omega, t_prime (-1: cfg.T) and seed.
 
     Per-user noise streams are keyed by (seed, global user index) so the
     report is independent of evaluation order. A rating's prediction is the
@@ -91,9 +91,9 @@ def evaluate(params: ModelParams, s: Schedule, source: DomainData,
     """
     pipeline = params.meta.pipeline
     universe = data_mod.user_universe(source, target)
-    test_users = data_mod.users_with_history(source, sorted(split.cold_start_test))
-    histories, lengths, row_of = data_mod.build_histories(
-        source, test_users, cfg.max_history_len)
+    test_users = sorted(split.cold_start_test)
+    histories, lengths, _ = data_mod.build_histories(
+        source, test_users, params.meta.cfg.max_history_len)
     # held-out rows grouped by target user, each group in row order
     rows = data_mod.held_out_ratings(target, split)
     rows = rows[np.argsort(target.user[rows], kind="stable")]
@@ -102,19 +102,16 @@ def evaluate(params: ModelParams, s: Schedule, source: DomainData,
     errors: list[np.ndarray] = []
     per_user: dict[str, tuple[float, float, int]] = {}
     tgt_emb = params["item_emb_tgt"].data
-    for uid in test_users:
+    for k, uid in enumerate(test_users):    # every test user has history row k
         code = target.user_index[uid]
         user_rows = rows[ends[code] - counts[code]:ends[code]]
-        if not user_rows.size:
-            continue
-        k = row_of[uid]
         item_vecs = params["item_emb_src"].data[histories[k, :lengths[k]]]
         h = encode_history(item_vecs, params) if pipeline.uses_history else None
         u_idx = universe[uid]
         u_init = params["user_emb"].data[u_idx]
-        x0 = Tensor(infer_user(u_init, h, cfg, s, params, make_rng(cfg.seed, u_idx))) \
+        x0 = infer_user(u_init, h, cfg, params, make_rng(cfg.seed, u_idx)) \
             if pipeline.uses_diffusion else None
-        emb = pipeline.score_embedding(x0, h, u_init, params).data
+        emb = pipeline.score_embedding(x0, h, u_init, params)
         item_rows = tgt_emb[target.item[user_rows]]
         # np.vecdot is bitwise np.dot per row; V @ e would round differently
         ue = np.vecdot(emb.astype(np.float64), item_rows.astype(np.float64)) \
@@ -123,5 +120,4 @@ def evaluate(params: ModelParams, s: Schedule, source: DomainData,
         if collect_per_user:
             per_user[uid] = (float(np.mean(np.abs(ue))),
                              float(math.sqrt(np.mean(ue ** 2))), ue.size)
-    return report_from_errors(np.concatenate(errors) if errors else np.array([]),
-                              per_user if collect_per_user else None)
+    return report_from_errors(np.concatenate(errors), per_user if collect_per_user else None)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import operator
 import os
 from dataclasses import dataclass, fields, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -19,6 +20,7 @@ from .autodiff import Tensor
 from .config import RunConfig, normalized_text, parse_config_text
 from .errors import CheckpointError, ConfigurationError
 from .rng import make_rng
+from .schedule import build_schedule
 from .variants import Pipeline, build_pipeline
 
 MANIFEST_NAME = "manifest.tsv"
@@ -38,7 +40,7 @@ class ModelMeta:
     n_items_src: int
     n_items_tgt: int
 
-    @property
+    @cached_property
     def pipeline(self) -> Pipeline:
         return build_pipeline(self.cfg.variant, self.cfg.ablation)
 
@@ -53,12 +55,14 @@ class ModelMeta:
 
 
 class ModelParams:
-    """Named parameter arrays plus metadata. Arrays are autodiff leaves."""
+    """Named parameter arrays plus metadata, and the noise schedule and step
+    embeddings that the metadata's config fixes. Arrays are autodiff leaves."""
 
     def __init__(self, arrays: dict[str, Tensor], meta: ModelMeta):
         self.arrays = arrays
         self.meta = meta
         cfg = meta.cfg
+        self.schedule = build_schedule(cfg.T, cfg.eta, cfg.alpha_min, cfg.alpha_max)
         self.step_table = step_embedding_table(cfg.T, cfg.d1).astype(cfg.dtype)
         self._denoiser_names = [f"den_{kind}{layer}" for layer in range(cfg.mlp_layers)
                                 for kind in "wb"]
@@ -93,7 +97,7 @@ class ModelParams:
     def step_embedding(self, t) -> np.ndarray:
         """Fixed sinusoidal embedding for step t (int or int array, 1-based),
         in the model dtype."""
-        return self.step_table[np.asarray(t) - 1]
+        return self.step_table[t - 1]
 
 
 def step_embedding_table(T: int, d1: int) -> np.ndarray:

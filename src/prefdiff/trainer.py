@@ -16,9 +16,9 @@ from .data import ColdStartSplit, DomainData
 from .diffusion import denoise, forward_marginal
 from .encoder import encode_batch
 from .errors import DataError, TrainingError
-from .params import ModelParams, init_params
+from .params import ModelMeta, ModelParams, init_params
 from .rng import make_rng
-from .schedule import Schedule, build_schedule
+from .schedule import Schedule
 
 logger = logging.getLogger(__name__)
 
@@ -135,22 +135,22 @@ class BatchDraws:
     eps: np.ndarray        # forward noise, (B, state_dim)
 
 
-def sample_draws(rng: np.random.Generator, B: int, state_dim: int, T: int,
-                 uses_masking: bool, dtype: str) -> BatchDraws:
-    r = rng.uniform(size=B) if uses_masking else None
-    t = rng.integers(1, T + 1, size=B)
-    eps = rng.standard_normal((B, state_dim)).astype(dtype)
+def sample_draws(rng: np.random.Generator, B: int, meta: ModelMeta) -> BatchDraws:
+    """The draws of a batch of B examples for the model that `meta` describes."""
+    r = rng.uniform(size=B) if meta.pipeline.uses_masking else None
+    t = rng.integers(1, meta.cfg.T + 1, size=B)
+    eps = rng.standard_normal((B, meta.state_dim)).astype(meta.cfg.dtype)
     return BatchDraws(r=r, t=t, eps=eps)
 
 
 def compute_batch_loss(examples: Examples, rows: np.ndarray, params: ModelParams,
-                       cfg: RunConfig, s: Schedule, draws: BatchDraws):
+                       draws: BatchDraws):
     """Joint loss over the batch of examples at `rows` as an autodiff
-    scalar, plus the loss report, under the wiring the parameters were built
-    for."""
+    scalar, plus the loss report, under the config, schedule and wiring of
+    the parameters."""
     pipeline = params.meta.pipeline
-    dtype = params.meta.cfg.dtype
-    d1 = params.meta.cfg.d1
+    cfg = params.meta.cfg
+    dtype, d1 = cfg.dtype, cfg.d1
     users, hist, mask, items, ratings = _batch_arrays(examples, rows, dtype)
     B = len(rows)
 
@@ -173,13 +173,13 @@ def compute_batch_loss(examples: Examples, rows: np.ndarray, params: ModelParams
     if pipeline.uses_diffusion:
         x0 = pipeline.clean_state(u0, h)
         t = draws.t
-        x_t = forward_marginal(x0, t, draws.eps, s)
+        x_t = forward_marginal(x0, t, draws.eps, params.schedule)
         nm = pipeline.noise_mask(d1)
         if nm is not None:
             nmf = nm.astype(dtype)
             x_t = x_t * nmf + x0 * (1.0 - nmf)
         x0_hat = denoise(x_t, cond, t, params)
-        coefs = diffusion_coefficient(s, t, cfg.loss_weighting).astype(dtype)
+        coefs = diffusion_coefficient(params.schedule, t, cfg.loss_weighting).astype(dtype)
         diff = x0_hat - x0
         per_example = (diff * diff).sum(axis=1)
         l_diff = (per_example * coefs).mean()
@@ -206,21 +206,19 @@ def compute_batch_loss(examples: Examples, rows: np.ndarray, params: ModelParams
 
 
 def train_step(examples: Examples, rows: np.ndarray, params: ModelParams,
-               state: TrainerState, cfg: RunConfig, s: Schedule) -> dict:
+               state: TrainerState) -> dict:
     """One gradient update on the joint loss over the batch of examples at
     `rows`; returns the loss report. Steps t and condition masks are sampled
     per example."""
     if len(rows) == 0:
         raise DataError("empty batch")
-    meta = params.meta
-    draws = sample_draws(state.rng, len(rows), meta.state_dim, s.T,
-                         meta.pipeline.uses_masking, meta.cfg.dtype)
+    draws = sample_draws(state.rng, len(rows), params.meta)
     params.zero_grads()
-    total, report = compute_batch_loss(examples, rows, params, cfg, s, draws)
+    total, report = compute_batch_loss(examples, rows, params, draws)
     state.masked_examples += report["masked"]
     state.total_examples += report["batch"]
     total.backward()
-    state.optimizer.update(params, cfg.learning_rate)
+    state.optimizer.update(params, params.meta.cfg.learning_rate)
     params.zero_grads()
     return report
 
@@ -228,17 +226,15 @@ def train_step(examples: Examples, rows: np.ndarray, params: ModelParams,
 def build_examples(source: DomainData, target: DomainData, split: ColdStartSplit,
                    universe: dict[str, int], max_history_len: int) -> Examples:
     """One example per visible (user, target item, rating) row, in row
-    order, for train users with a non-empty source history."""
-    eligible = data_mod.users_with_history(source, sorted(split.overlap_train))
-    histories, lengths, row_of = data_mod.build_histories(source, eligible,
-                                                          max_history_len)
+    order. Every train user has a source history (`ColdStartSplit`)."""
+    histories, lengths, row_of = data_mod.build_histories(
+        source, sorted(split.overlap_train), max_history_len)
     rows = data_mod.training_ratings(target, split)
-    # per target user: the global index, and the history row (-1: none)
+    # per target user: the global index, and the history row (-1: not a train user)
     global_idx = np.fromiter(map(universe.__getitem__, target.users), np.int64,
                              count=target.n_users)
     user_hist = np.fromiter((row_of.get(u, -1) for u in target.users), np.int64,
                             count=target.n_users)
-    rows = rows[user_hist[target.user[rows]] >= 0]
     users = target.user[rows]
     return Examples(user=global_idx[users], item=target.item[rows],
                     rating=target.rating[rows], history_row=user_hist[users],
@@ -249,28 +245,23 @@ def train(source: DomainData, target: DomainData, split: ColdStartSplit,
           cfg: RunConfig) -> tuple[ModelParams, list[dict]]:
     """Run the full training loop under cfg's wiring; deterministic per
     cfg.seed. The returned parameters carry cfg in their metadata."""
-    s = build_schedule(cfg.T, cfg.eta, cfg.alpha_min, cfg.alpha_max)
     universe = data_mod.user_universe(source, target)
     params = init_params(cfg, len(universe), source.n_items, target.n_items)
     examples = build_examples(source, target, split, universe,
                               cfg.max_history_len)
     n_examples = len(examples.user)
-    if n_examples == 0 and cfg.epochs > 0:
-        raise DataError("no training examples")
     state = new_trainer_state(cfg.seed)
     history: list[dict] = []
     for epoch in range(cfg.epochs):
         order = state.rng.permutation(n_examples)
         sums = {"rec": 0.0, "diff": 0.0, "total": 0.0}
-        n_batches = 0
-        for start in range(0, n_examples, cfg.batch_size):
+        starts = range(0, n_examples, cfg.batch_size)
+        for start in starts:
             report = train_step(examples, order[start:start + cfg.batch_size],
-                                params, state, cfg, s)
+                                params, state)
             for k in sums:
                 sums[k] += report[k]
-            n_batches += 1
-        row = {"epoch": epoch + 1,
-               **{k: sums[k] / max(n_batches, 1) for k in sums}}
+        row = {"epoch": epoch + 1, **{k: sums[k] / len(starts) for k in sums}}
         history.append(row)
         logger.info("epoch %d: rec=%.5f diff=%.5f total=%.5f",
                     row["epoch"], row["rec"], row["diff"], row["total"])

@@ -79,14 +79,18 @@ class Pipeline:
         mask[:d1] = True
         return mask
 
-    def score_embedding(self, x0_hat: Tensor | None, h, u0, params) -> Tensor:
+    def score_embedding(self, x0_hat, h, u0, params) -> Tensor | np.ndarray:
         """Map the (predicted) clean state to the d1 embedding dotted with
         the target-item embedding; `params` is the model's ModelParams.
-        h and u0 may be arrays or graph Tensors."""
+        The inputs may be arrays or graph Tensors; with no Tensor among
+        them the projection runs on the parameter arrays and returns an
+        array, without a graph."""
         if not self.with_projection:
             return x0_hat
-        x = _join([{"x": x0_hat, "u": u0, "h": h}[p] for p in self.wiring.projection])
-        return x @ params["proj_w"] + params["proj_b"]
+        parts = [{"x": x0_hat, "u": u0, "h": h}[p] for p in self.wiring.projection]
+        if any(isinstance(part, Tensor) for part in parts):
+            return _join(parts) @ params["proj_w"] + params["proj_b"]
+        return np.concatenate(parts, axis=-1) @ params["proj_w"].data + params["proj_b"].data
 
     def inference_init(self, u_init: np.ndarray, h: np.ndarray | None) -> np.ndarray:
         """Initial reverse-process state for a cold-start user, built from

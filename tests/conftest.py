@@ -1,10 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from prefdiff.config import RunConfig
-from prefdiff.params import init_params
+from prefdiff.params import ModelParams, init_params
 
 
 @pytest.fixture
@@ -13,6 +14,12 @@ def tiny_params():
     return init_params(RunConfig(d1=4, seed=11, init_scale=0.3, hidden=8,
                                  mlp_layers=3, enc_layers=2, n_heads=1,
                                  max_history_len=5, T=5, dtype="float64"), 6, 8, 9)
+
+
+def with_cfg(params, **settings) -> ModelParams:
+    """The same parameter arrays (shared, not copied) under a config with
+    `settings` replaced: one parameter set at several training settings."""
+    return ModelParams(params.arrays, replace(params.meta, cfg=replace(params.meta.cfg, **settings)))
 
 
 def central_difference(fn, arr: np.ndarray, step: float = 1e-5) -> np.ndarray:

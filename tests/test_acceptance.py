@@ -25,7 +25,7 @@ from prefdiff.synthetic import generate_pair, write_tsv
 from prefdiff.trainer import (BatchDraws, build_examples, compute_batch_loss,
                               sample_draws, train)
 
-from conftest import central_difference, forward_chain_step, relative_error
+from conftest import central_difference, forward_chain_step, relative_error, with_cfg
 from test_trainer import toy_batch
 
 
@@ -123,15 +123,12 @@ def test_criterion_05_gradient_check():
     start = time.perf_counter()
     p = init_params(RunConfig(d1=4, seed=11, init_scale=0.3, hidden=8,
                               mlp_layers=3, enc_layers=2, max_history_len=5,
-                              T=5, dtype="float64"), 6, 8, 9)
-    cfg = RunConfig(batch_size=2, epochs=1, lam=0.5, T=5, eta=0.5, d1=4,
-                    max_history_len=5, seed=0, hidden=8, dtype="float64")
-    s = build_schedule(5, 0.5, 0.1, 10.0)
+                              T=5, eta=0.5, lam=0.5, dtype="float64"), 6, 8, 9)
     batch = toy_batch(p, n=2)
-    draws = sample_draws(make_rng(50, 0), 2, 4, 5, True, "float64")
+    draws = sample_draws(make_rng(50, 0), 2, p.meta)
 
     def loss():
-        total, _ = compute_batch_loss(*batch, p, cfg, s, draws)
+        total, _ = compute_batch_loss(*batch, p, draws)
         return total
 
     p.zero_grads()
@@ -154,19 +151,19 @@ def test_criterion_05_gradient_check():
 def test_criterion_06_guidance_algebra_and_masking_rate():
     start = time.perf_counter()
     model = RunConfig(d1=4, seed=2, init_scale=0.3, hidden=8, mlp_layers=2,
-                      enc_layers=1, max_history_len=4, T=5, dtype="float64")
+                      enc_layers=1, max_history_len=4, T=5, eta=0.5, dtype="float64")
     p = init_params(model, 4, 4, 4)
-    s = build_schedule(5, 0.5, 0.1, 10.0)
+    s = p.schedule
     rng = make_rng(60, 0)
     u, h, z = (rng.standard_normal((1, 4)) for _ in range(3))
     # omega = 0 is bitwise the step on the conditional prediction
     c0, ct, var = posterior_mean_coeffs(s, 3)
     want = c0 * denoise(u, h, 3, p).data + ct * u + math.sqrt(var) * z
     null = p["null_token"].data[None, :]
-    ok = reverse_step(u, h, null, 3, 0.0, z, s, p).tobytes() == want.tobytes()
+    ok = reverse_step(u, h, null, 3, 0.0, z, p).tobytes() == want.tobytes()
     # no condition ignores omega: an unguided rollout is the same at 4 and 0
     p1 = init_params(replace(model, variant=1), 4, 4, 4)
-    rollouts = [infer_user(u[0], None, RunConfig(omega=omega, t_prime=5), s, p1,
+    rollouts = [infer_user(u[0], None, RunConfig(omega=omega, t_prime=5), p1,
                            make_rng(60, 1)) for omega in (4.0, 0.0)]
     ok &= rollouts[0].tobytes() == rollouts[1].tobytes()
     n, p_uncond = 100_000, 0.1
@@ -175,9 +172,7 @@ def test_criterion_06_guidance_algebra_and_masking_rate():
     head = 1000
     examples, rows = toy_batch(p, n=8)
     _, report = compute_batch_loss(
-        examples, np.tile(rows, head // 8), p,
-        RunConfig(p_uncond=p_uncond, T=5, dtype="float64"),
-        build_schedule(5, 0.5, 0.1, 10.0),
+        examples, np.tile(rows, head // 8), with_cfg(p, p_uncond=p_uncond),
         BatchDraws(r=draws[:head], t=np.full(head, 3), eps=np.zeros((head, 4))))
     dropped = report["masked"] + int(np.sum(draws[head:] < p_uncond))
     assert dropped == int(np.sum(draws < p_uncond))
@@ -193,14 +188,13 @@ def test_criterion_07_inference_step_identities():
     start = time.perf_counter()
     p = init_params(RunConfig(d1=4, seed=5, init_scale=0.3, hidden=8,
                               mlp_layers=2, enc_layers=1, max_history_len=4,
-                              T=5, dtype="float64"), 4, 4, 4)
-    s = build_schedule(5, 0.5, 0.1, 10.0)
+                              T=5, eta=0.5, dtype="float64"), 4, 4, 4)
     rng = make_rng(70, 0)
     u, h = rng.standard_normal(4), rng.standard_normal(4)
-    out0 = infer_user(u, h, RunConfig(omega=2.0, t_prime=0), s, p, make_rng(0, 0))
+    out0 = infer_user(u, h, RunConfig(omega=2.0, t_prime=0), p, make_rng(0, 0))
     ok = out0.tobytes() == u.tobytes()
-    out1 = infer_user(u, h, RunConfig(omega=2.0, t_prime=1), s, p, make_rng(0, 0))
-    c0, ct, var = posterior_mean_coeffs(s, 1)
+    out1 = infer_user(u, h, RunConfig(omega=2.0, t_prime=1), p, make_rng(0, 0))
+    c0, ct, var = posterior_mean_coeffs(p.schedule, 1)
     null = p["null_token"].data[None, :]
     pred = 3.0 * denoise(u[None, :], h[None, :], 1, p).data[0] \
         - 2.0 * denoise(u[None, :], null, 1, p).data[0]
@@ -224,14 +218,13 @@ def test_criterion_08_synthetic_directional(tmp_path):
                         max_history_len=10, seed=seed, hidden=64,
                         mlp_layers=3, enc_layers=2, dtype="float32",
                         omega=2.0, t_prime=50)
-        s = build_schedule(cfg.T, cfg.eta, cfg.alpha_min, cfg.alpha_max)
         for variant, sink in ((0, main_maes), (1, v1_maes)):
             run_cfg = replace(cfg, variant=variant)
             params, _ = train(src, tgt, split, run_cfg)
-            rep = evaluate(params, s, src, tgt, split, run_cfg)
+            rep = evaluate(params, src, tgt, split, run_cfg)
             sink.append(rep.mae)
         untrained, _ = train(src, tgt, split, replace(cfg, epochs=0))
-        rep0 = evaluate(untrained, s, src, tgt, split, cfg)
+        rep0 = evaluate(untrained, src, tgt, split, cfg)
         init_maes.append(rep0.mae)
     m, v, i = (statistics.median(x) for x in (main_maes, v1_maes, init_maes))
     gap_v1 = (v - m) / v

@@ -1,7 +1,7 @@
 """Every function and method defined in `prefdiff` serves a command.
 
-The test wraps each function, method and property getter of the package
-with a call counter, runs every CLI command on a tiny synthetic pair, and
+The test wraps each function, method and (cached) property getter of the
+package with a call counter, runs every CLI command on a tiny synthetic pair, and
 lists the names that no run called; one `ingest` of a file with a bad
 line reaches the error path. Dataclass-generated dunders (compiled
 from generated source, not from the module's file) and the error classes
@@ -11,6 +11,8 @@ the benchmark and `tools/output_digest.py` make theirs.
 import importlib
 import inspect
 import pkgutil
+import re
+from functools import cached_property
 
 import click
 from click.testing import CliRunner
@@ -34,7 +36,7 @@ def _own(fn, module) -> bool:
 
 def _targets():
     """(name, holder, attribute, function) for every wrapped callable; a
-    property is wrapped through its getter."""
+    property or cached property is wrapped through its getter."""
     out = []
     for module in _modules():
         for name, obj in vars(module).items():
@@ -46,7 +48,8 @@ def _targets():
             elif inspect.isclass(obj) and obj.__module__ == module.__name__ \
                     and not issubclass(obj, Exception):
                 for attr, member in vars(obj).items():
-                    if isinstance(member, property) or _own(member, module):
+                    if isinstance(member, (property, cached_property)) \
+                            or _own(member, module):
                         out.append((f"{where}.{attr}", obj, attr, member))
     return out
 
@@ -64,6 +67,10 @@ def _install(monkeypatch, counts):
 
         if isinstance(member, property):
             monkeypatch.setattr(holder, attr, property(wrap(member.fget)))
+        elif isinstance(member, cached_property):
+            cached = cached_property(wrap(member.func))
+            cached.__set_name__(holder, attr)
+            monkeypatch.setattr(holder, attr, cached)
         elif inspect.ismodule(holder):
             # `from .x import f` binds f in other modules too
             for module in modules:
@@ -71,6 +78,36 @@ def _install(monkeypatch, counts):
                     monkeypatch.setattr(module, attr, wrap(member))
         else:
             monkeypatch.setattr(holder, attr, wrap(member))
+
+
+def _function(member):
+    if isinstance(member, property):
+        return member.fget
+    return member.func if isinstance(member, cached_property) else member
+
+
+def _parameter_types(fn) -> set[str]:
+    """The names that occur in the annotations of fn's parameters."""
+    return {name for key, annotation in inspect.get_annotations(fn).items()
+            if key != "return" for name in re.findall(r"\w+", str(annotation))}
+
+
+def test_the_model_is_the_one_home_of_its_schedule_and_settings():
+    # a model carries the schedule and run config it was built under: no
+    # function takes a schedule beside it, and only inference takes a run
+    # config beside it, for the settings that may differ from training's
+    with_schedule, with_config = [], []
+    for name, _, _, member in _targets():
+        types = _parameter_types(_function(member))
+        if "ModelParams" in types:
+            with_schedule += [name] if "Schedule" in types else []
+            with_config += [name] if "RunConfig" in types else []
+    assert with_schedule == []
+    assert sorted(with_config) == ["prefdiff.evaluate.evaluate", "prefdiff.evaluate.infer_user"]
+    # the checks read the annotations they are meant to
+    names = {name for name, _, _, _ in _targets()}
+    assert {"prefdiff.diffusion.reverse_step", "prefdiff.trainer.compute_batch_loss",
+            "prefdiff.params.ModelMeta.pipeline"} <= names
 
 
 def _cli(*args):
@@ -82,9 +119,10 @@ def _cli(*args):
 def test_every_name_is_reached_by_a_command(tmp_path, monkeypatch):
     counts: dict[str, int] = {}
     _install(monkeypatch, counts)
-    # a function, a command, a method and a property getter are all counted
+    # a function, a command, a method and a (cached) property getter are all counted
     assert {"prefdiff.diffusion.denoise", "prefdiff.cli.cmd_train",
-            "prefdiff.autodiff.Tensor.backward", "prefdiff.autodiff.Tensor.shape"} <= set(counts)
+            "prefdiff.autodiff.Tensor.backward", "prefdiff.autodiff.Tensor.shape",
+            "prefdiff.params.ModelMeta.pipeline"} <= set(counts)
     from prefdiff.cli import main
     from prefdiff.synthetic import generate_pair, write_tsv
     source, target = generate_pair(n_users=40, n_items=12, ratings_per_user=4, seed=2)

@@ -224,6 +224,27 @@ def test_package_error_is_raised_without_standalone_mode(run_config, data_files,
                   standalone_mode=False)
 
 
+@pytest.mark.parametrize("fraction,n_test", [("0.001", 0), ("0.999", 60)])
+@pytest.mark.parametrize("command", [["train"], ["sweep", "--sweep-axis", "omega",
+                                                 "--sweep-values", "0,1"]],
+                         ids=["train", "sweep"])
+def test_degenerate_split_is_refused_before_training(run_config, tmp_path, monkeypatch,
+                                                     command, fraction, n_test):
+    # a fraction that holds out none or all of the 60 users fails at the
+    # split: no training step runs and nothing is written
+    steps = []
+    monkeypatch.setattr("prefdiff.trainer.train_step", lambda *a: steps.append(a))
+    conf = _with_keys(run_config, tmp_path, f"fraction = {fraction}\n")
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, [command[0], "--config", str(conf), *command[1:],
+                                       "--out", str(out)])
+    message = error_line(result, "DataError")
+    assert f"holds out {n_test} of 60 overlapping users" in message
+    assert "1..59 test users" in message
+    assert steps == []
+    assert not out.exists() or not any(out.iterdir())
+
+
 @pytest.fixture(scope="module")
 def main_checkpoint(run_config, tmp_path_factory):
     run = tmp_path_factory.mktemp("main_run")

@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 from prefdiff.data import (build_histories,
                            held_out_ratings, load_ratings, make_domain,
                            overlapping_users, split_cold_start,
-                           training_ratings, user_universe, users_with_history,
-                           write_split_manifest)
+                           training_ratings, user_universe, write_split_manifest)
 from prefdiff.encoder import encode_history
 from prefdiff.errors import DataError
 
@@ -199,19 +198,6 @@ def test_user_universe_order_and_coverage():
     assert sorted(uni.values()) == list(range(7))
 
 
-def test_users_with_history_filters_empty():
-    d = _domain([("u0", "a", 3.0, 1)])
-    assert users_with_history(d, ["u0", "u1"]) == ["u0"]
-
-
-def test_users_with_history_counts_generator_input(caplog):
-    d = _domain([("u0", "a", 3.0, 1)])
-    with caplog.at_level("INFO", logger="prefdiff.data"):
-        kept = users_with_history(d, (u for u in ["u0", "u1", "u2"]))
-    assert kept == ["u0"]
-    assert "excluded 2 users" in caplog.text
-
-
 def test_split_manifest_round_trip(tmp_path):
     src, tgt = _two_domains(n_overlap=12)
     split = split_cold_start(src, tgt, 0.25, seed=2)
@@ -228,9 +214,39 @@ def test_split_manifest_round_trip(tmp_path):
 @settings(max_examples=40, deadline=None)
 def test_split_size_property(n, frac, seed):
     src, tgt = _two_domains(n_overlap=n)
+    n_test = int(math.floor(frac * n + 0.5))
+    if not 1 <= n_test <= n - 1:
+        # a split that holds out no one, or everyone, is refused up front
+        with pytest.raises(DataError, match=f"holds out {n_test} of {n} overlapping users"):
+            split_cold_start(src, tgt, frac, seed=seed)
+        return
     split = split_cold_start(src, tgt, frac, seed=seed)
-    assert len(split.cold_start_test) == int(math.floor(frac * n + 0.5))
+    assert len(split.cold_start_test) == n_test
     assert len(split.cold_start_test) + len(split.overlap_train) == n
+
+
+@given(st.lists(st.tuples(st.integers(0, 11), st.sampled_from("st"), st.integers(0, 5)),
+                min_size=1, max_size=80),
+       st.floats(min_value=0.05, max_value=0.95), st.integers(0, 2**31 - 1))
+@settings(max_examples=60, deadline=None)
+def test_split_users_are_in_both_domains(ratings, frac, seed):
+    # users rate in the source ("s"), the target ("t") or both, beside a
+    # source-only and a target-only user; a split holds only users with
+    # ratings on both sides, and neither side is empty, so training and
+    # evaluation need no filter of their own
+    rows = {side: [(f"u{u}", f"i{i}", 3.0, k) for k, (u, s, i) in enumerate(ratings) if s == side]
+            for side in "st"}
+    src = _domain(rows["s"] + [("src_only", "i0", 3.0, 0)])
+    tgt = _domain(rows["t"] + [("tgt_only", "i0", 3.0, 0)])
+    try:
+        split = split_cold_start(src, tgt, frac, seed=seed)
+    except DataError:
+        n = len(overlapping_users(src, tgt))
+        assert n == 0 or not 1 <= int(math.floor(frac * n + 0.5)) <= n - 1
+        return
+    assert split.overlap_train and split.cold_start_test
+    for u in split.overlap_train | split.cold_start_test:
+        assert u in src.user_index and u in tgt.user_index
 
 
 def test_load_columns(tmp_path):

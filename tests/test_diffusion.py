@@ -140,7 +140,7 @@ def test_predict_u0_depends_on_step(tiny_params):
 
 def test_guided_predict_identities(tiny_params, monkeypatch):
     p = tiny_params
-    s = build_schedule(5, 0.5, 0.1, 10.0)
+    s = p.schedule
     rng = make_rng(9, 9)
     u, h, z = (rng.standard_normal((2, 4)) for _ in range(3))
     calls = []
@@ -153,52 +153,52 @@ def test_guided_predict_identities(tiny_params, monkeypatch):
     c0, ct, var = posterior_mean_coeffs(s, 2)
     # omega = 0 calls the denoiser once, on the condition rows, and is
     # bitwise the step on the conditional prediction
-    got = reverse_step(u, h, _null(p, 2), 2, 0.0, z, s, p)
+    got = reverse_step(u, h, _null(p, 2), 2, 0.0, z, p)
     want = c0 * denoise(u, h, 2, p).data + ct * u + math.sqrt(var) * z
     assert got.tobytes() == want.tobytes()
     assert len(calls) == 1 and calls[0] is h
     # omega > 0 calls it a second time, on the null rows
     calls.clear()
     null = _null(p, 2)
-    reverse_step(u, h, null, 2, 3.0, z, s, p)
+    reverse_step(u, h, null, 2, 3.0, z, p)
     assert len(calls) == 2 and calls[0] is h and calls[1] is null
 
 
 def test_guided_predict_linear_in_omega(tiny_params):
     # at t = 1 the step is affine in the guided prediction
     p = tiny_params
-    s = build_schedule(5, 0.5, 0.1, 10.0)
+    s = p.schedule
     rng = make_rng(10, 10)
     u, h = rng.standard_normal((1, 4)), rng.standard_normal((1, 4))
     cond = denoise(u, h, 1, p).data
     uncond = denoise(u, _null(p), 1, p).data
     c0, ct, _ = posterior_mean_coeffs(s, 1)
     for omega in (0.5, 1.0, 2.0):
-        got = reverse_step(u, h, _null(p), 1, omega, np.zeros(4), s, p)
+        got = reverse_step(u, h, _null(p), 1, omega, np.zeros(4), p)
         want = c0 * ((1 + omega) * cond - omega * uncond) + ct * u
         assert np.allclose(got, want, atol=1e-12)
 
 
 def test_reverse_step_formula(tiny_params):
     p = tiny_params
-    s = build_schedule(5, 0.5, 0.1, 10.0)
+    s = p.schedule
     rng = make_rng(12, 12)
     u, h, z = (rng.standard_normal((1, 4)) for _ in range(3))
     t, omega = 4, 1.5
     c0, ct, var = posterior_mean_coeffs(s, t)
     pred = (1 + omega) * denoise(u, h, t, p).data - omega * denoise(u, _null(p), t, p).data
     want = c0 * pred + ct * u + math.sqrt(var) * z
-    got = reverse_step(u, h, _null(p), t, omega, z, s, p)
+    got = reverse_step(u, h, _null(p), t, omega, z, p)
     assert np.allclose(got, want, atol=1e-12)
 
 
 def test_reverse_step_t1_deterministic(tiny_params):
     # at t = 1 the variance is zero, so the step is the prediction itself
     p = tiny_params
-    s = build_schedule(5, 0.5, 0.1, 10.0)
+    s = p.schedule
     rng = make_rng(13, 13)
     u, h = rng.standard_normal((1, 4)), rng.standard_normal((1, 4))
-    got = reverse_step(u, h, _null(p), 1, 2.0, np.zeros(4), s, p)
+    got = reverse_step(u, h, _null(p), 1, 2.0, np.zeros(4), p)
     pred = 3.0 * denoise(u, h, 1, p).data - 2.0 * denoise(u, _null(p), 1, p).data
     assert np.allclose(got, pred, atol=1e-12)
 
@@ -219,11 +219,11 @@ def test_straight_line_denoiser_reevaluation(tiny_params):
         p[f"den_w{layer}"].data[:] = 0.0
         p[f"den_b{layer}"].data[:] = 0.0
     p["den_b2"].data[:] = np.array([0.3, -0.1, 0.0, 0.7])
-    s = build_schedule(5, 0.5, 0.1, 10.0)
+    s = p.schedule
     u = np.array([1.0, 2.0, -1.0, 0.5])
     for t in (1, 3, 5):
         c0, ct, var = posterior_mean_coeffs(s, t)
-        got = reverse_step(u[None, :], _null(p), _null(p), t, 0.0, np.zeros(4), s, p)[0]
+        got = reverse_step(u[None, :], _null(p), _null(p), t, 0.0, np.zeros(4), p)[0]
         want = c0 * np.array([0.3, -0.1, 0.0, 0.7]) + ct * u
         assert np.allclose(got, want, atol=1e-12)
 
@@ -250,12 +250,11 @@ def test_denoise_never_uses_a_stale_cast():
     universe = user_universe(src, tgt)
     p = init_params(cfg, len(universe), src.n_items, tgt.n_items)
     examples = build_examples(src, tgt, split, universe, cfg.max_history_len)
-    s = build_schedule(cfg.T, cfg.eta, cfg.alpha_min, cfg.alpha_max)
     rng = make_rng(16, 16)
     x, cond = rng.standard_normal((3, 4)), rng.standard_normal((3, 4))
     before = denoise(x, cond, 2, p).data
     assert before.dtype == np.float64
-    train_step(examples, np.arange(8), p, new_trainer_state(cfg.seed), cfg, s)
+    train_step(examples, np.arange(8), p, new_trainer_state(cfg.seed))
     after = denoise(x, cond, 2, p).data
     fresh = ModelParams({name: Tensor(t.data.copy()) for name, t in p.arrays.items()},
                         p.meta)
@@ -279,7 +278,7 @@ def test_reverse_step_arrays_match_tensor_inputs(variant, ablation, t_prime, ome
     rng = make_rng(15, variant)
     for name in p.arrays:  # null token and biases start at zero or one
         p[name].data[...] += rng.uniform(-0.3, 0.3, size=p[name].shape)
-    s = build_schedule(5, 0.5, 0.1, 10.0)
+    s = p.schedule
     u = rng.standard_normal(4).astype(np.float32)
     h = rng.standard_normal(4).astype(np.float32)
     x = pipe.inference_init(u, h)[None, :]
@@ -296,7 +295,7 @@ def test_reverse_step_arrays_match_tensor_inputs(variant, ablation, t_prime, ome
 
     for t in range(t_prime, 0, -1):
         z = rng.standard_normal(x.shape[1]) if t > 1 else np.zeros(x.shape[1])
-        got = reverse_step(x, cond, null, t, omega, z, s, p)
+        got = reverse_step(x, cond, null, t, omega, z, p)
         if omega == 0.0:
             pred = graph_predict(x, cond, t)
         else:

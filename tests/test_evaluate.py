@@ -15,34 +15,29 @@ from prefdiff.evaluate import (EvalReport, evaluate, infer_user,
                                report_from_errors)
 from prefdiff.params import ModelParams, init_params
 from prefdiff.rng import make_rng
-from prefdiff.schedule import build_schedule, posterior_mean_coeffs
+from prefdiff.schedule import posterior_mean_coeffs
 from prefdiff.trainer import train
 
 from test_trainer import tiny_cfg, toy_domains
 
 
-@pytest.fixture
-def sched():
-    return build_schedule(5, 0.5, 0.1, 10.0)
-
-
-def test_zero_steps_returns_input_bitwise(tiny_params, sched):
+def test_zero_steps_returns_input_bitwise(tiny_params):
     u = make_rng(1, 0).standard_normal(4)
     h = make_rng(1, 1).standard_normal(4)
-    out = infer_user(u, h, tiny_cfg(omega=2.0, t_prime=0), sched, tiny_params,
+    out = infer_user(u, h, tiny_cfg(omega=2.0, t_prime=0), tiny_params,
                      make_rng(0, 0))
     assert out.tobytes() == u.tobytes()
     out[0] = 42.0
     assert u[0] != 42.0  # a copy, not a view
 
 
-def test_single_step_matches_hand_rollout(tiny_params, sched):
+def test_single_step_matches_hand_rollout(tiny_params):
     # T' = 1 is exactly one noise-free reverse step at t = 1
     u = make_rng(2, 0).standard_normal(4)
     h = make_rng(2, 1).standard_normal(4)
     cfg = tiny_cfg(omega=1.5, t_prime=1, seed=0)
-    got = infer_user(u, h, cfg, sched, tiny_params, make_rng(0, 0))
-    c0, ct, var = posterior_mean_coeffs(sched, 1)
+    got = infer_user(u, h, cfg, tiny_params, make_rng(0, 0))
+    c0, ct, var = posterior_mean_coeffs(tiny_params.schedule, 1)
     null = tiny_params["null_token"].data[None, :]
     pred = 2.5 * denoise(u[None, :], h[None, :], 1, tiny_params).data[0] \
         - 1.5 * denoise(u[None, :], null, 1, tiny_params).data[0]
@@ -52,38 +47,38 @@ def test_single_step_matches_hand_rollout(tiny_params, sched):
 
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
 @pytest.mark.parametrize("t_prime", [0, 1, 2, 5])
-def test_rollout_matches_stepwise_hand_rollout(sched, t_prime, dtype):
+def test_rollout_matches_stepwise_hand_rollout(t_prime, dtype):
     # the rollout's one (T'-1, d) noise block gives the numbers of one
     # standard_normal(d) draw per noisy step, in step order
     cfg = tiny_cfg(omega=1.5, t_prime=t_prime, dtype=dtype)
     p = init_params(cfg, 6, 8, 9)
     u = make_rng(4, 0).standard_normal(4).astype(dtype)
     h = make_rng(4, 1).standard_normal(4)
-    got = infer_user(u, h, cfg, sched, p, make_rng(cfg.seed, 5))
+    got = infer_user(u, h, cfg, p, make_rng(cfg.seed, 5))
     rng = make_rng(cfg.seed, 5)
     null = p["null_token"].data[None, :]
     x = u[None, :]
     for t in range(t_prime, 0, -1):
         z = rng.standard_normal(4) if t > 1 else np.zeros(4)
-        x = reverse_step(x, h[None, :], null, t, 1.5, z, sched, p)
+        x = reverse_step(x, h[None, :], null, t, 1.5, z, p)
     assert got.dtype == x.dtype
     assert got.tobytes() == x[0].tobytes()
 
 
-def test_rollout_deterministic_given_rng_key(tiny_params, sched):
+def test_rollout_deterministic_given_rng_key(tiny_params):
     u = make_rng(3, 0).standard_normal(4)
     h = make_rng(3, 1).standard_normal(4)
     cfg = tiny_cfg(omega=1.0, t_prime=5, seed=9)
-    a = infer_user(u, h, cfg, sched, tiny_params, make_rng(9, 4))
-    b = infer_user(u, h, cfg, sched, tiny_params, make_rng(9, 4))
-    c = infer_user(u, h, cfg, sched, tiny_params, make_rng(9, 5))
+    a = infer_user(u, h, cfg, tiny_params, make_rng(9, 4))
+    b = infer_user(u, h, cfg, tiny_params, make_rng(9, 4))
+    c = infer_user(u, h, cfg, tiny_params, make_rng(9, 5))
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
 
-def test_t_prime_out_of_range(tiny_params, sched):
+def test_t_prime_out_of_range(tiny_params):
     with pytest.raises(ConfigurationError):
-        infer_user(np.zeros(4), None, tiny_cfg(t_prime=6), sched, tiny_params,
+        infer_user(np.zeros(4), None, tiny_cfg(t_prime=6), tiny_params,
                    make_rng(0, 0))
 
 
@@ -116,14 +111,13 @@ def _trained_setup(seed=11, epochs=4, dtype="float64"):
     split = split_cold_start(src, tgt, 0.2, seed=1)
     cfg = tiny_cfg(epochs=epochs, batch_size=16, seed=seed, dtype=dtype)
     params, _ = train(src, tgt, split, cfg)
-    s = build_schedule(cfg.T, cfg.eta, cfg.alpha_min, cfg.alpha_max)
-    return src, tgt, split, params, s
+    return src, tgt, split, params
 
 
 def test_evaluate_covers_all_held_out_ratings():
-    src, tgt, split, params, s = _trained_setup()
+    src, tgt, split, params = _trained_setup()
     cfg = tiny_cfg(omega=1.0, t_prime=3, seed=5)
-    rep = evaluate(params, s, src, tgt, split, cfg, collect_per_user=True)
+    rep = evaluate(params, src, tgt, split, cfg, collect_per_user=True)
     assert rep.n_predictions == len(held_out_ratings(tgt, split))
     assert set(rep.per_user) == set(split.cold_start_test)
     assert sum(n for _, _, n in rep.per_user.values()) == rep.n_predictions
@@ -131,12 +125,12 @@ def test_evaluate_covers_all_held_out_ratings():
 
 
 def test_evaluate_deterministic_and_seed_keyed_per_user():
-    src, tgt, split, params, s = _trained_setup()
-    a = evaluate(params, s, src, tgt, split,
+    src, tgt, split, params = _trained_setup()
+    a = evaluate(params, src, tgt, split,
                  tiny_cfg(omega=1.0, t_prime=5, seed=7))
-    b = evaluate(params, s, src, tgt, split,
+    b = evaluate(params, src, tgt, split,
                  tiny_cfg(omega=1.0, t_prime=5, seed=7))
-    c = evaluate(params, s, src, tgt, split,
+    c = evaluate(params, src, tgt, split,
                  tiny_cfg(omega=1.0, t_prime=5, seed=8))
     assert a == b
     assert a.mae != c.mae
@@ -144,8 +138,8 @@ def test_evaluate_deterministic_and_seed_keyed_per_user():
 
 def test_evaluate_t_prime_zero_is_raw_embeddings():
     # with no reverse steps the score is the untouched user embedding
-    src, tgt, split, params, s = _trained_setup()
-    rep = evaluate(params, s, src, tgt, split,
+    src, tgt, split, params = _trained_setup()
+    rep = evaluate(params, src, tgt, split,
                    tiny_cfg(omega=1.0, t_prime=0, seed=7))
     universe = user_universe(src, tgt)
     errors = []
@@ -160,9 +154,9 @@ def test_evaluate_t_prime_zero_is_raw_embeddings():
 def test_evaluate_scores_are_unclipped_float64_dots():
     # a rating's prediction is the float64 inner product of the scoring
     # embedding and the item embedding, never clipped to the rating range
-    src, tgt, split, params, s = _trained_setup(epochs=0, dtype="float32")
+    src, tgt, split, params = _trained_setup(epochs=0, dtype="float32")
     params["user_emb"].data[...] *= 1000.0
-    rep = evaluate(params, s, src, tgt, split, tiny_cfg(t_prime=0, seed=7),
+    rep = evaluate(params, src, tgt, split, tiny_cfg(t_prime=0, seed=7),
                    collect_per_user=True)
     universe = user_universe(src, tgt)
     preds = []
@@ -179,12 +173,12 @@ def test_evaluate_scores_are_unclipped_float64_dots():
 
 
 def test_evaluate_runs_for_every_pipeline():
-    src, tgt, split, params, s = _trained_setup(epochs=1)
+    src, tgt, split, params = _trained_setup(epochs=1)
     for variant, ablation in ((0, "none"), (1, "none"), (0, "no_tf"), (0, "no_gs")):
         # main-shaped params serve every wiring without extra arrays
         cfg = replace(params.meta.cfg, variant=variant, ablation=ablation)
         rewired = ModelParams(params.arrays, replace(params.meta, cfg=cfg))
-        rep = evaluate(rewired, s, src, tgt, split,
+        rep = evaluate(rewired, src, tgt, split,
                        tiny_cfg(omega=0.5, t_prime=2, seed=1))
         assert np.isfinite(rep.mae)
 
@@ -202,8 +196,7 @@ def test_every_pipeline_at_every_t_prime(variant, ablation, t_prime):
                    omega=1.0, t_prime=t_prime)
     params, _ = train(src, tgt, split, cfg)
     pipe = params.meta.pipeline
-    s = build_schedule(cfg.T, cfg.eta, cfg.alpha_min, cfg.alpha_max)
-    rep = evaluate(params, s, src, tgt, split, cfg)
+    rep = evaluate(params, src, tgt, split, cfg)
     assert np.isfinite(rep.mae)
     if t_prime != 0:
         return
@@ -218,7 +211,7 @@ def test_every_pipeline_at_every_t_prime(variant, ablation, t_prime):
         items = table[row_of[uid], :lengths[row_of[uid]]]
         h = encode_history(params["item_emb_src"].data[items], params)
         x = pipe.inference_init(u, h)
-        assert np.array_equal(infer_user(u, h, cfg, s, params, make_rng(0, 0)), x)
+        assert np.array_equal(infer_user(u, h, cfg, params, make_rng(0, 0)), x)
         emb = pipe.score_embedding(Tensor(x) if pipe.uses_diffusion else None,
                                    h, u, params).data
         v = params["item_emb_tgt"].data[tgt.item[k]]
@@ -234,8 +227,7 @@ def _tiny_run_report(variant, ablation):
     cfg = tiny_cfg(epochs=2, batch_size=16, variant=variant, ablation=ablation,
                    omega=2.0, t_prime=5, dtype="float32")
     params, _ = train(src, tgt, split, cfg)
-    s = build_schedule(cfg.T, cfg.eta, cfg.alpha_min, cfg.alpha_max)
-    return evaluate(params, s, src, tgt, split, cfg)
+    return evaluate(params, src, tgt, split, cfg)
 
 
 # report lines recorded from the code before inference ran without the

@@ -3,7 +3,7 @@ import gc
 import math
 import tempfile
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -15,6 +15,7 @@ from prefdiff.errors import CheckpointError, ConfigurationError
 from prefdiff.params import (BLOB_NAME, MANIFEST_NAME, init_params,
                              load_checkpoint, save_checkpoint,
                              step_embedding_table)
+from prefdiff.schedule import build_schedule
 
 SELECTORS = [(v, "none") for v in range(7)] + [(0, a) for a in ("no_tf", "no_gs", "no_dm")]
 
@@ -48,7 +49,29 @@ def test_step_embedding_bounds_and_distinctness():
 def test_step_embedding_lookup_is_one_based():
     p = small_params()
     assert np.array_equal(p.step_embedding(1), p.step_table[0])
-    assert np.array_equal(p.step_embedding([2, 4]), p.step_table[[1, 3]])
+    assert np.array_equal(p.step_embedding(np.array([2, 4])), p.step_table[[1, 3]])
+
+
+def _same_schedule(a, b) -> bool:
+    return all(np.asarray(getattr(a, f.name)).tobytes() == np.asarray(getattr(b, f.name)).tobytes()
+               for f in fields(a))
+
+
+def test_params_carry_the_schedule_of_their_config(tmp_path):
+    # the model builds its schedule from its own config, and a checkpoint
+    # brings back the same one
+    p = small_params(T=7, eta=0.3, alpha_min=0.2, alpha_max=4.0)
+    want = build_schedule(7, 0.3, 0.2, 4.0)
+    assert _same_schedule(p.schedule, want)
+    save_checkpoint(p, tmp_path / "ckpt")
+    assert _same_schedule(load_checkpoint(tmp_path / "ckpt").schedule, want)
+    assert not _same_schedule(small_params(T=7).schedule, want)
+
+
+def test_pipeline_is_built_once():
+    meta = small_params(variant=2).meta
+    assert meta.pipeline is meta.pipeline
+    assert meta.pipeline.kind == "v2"
 
 
 def test_init_shapes_and_special_values():

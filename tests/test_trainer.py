@@ -20,7 +20,7 @@ from prefdiff.trainer import (AdamState, BatchDraws, Examples,
                               new_trainer_state, rec_loss, sample_draws, train,
                               train_step)
 
-from conftest import central_difference, relative_error
+from conftest import central_difference, relative_error, with_cfg
 
 
 def tiny_cfg(**kw):
@@ -143,51 +143,50 @@ def test_diffusion_loss_value(tiny_params):
     _constant_denoiser(p, c)
     p["user_emb"].data[:] = 0.0
     p["user_emb"].data[:, :2] = [0.0, 2.0]
-    s = build_schedule(5, 0.5, 0.1, 10.0)
+    s = p.schedule
     batch = toy_batch(p, n=3)
     t = np.array([1, 3, 5])
     draws = BatchDraws(r=np.ones(3), t=t,
                        eps=make_rng(9, 9).standard_normal((3, 4)))
     sq = 1.0 + 4.0 + 0.25 + 4.0
-    _, report = compute_batch_loss(*batch, p, tiny_cfg(), s, draws)
+    _, report = compute_batch_loss(*batch, p, draws)
     assert report["diff"] == pytest.approx(sq, rel=1e-12)
     coefs = [diffusion_coefficient(s, int(tt), "variance_weighted") for tt in t]
-    _, report = compute_batch_loss(*batch, p, tiny_cfg(loss_weighting="variance_weighted"),
-                                   s, draws)
+    _, report = compute_batch_loss(*batch, with_cfg(p, loss_weighting="variance_weighted"),
+                                   draws)
     assert report["diff"] == pytest.approx(sq * np.mean(coefs), rel=1e-12)
 
 
 def test_masking_boundary_keeps_condition_at_p_uncond(tiny_params):
     # an example's condition is dropped iff its draw r < p_uncond
     p = tiny_params
-    s = build_schedule(5, 0.5, 0.1, 10.0)
     batch = toy_batch(p, n=4)
 
     def run(r, p_uncond):
         draws = BatchDraws(r=np.array(r, dtype=float), t=np.full(4, 2),
                            eps=np.zeros((4, 4)))
-        return compute_batch_loss(*batch, p, tiny_cfg(p_uncond=p_uncond), s,
-                                  draws)[1]
+        return compute_batch_loss(*batch, with_cfg(p, p_uncond=p_uncond), draws)[1]
 
     assert run([0.05, 0.1, 0.99, 0.0999], 0.1)["masked"] == 2
     assert run([0.1] * 4, 0.1)["masked"] == 0
     assert run([0.0] * 4, 0.0)["masked"] == 0
     assert run([0.999] * 4, 1.0)["masked"] == 4
-    # a dropped condition no longer sees the encoder; a kept one does
+    # a dropped condition no longer sees the encoder; a kept one does. The
+    # query weights get a varied shift: a constant one is lost on the
+    # zero-mean rows that the layer norm hands them
     dropped, kept = run([0.0] * 4, 0.5), run([0.9] * 4, 0.5)
-    p["enc0_wq"].data += 0.5
+    p["enc0_wq"].data += make_rng(0, 1).uniform(-0.5, 0.5, size=p["enc0_wq"].shape)
     assert run([0.0] * 4, 0.5)["diff"] == dropped["diff"]
     assert run([0.9] * 4, 0.5)["diff"] != kept["diff"]
 
 
 def test_masking_empirical_rate(tiny_params):
     p = tiny_params
-    s = build_schedule(5, 0.5, 0.1, 10.0)
     p_uncond, n = 0.1, 20_000
-    draws = sample_draws(make_rng(20, 20), n, 4, 5, True, "float64")
+    draws = sample_draws(make_rng(20, 20), n, p.meta)
     examples, rows = toy_batch(p, n=8)
-    _, report = compute_batch_loss(examples, np.tile(rows, n // 8), p,
-                                   tiny_cfg(p_uncond=p_uncond), s, draws)
+    _, report = compute_batch_loss(examples, np.tile(rows, n // 8),
+                                   with_cfg(p, p_uncond=p_uncond), draws)
     assert report["masked"] == int(np.sum(draws.r < p_uncond))
     sigma = math.sqrt(p_uncond * (1 - p_uncond) / n)
     assert abs(report["masked"] / n - p_uncond) < 4 * sigma
@@ -202,14 +201,12 @@ def test_config_validation():
 
 
 def test_full_model_gradients_match_finite_differences(tiny_params):
-    p = tiny_params
-    cfg = tiny_cfg(lam=0.5)
-    s = build_schedule(cfg.T, cfg.eta, cfg.alpha_min, cfg.alpha_max)
+    p = with_cfg(tiny_params, lam=0.5, eta=0.5)
     batch = toy_batch(p, n=2)
-    draws = sample_draws(make_rng(7, 0), 2, p.meta.cfg.d1, cfg.T, True, "float64")
+    draws = sample_draws(make_rng(7, 0), 2, p.meta)
 
     def loss():
-        total, _ = compute_batch_loss(*batch, p, cfg, s, draws)
+        total, _ = compute_batch_loss(*batch, p, draws)
         return total
 
     p.zero_grads()
@@ -227,12 +224,11 @@ def test_full_model_gradients_match_finite_differences(tiny_params):
 
 def test_total_loss_linear_in_lambda(tiny_params):
     p = tiny_params
-    s = build_schedule(5, 0.5, 0.1, 10.0)
     batch = toy_batch(p, n=3)
-    draws = sample_draws(make_rng(8, 0), 3, 4, 5, True, "float64")
+    draws = sample_draws(make_rng(8, 0), 3, p.meta)
     totals = {}
     for lam in (0.0, 0.5, 1.0):
-        total, rep = compute_batch_loss(*batch, p, tiny_cfg(lam=lam), s, draws)
+        total, rep = compute_batch_loss(*batch, with_cfg(p, lam=lam), draws)
         totals[lam] = float(total.data)
         assert rep["total"] == pytest.approx(rep["rec"] + lam * rep["diff"])
     diff = totals[1.0] - totals[0.0]
@@ -240,14 +236,12 @@ def test_total_loss_linear_in_lambda(tiny_params):
 
 
 def test_masking_rate_in_band(tiny_params):
-    p = tiny_params
-    cfg = tiny_cfg(p_uncond=0.25, epochs=1)
-    s = build_schedule(cfg.T, cfg.eta, cfg.alpha_min, cfg.alpha_max)
+    p = with_cfg(tiny_params, p_uncond=0.25)
     state = new_trainer_state(0)
     batch = toy_batch(p, n=8)
     n_steps = 400
     for _ in range(n_steps):
-        train_step(*batch, p, state, cfg, s)
+        train_step(*batch, p, state)
     rate = state.masked_examples / state.total_examples
     sigma = math.sqrt(0.25 * 0.75 / state.total_examples)
     assert abs(rate - 0.25) < 4 * sigma
@@ -255,16 +249,15 @@ def test_masking_rate_in_band(tiny_params):
 
 def test_train_step_changes_params_and_reports(tiny_params):
     p = tiny_params
-    cfg = tiny_cfg()
-    s = build_schedule(cfg.T, cfg.eta, cfg.alpha_min, cfg.alpha_max)
+    cfg = p.meta.cfg
     state = new_trainer_state(1)
     before = p["user_emb"].data.copy()
-    report = train_step(*toy_batch(p), p, state, cfg, s)
+    report = train_step(*toy_batch(p), p, state)
     assert not np.array_equal(p["user_emb"].data, before)
     assert set(report) >= {"rec", "diff", "total", "masked", "batch"}
     assert report["total"] == pytest.approx(report["rec"] + cfg.lam * report["diff"])
     with pytest.raises(DataError):
-        train_step(toy_batch(p)[0], np.arange(0), p, state, cfg, s)
+        train_step(toy_batch(p)[0], np.arange(0), p, state)
 
 
 def test_adam_first_step_is_signed_lr():
@@ -347,10 +340,8 @@ def test_backward_functions_leave_gradients_unwritten(variant, ablation, monkeyp
     monkeypatch.setattr(ad, "_make", read_only_make)
     cfg = tiny_cfg(variant=variant, ablation=ablation)
     p = init_params(replace(cfg, seed=11, dtype="float32"), 6, 8, 9)
-    s = build_schedule(cfg.T, cfg.eta, cfg.alpha_min, cfg.alpha_max)
-    draws = sample_draws(make_rng(5, 0), 6, p.meta.state_dim, cfg.T,
-                         p.meta.pipeline.uses_masking, "float64")
-    total, _ = compute_batch_loss(*toy_batch(p, n=6), p, cfg, s, draws)
+    draws = sample_draws(make_rng(5, 0), 6, p.meta)
+    total, _ = compute_batch_loss(*toy_batch(p, n=6), p, draws)
     total.backward()
     assert p["user_emb"].grad is not None
     AdamState().update(p, 0.01)

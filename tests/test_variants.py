@@ -8,7 +8,6 @@ from prefdiff.config import RunConfig
 from prefdiff.errors import ConfigurationError
 from prefdiff.params import init_params
 from prefdiff.rng import make_rng
-from prefdiff.schedule import build_schedule
 from prefdiff.trainer import compute_batch_loss, sample_draws, train
 from prefdiff.variants import WIRINGS, Pipeline, build_pipeline, lint_pipeline
 
@@ -21,12 +20,12 @@ SELECTOR = {"main": (0, "none"), **{f"v{i}": (i, "none") for i in range(1, 7)},
             "no_dm": (0, "no_dm")}
 
 
-def params_for(kind, d1=4):
+def params_for(kind, d1=4, dtype="float64"):
     variant, ablation = SELECTOR[kind]
     return init_params(RunConfig(d1=d1, seed=2, init_scale=0.3, hidden=8,
                                  mlp_layers=2, enc_layers=1, max_history_len=5,
                                  T=5, variant=variant, ablation=ablation,
-                                 dtype="float64"), 6, 8, 9)
+                                 dtype=dtype), 6, 8, 9)
 
 
 def test_capability_matrix():
@@ -125,6 +124,27 @@ def test_score_embedding_paths():
     assert np.allclose(pipe.score_embedding(None, h, u, p).data, want)
 
 
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("kind", [k for k, w in WIRINGS.items() if w.projection])
+def test_score_embedding_on_arrays_matches_graph_bitwise(kind, dtype):
+    # evaluation scores one user at a time on 1-D arrays, without a graph:
+    # numpy's 1-D product must equal the graph's (1, k) @ (k, d) to the bit,
+    # for the float64 state a rollout leaves and the model-dtype state at
+    # t_prime = 0
+    pipe = Pipeline(kind)
+    p = params_for(kind, d1=16, dtype=dtype)
+    rng = make_rng(6, 6)
+    u, h = (rng.standard_normal(16).astype(dtype) for _ in range(2))
+    for state_dtype in (dtype, "float64"):
+        x = rng.standard_normal(pipe.state_mult * 16).astype(state_dtype) \
+            if pipe.uses_diffusion else None
+        got = pipe.score_embedding(x, h, u, p)
+        graph = pipe.score_embedding(*(None if a is None else Tensor(a) for a in (x, h, u)), p)
+        assert isinstance(got, np.ndarray) and isinstance(graph, Tensor)
+        assert got.dtype == graph.data.dtype
+        assert got.tobytes() == graph.data.tobytes()
+
+
 def test_selector():
     assert build_pipeline().kind == "main"
     assert build_pipeline(variant=3).kind == "v3"
@@ -156,12 +176,9 @@ def test_lint_warns_on_signal_noising_with_high_eta():
 def test_batch_loss_runs_and_is_finite(kind):
     pipe = Pipeline(kind)
     p = params_for(kind)
-    cfg = tiny_cfg()
-    s = build_schedule(cfg.T, cfg.eta, cfg.alpha_min, cfg.alpha_max)
     batch = toy_batch(p, n=3)
-    draws = sample_draws(make_rng(4, 4), 3, pipe.state_mult * 4, cfg.T,
-                         pipe.uses_masking, "float64")
-    total, report = compute_batch_loss(*batch, p, cfg, s, draws)
+    draws = sample_draws(make_rng(4, 4), 3, p.meta)
+    total, report = compute_batch_loss(*batch, p, draws)
     assert np.isfinite(float(total.data))
     if not pipe.uses_diffusion:
         assert report["diff"] == 0.0
@@ -170,9 +187,7 @@ def test_batch_loss_runs_and_is_finite(kind):
 def test_partial_noising_leaves_second_half_clean():
     # variants that re-inject the signal every reverse step never corrupt it
     pipe = Pipeline("v3")
-    p = params_for("v3")
-    cfg = tiny_cfg()
-    s = build_schedule(cfg.T, cfg.eta, cfg.alpha_min, cfg.alpha_max)
+    s = params_for("v3").schedule
     mask = pipe.noise_mask(4)
     rng = make_rng(5, 5)
     x0 = rng.standard_normal((3, 8))
