@@ -46,8 +46,7 @@ def _emit_table(text: str, out) -> None:
     """Print a TSV table and, when out is given, write it there too."""
     click.echo(text, nl=False)
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        data_mod.write_atomic(out, text)
 
 
 class _Commands(click.Group):
@@ -102,11 +101,9 @@ def cmd_train(config_path, seed, fraction, variant, out_dir):
         click.echo(f"warning: {warning}", err=True)
     params, history = train(source, target, split, cfg)
     save_checkpoint(params, os.path.join(out_dir, "checkpoint"))
-    with open(os.path.join(out_dir, "loss.tsv"), "w", encoding="utf-8") as fh:
-        fh.write(loss_history_tsv(history))
+    data_mod.write_atomic(os.path.join(out_dir, "loss.tsv"), loss_history_tsv(history))
     data_mod.write_split_manifest(split, os.path.join(out_dir, "split.tsv"))
-    with open(os.path.join(out_dir, "config.echo"), "w", encoding="utf-8") as fh:
-        fh.write(normalized_text(cfg))
+    data_mod.write_atomic(os.path.join(out_dir, "config.echo"), normalized_text(cfg))
     click.echo(f"trained {cfg.epochs} epochs; outputs in {out_dir}")
 
 
@@ -120,7 +117,10 @@ def cmd_eval(ckpt_path, config_path, seed, out, per_user):
     """Evaluate a checkpoint on the cold-start test users (MAE / RMSE).
 
     The test users are those of the checkpoint's own split; --seed keys
-    only the rollout noise."""
+    only the rollout noise. --per-user writes its table to <out>.per_user
+    and so needs --out."""
+    if per_user and not out:
+        raise ConfigurationError("--per-user writes <out>.per_user and needs --out")
     cfg = load_config(config_path, seed=seed)
     params = load_checkpoint(ckpt_path)
     trained = params.meta.cfg
@@ -130,11 +130,9 @@ def cmd_eval(ckpt_path, config_path, seed, out, per_user):
     click.echo(report.tsv(), nl=False)
     click.echo(f"MAE={report.mae:.4f} RMSE={report.rmse:.4f} over {report.n_predictions} ratings")
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(report.tsv())
+        data_mod.write_atomic(out, report.tsv())
         if per_user:
-            with open(out + ".per_user", "w", encoding="utf-8") as fh:
-                fh.write(report.per_user_tsv())
+            data_mod.write_atomic(out + ".per_user", report.per_user_tsv())
 
 
 @main.command("schedule-dump")
@@ -148,8 +146,7 @@ def cmd_schedule_dump(T, eta, alpha_min, alpha_max, out):
     s = schedule_mod.build_schedule(T, eta, alpha_min, alpha_max)
     text = schedule_mod.dump_tsv(s)
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        data_mod.write_atomic(out, text)
     else:
         click.echo(text, nl=False)
 

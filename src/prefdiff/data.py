@@ -1,5 +1,6 @@
 """Two-domain rating data held as numpy columns: loading, overlap
-bookkeeping, the cold-start split, and chronological interaction histories.
+bookkeeping, the cold-start split, chronological interaction histories,
+and `write_atomic`, through which the package writes every output file.
 
 A domain is one row per (user, item) pair, in the order in which each pair
 first appears in its file. Histories, training ratings and held-out ratings
@@ -8,6 +9,7 @@ are row indices into these columns or tables built from them.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 from itertools import repeat
 
@@ -241,12 +243,25 @@ def held_out_ratings(target: DomainData, split: ColdStartSplit) -> np.ndarray:
     return _rows_of(target, split.cold_start_test)
 
 
+def write_atomic(path, data: str | bytes) -> None:
+    """Write `data` (text as UTF-8) to a temporary file next to `path`, then
+    `os.replace` it onto `path`: a reader sees the old file or the whole new
+    one. A failed write removes the temporary file and leaves `path` as it
+    was. There is no fsync, so this guards against a failed or killed
+    process, not against power loss."""
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data.encode("utf-8") if isinstance(data, str) else data)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
 def write_split_manifest(split: ColdStartSplit, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for u in sorted(split.overlap_train):
-            fh.write(f"{u}\ttrain\n")
-        for u in sorted(split.cold_start_test):
-            fh.write(f"{u}\ttest\n")
+    write_atomic(path, "".join([f"{u}\ttrain\n" for u in sorted(split.overlap_train)]
+                               + [f"{u}\ttest\n" for u in sorted(split.cold_start_test)]))
 
 
 def user_universe(source: DomainData, target: DomainData) -> dict[str, int]:

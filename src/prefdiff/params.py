@@ -2,13 +2,17 @@
 sinusoidal step embeddings, encoder weights, and checkpoint save/load.
 
 Checkpoint layout: a directory holding `manifest.tsv` and `params.bin`.
-The manifest opens with `# key = value` metadata lines: the three data
-sizes, then the normalized text of the run config that trained the arrays,
-less its input paths. One line per array follows (name, shape, dtype, byte
-offset). `params.bin` is one little-endian binary blob in manifest order.
+The manifest is `# key = value` lines only: the three data sizes, the
+normalized text of the run config that trained the arrays, less its input
+paths, and the sha256 of `params.bin`. That config and those sizes fix
+every array's name and shape (`_array_specs`); `params.bin` is the arrays
+in that order, little-endian, in the model dtype. Both files are replaced
+atomically, the blob first.
 """
 from __future__ import annotations
 
+import hashlib
+import math
 import operator
 import os
 from dataclasses import dataclass, fields, replace
@@ -18,6 +22,7 @@ import numpy as np
 
 from .autodiff import Tensor
 from .config import RunConfig, normalized_text, parse_config_text
+from .data import write_atomic
 from .errors import CheckpointError, ConfigurationError
 from .rng import make_rng
 from .schedule import build_schedule
@@ -29,6 +34,7 @@ SIZE_KEYS = ("n_users", "n_items_src", "n_items_tgt")
 # left out of the manifest, so a checkpoint's bytes do not name its inputs
 PATH_KEYS = ("source_path", "target_path")
 CONFIG_KEYS = tuple(f.name for f in fields(RunConfig) if f.name not in PATH_KEYS)
+DIGEST_KEY = "sha256"
 
 
 @dataclass(frozen=True)
@@ -170,47 +176,46 @@ def init_params(cfg: RunConfig, n_users: int, n_items_src: int,
     return ModelParams(arrays, meta)
 
 
-def _meta_lines(meta: ModelMeta) -> list[str]:
+def _manifest_text(meta: ModelMeta, digest: str) -> str:
     sizes = [f"{key} = {getattr(meta, key)}" for key in SIZE_KEYS]
     config = [line for line in normalized_text(meta.cfg).splitlines()
               if line.partition(" = ")[0] in CONFIG_KEYS]
-    return [f"# {line}" for line in sizes + config]
+    return "".join(f"# {line}\n" for line in sizes + config + [f"{DIGEST_KEY} = {digest}"])
 
 
-def _parse_meta(lines: list[str]) -> ModelMeta:
-    """ModelMeta from the `key = value` metadata lines; a manifest written
-    in any other form raises CheckpointError."""
+def _parse_manifest(text: str) -> tuple[ModelMeta, str]:
+    """ModelMeta and the blob's sha256 from the manifest's `# key = value`
+    lines; a manifest with any other line or a missing key raises
+    CheckpointError."""
+    lines = [line.strip() for line in text.splitlines() if line.strip()]
+    stray = [line for line in lines if not line.startswith("#")]
+    if stray:
+        raise CheckpointError(f"manifest line {stray[0]!r} is not `# key = value` metadata")
     values = {key.strip(): value.strip()
-              for key, _, value in (line.partition("=") for line in lines)}
-    missing = [key for key in SIZE_KEYS + CONFIG_KEYS if key not in values]
+              for key, _, value in (line[1:].partition("=") for line in lines)}
+    missing = [key for key in SIZE_KEYS + CONFIG_KEYS + (DIGEST_KEY,) if key not in values]
     if missing:
         raise CheckpointError(f"manifest missing metadata fields {missing}")
+    digest = values.pop(DIGEST_KEY)
     try:
         sizes = {key: int(values.pop(key)) for key in SIZE_KEYS}
         cfg = parse_config_text("".join(f"{k} = {v}\n" for k, v in values.items()))
     except (ValueError, ConfigurationError) as exc:
         raise CheckpointError(f"bad manifest metadata: {exc}") from None
-    return ModelMeta(cfg, **sizes)
+    return ModelMeta(cfg, **sizes), digest
 
 
 def save_checkpoint(params: ModelParams, path) -> None:
+    """Write `params` under the directory `path`: `params.bin`, then the
+    manifest naming its sha256, so that a process killed between the two
+    leaves an old manifest that refuses the new blob."""
     os.makedirs(path, exist_ok=True)
-    lines = _meta_lines(params.meta)
-    offset = 0
-    blobs = []
-    for name, tensor in params.arrays.items():
-        arr = np.ascontiguousarray(tensor.data)
-        le = arr.astype(arr.dtype.newbyteorder("<"), copy=False)
-        raw = le.tobytes()
-        shape = ",".join(str(s) for s in arr.shape)
-        lines.append(f"{name}\t{shape}\t{arr.dtype.name}\t{offset}")
-        blobs.append(raw)
-        offset += len(raw)
-    with open(os.path.join(path, MANIFEST_NAME), "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-    with open(os.path.join(path, BLOB_NAME), "wb") as fh:
-        for raw in blobs:
-            fh.write(raw)
+    dtype = np.dtype(params.meta.cfg.dtype).newbyteorder("<")
+    blob = b"".join(np.ascontiguousarray(params.arrays[name].data, dtype).tobytes()
+                    for name in _array_specs(params.meta))
+    write_atomic(os.path.join(path, BLOB_NAME), blob)
+    write_atomic(os.path.join(path, MANIFEST_NAME),
+                 _manifest_text(params.meta, hashlib.sha256(blob).hexdigest()))
 
 
 def load_checkpoint(path) -> ModelParams:
@@ -218,43 +223,24 @@ def load_checkpoint(path) -> ModelParams:
     blob_path = os.path.join(path, BLOB_NAME)
     if not os.path.exists(manifest_path) or not os.path.exists(blob_path):
         raise CheckpointError(f"missing checkpoint files under {path}")
-    meta_lines: list[str] = []
-    entries: list[tuple[str, tuple[int, ...], str, int]] = []
     with open(manifest_path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                meta_lines.append(line[1:])
-                continue
-            name, shape_s, dtype_s, offset_s = line.split("\t")
-            shape = tuple(int(x) for x in shape_s.split(",")) if shape_s else ()
-            entries.append((name, shape, dtype_s, int(offset_s)))
-    meta = _parse_meta(meta_lines)
-
-    expected = _array_specs(meta)
-    names_seen = [e[0] for e in entries]
-    for name, shape, _, _ in entries:
-        if name not in expected:
-            raise CheckpointError(
-                f"unknown array {name!r} in manifest; expected one of {sorted(expected)}")
-        if shape != expected[name]:
-            raise CheckpointError(
-                f"array {name!r} has shape {shape}, expected {expected[name]}")
-    missing = set(expected) - set(names_seen)
-    if missing:
-        raise CheckpointError(f"manifest missing arrays: {sorted(missing)}")
-
+        meta, digest = _parse_manifest(fh.read())
     with open(blob_path, "rb") as fh:
         blob = fh.read()
+    specs = _array_specs(meta)
+    dtype = np.dtype(meta.cfg.dtype).newbyteorder("<")
+    counts = [math.prod(shape) for shape in specs.values()]
+    expected = sum(counts) * dtype.itemsize
+    if len(blob) != expected:
+        raise CheckpointError(
+            f"{BLOB_NAME} is {'truncated' if len(blob) < expected else 'too long'}: "
+            f"{len(blob)} bytes, the manifest's arrays take {expected}")
+    if hashlib.sha256(blob).hexdigest() != digest:
+        raise CheckpointError(f"{BLOB_NAME} does not match the sha256 in the manifest")
     arrays: dict[str, Tensor] = {}
-    for name, shape, dtype_s, offset in entries:
-        dt = np.dtype(dtype_s).newbyteorder("<")
-        nbytes = int(np.prod(shape, dtype=np.int64)) * dt.itemsize if shape else dt.itemsize
-        chunk = blob[offset:offset + nbytes]
-        if len(chunk) != nbytes:
-            raise CheckpointError(f"blob truncated while reading array {name!r}")
-        values = np.frombuffer(chunk, dtype=dt).reshape(shape).astype(np.dtype(dtype_s))
-        arrays[name] = Tensor(values, requires_grad=True)
+    offset = 0
+    for (name, shape), count in zip(specs.items(), counts):
+        values = np.frombuffer(blob, dtype, count, offset).reshape(shape)
+        arrays[name] = Tensor(values.astype(meta.cfg.dtype), requires_grad=True)
+        offset += count * dtype.itemsize
     return ModelParams(arrays, meta)

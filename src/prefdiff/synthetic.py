@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import DomainData, make_domain
+from .data import DomainData, make_domain, write_atomic
 from .rng import make_rng
 
 
@@ -38,7 +38,6 @@ def generate_pair(n_users: int = 2000, n_items: int = 300, latent_dim: int = 8,
 
 def write_tsv(domain: DomainData, path) -> None:
     users, items = domain.users, domain.items
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(f"{users[u]}\t{items[i]}\t{r:.6f}\t{t}\n" for u, i, r, t in zip(
-            domain.user.tolist(), domain.item.tolist(), domain.rating.tolist(),
-            domain.timestamp.tolist()))
+    write_atomic(path, "".join(f"{users[u]}\t{items[i]}\t{r:.6f}\t{t}\n" for u, i, r, t in zip(
+        domain.user.tolist(), domain.item.tolist(), domain.rating.tolist(),
+        domain.timestamp.tolist())))

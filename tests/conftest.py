@@ -3,9 +3,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from prefdiff.config import RunConfig
 from prefdiff.params import ModelParams, init_params
+
+SELECTORS = [(v, "none") for v in range(7)] + [(0, a) for a in ("no_tf", "no_gs", "no_dm")]
+PATHS = st.text(st.characters(blacklist_categories=("Cc", "Cs", "Z")), max_size=8)
 
 
 @pytest.fixture
@@ -50,3 +54,31 @@ def forward_chain_step(u_prev: np.ndarray, t: int, eps: np.ndarray, s) -> np.nda
     s.check_step(t)
     beta = float(s.beta[t - 1])
     return math.sqrt(1.0 - beta) * np.asarray(u_prev) + math.sqrt(beta) * np.asarray(eps)
+
+
+@st.composite
+def run_configs(draw):
+    """Valid RunConfigs over every selector, both dtypes, T from 1 and
+    t_prime from -1 to T; input paths are free of line breaks and of
+    whitespace, which a config line strips."""
+    T = draw(st.integers(1, 4))
+    n_heads = draw(st.integers(1, 2))
+    variant, ablation = draw(st.sampled_from(SELECTORS))
+    alpha_min = draw(st.floats(0.01, 5.0))
+    cfg = RunConfig(
+        source_path=draw(PATHS), target_path=draw(PATHS),
+        fraction=draw(st.floats(0.01, 0.99)), seed=draw(st.integers(0, 2**32 - 1)),
+        d1=n_heads * draw(st.integers(1, 3)), hidden=draw(st.integers(1, 4)),
+        mlp_layers=draw(st.integers(1, 3)), enc_layers=draw(st.integers(0, 2)),
+        n_heads=n_heads, max_history_len=draw(st.integers(1, 4)), T=T,
+        eta=draw(st.floats(0.01, 1.0)), alpha_min=alpha_min,
+        alpha_max=alpha_min + draw(st.floats(0.01, 10.0)),
+        batch_size=draw(st.integers(1, 512)),
+        learning_rate=draw(st.floats(1e-5, 1.0)), epochs=draw(st.integers(0, 20)),
+        lam=draw(st.floats(0.0, 1.0)), p_uncond=draw(st.floats(0.0, 1.0)),
+        loss_weighting=draw(st.sampled_from(["simplified", "variance_weighted"])),
+        init_scale=draw(st.floats(1e-3, 1.0)), omega=draw(st.floats(0.0, 8.0)),
+        t_prime=draw(st.integers(-1, T)), variant=variant, ablation=ablation,
+        dtype=draw(st.sampled_from(["float32", "float64"])))
+    cfg.validate()
+    return cfg

@@ -1,4 +1,5 @@
-"""Every function and method defined in `prefdiff` serves a command.
+"""Every function and method defined in `prefdiff` serves a command, and
+every file it writes goes through `data.write_atomic`.
 
 The test wraps each function, method and (cached) property getter of the
 package with a call counter, runs every CLI command on a tiny synthetic pair, and
@@ -8,11 +9,13 @@ from generated source, not from the module's file) and the error classes
 are exempt. The synthetic pair is made through the wrapped generator, as
 the benchmark and `tools/output_digest.py` make theirs.
 """
+import ast
 import importlib
 import inspect
 import pkgutil
 import re
 from functools import cached_property
+from pathlib import Path
 
 import click
 from click.testing import CliRunner
@@ -108,6 +111,40 @@ def test_the_model_is_the_one_home_of_its_schedule_and_settings():
     names = {name for name, _, _, _ in _targets()}
     assert {"prefdiff.diffusion.reverse_step", "prefdiff.trainer.compute_batch_loss",
             "prefdiff.params.ModelMeta.pipeline"} <= names
+
+
+def _write_calls(tree) -> list[tuple[int, str]]:
+    """(line, call) for every call in `tree` that opens a file for writing,
+    or whose mode is not a literal, and every pathlib or numpy file writer."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        name = getattr(node.func, "id", getattr(node.func, "attr", None))
+        if name in ("open", "fdopen"):
+            modes = node.args[1:2] + [k.value for k in node.keywords if k.arg == "mode"]
+            if any(not isinstance(m, ast.Constant) or re.search("[wax+]", m.value)
+                   for m in modes):
+                found.append((node.lineno, ast.unparse(node)))
+        elif name in ("write_text", "write_bytes", "tofile", "save", "savez", "savetxt"):
+            found.append((node.lineno, ast.unparse(node)))
+    return found
+
+
+def test_every_file_is_written_through_write_atomic():
+    # a plain write leaves a half-written file behind a failed or killed
+    # process; write_atomic is the one place that opens a file to write it
+    outside, inside = [], []
+    for path in sorted(Path(prefdiff.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        writer = [node for node in ast.walk(tree)
+                  if isinstance(node, ast.FunctionDef) and node.name == "write_atomic"]
+        exempt = [call for node in writer for call in _write_calls(node)]
+        inside += exempt
+        outside += [(path.name, *call) for call in _write_calls(tree) if call not in exempt]
+    assert outside == []
+    # the scan sees the write it exempts
+    assert [call for _, call in inside] == ["open(tmp, 'wb')"]
 
 
 def _cli(*args):

@@ -7,6 +7,7 @@ from click.testing import CliRunner
 
 from prefdiff.cli import main
 from prefdiff.errors import ConfigurationError
+from prefdiff.params import load_checkpoint
 from prefdiff.synthetic import generate_pair, write_tsv
 
 
@@ -139,6 +140,16 @@ def test_eval_from_checkpoint(run_config, tmp_path):
     assert result.output.split("MAE=")[1] == again.output.split("MAE=")[1]
 
 
+def test_eval_per_user_needs_out(run_config, tmp_path, monkeypatch):
+    # the per-user table goes only to <out>.per_user; without --out it was
+    # computed and dropped
+    monkeypatch.setattr("prefdiff.cli.load_checkpoint", None)
+    result = CliRunner().invoke(main, ["eval", "--checkpoint", str(tmp_path),
+                                       "--config", run_config, "--per-user"])
+    assert error_line(result, "ConfigurationError") == \
+        "--per-user writes <out>.per_user and needs --out"
+
+
 def test_sweep_inference_axis(run_config, tmp_path):
     out = tmp_path / "sweep.tsv"
     invoke("sweep", "--config", run_config, "--sweep-axis", "t_prime",
@@ -200,8 +211,7 @@ def test_train_variant_override(run_config, tmp_path):
     out = tmp_path / "v4"
     invoke("train", "--config", run_config, "--seed", "1", "--variant", "4",
            "--out", str(out))
-    manifest = (out / "checkpoint" / "manifest.tsv").read_text()
-    assert "proj_w" in manifest
+    assert "proj_w" in load_checkpoint(out / "checkpoint").arrays
     assert "variant = 4" in (out / "config.echo").read_text()
 
 

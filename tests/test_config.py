@@ -1,6 +1,8 @@
 """Flat key = value run configuration: parsing, validation, canonical echo."""
 import pytest
+from hypothesis import given, settings
 
+from conftest import run_configs
 from prefdiff.config import (RunConfig, load_config, normalized_text,
                              parse_config_text)
 from prefdiff.errors import ConfigurationError
@@ -104,3 +106,9 @@ def test_normalized_round_trip(tmp_path):
     p = tmp_path / "run.conf"
     p.write_text(echo)
     assert load_config(p) == cfg
+
+
+@settings(max_examples=200, deadline=None)
+@given(cfg=run_configs())
+def test_normalized_round_trip_property(cfg):
+    assert parse_config_text(normalized_text(cfg)) == cfg

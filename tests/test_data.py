@@ -1,5 +1,7 @@
-"""Rating ingestion, cold-start split, and history construction."""
+"""Rating ingestion, cold-start split, history construction, and the
+atomic writer."""
 import math
+import os
 
 import numpy as np
 import pytest
@@ -9,7 +11,8 @@ from hypothesis import strategies as st
 from prefdiff.data import (build_histories,
                            held_out_ratings, load_ratings, make_domain,
                            overlapping_users, split_cold_start,
-                           training_ratings, user_universe, write_split_manifest)
+                           training_ratings, user_universe, write_atomic,
+                           write_split_manifest)
 from prefdiff.encoder import encode_history
 from prefdiff.errors import DataError
 
@@ -207,6 +210,29 @@ def test_split_manifest_round_trip(tmp_path):
     train = {u for u, role in rows if role == "train"}
     test = {u for u, role in rows if role == "test"}
     assert train == split.overlap_train and test == split.cold_start_test
+
+
+def test_write_atomic_replaces_the_whole_file(tmp_path):
+    p = tmp_path / "out.tsv"
+    write_atomic(p, "a\tb\n")
+    assert p.read_bytes() == b"a\tb\n"
+    write_atomic(p, b"\x00\xff")
+    assert p.read_bytes() == b"\x00\xff"
+    assert os.listdir(tmp_path) == ["out.tsv"]
+
+
+def test_write_atomic_failure_keeps_the_old_file(tmp_path, monkeypatch):
+    p = tmp_path / "out.tsv"
+    p.write_bytes(b"old\n")
+
+    def refuse(src, dst):
+        raise OSError("replace refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError, match="replace refused"):
+        write_atomic(p, "new\n")
+    assert p.read_bytes() == b"old\n"
+    assert os.listdir(tmp_path) == ["out.tsv"]
 
 
 @given(st.integers(min_value=2, max_value=60), st.floats(min_value=0.05, max_value=0.95),

@@ -1,24 +1,25 @@
 """Parameter initialization, step embeddings, and checkpoint round-trips."""
 import gc
 import math
+import re
 import tempfile
 import warnings
+from contextlib import contextmanager
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import run_configs
 from prefdiff.config import RunConfig
 from prefdiff.errors import CheckpointError, ConfigurationError
 from prefdiff.params import (BLOB_NAME, MANIFEST_NAME, init_params,
                              load_checkpoint, save_checkpoint,
                              step_embedding_table)
 from prefdiff.schedule import build_schedule
-
-SELECTORS = [(v, "none") for v in range(7)] + [(0, a) for a in ("no_tf", "no_gs", "no_dm")]
-
 
 def small_params(n_users=7, **kw):
     """A float64 model for 7 users, 5 source and 6 target items; `kw` are
@@ -159,39 +160,45 @@ def _corrupt_manifest(path, edit):
     mpath.write_text("\n".join(edit(lines)) + "\n")
 
 
-def test_checkpoint_unknown_array(tmp_path):
-    p = small_params()
-    save_checkpoint(p, tmp_path)
+def test_checkpoint_array_lines_are_refused(tmp_path):
+    # the arrays' names and shapes come from the config alone; a manifest
+    # that lists them is not one this code wrote
+    save_checkpoint(small_params(), tmp_path)
     _corrupt_manifest(tmp_path, lambda ls: ls + ["bogus\t4\tfloat64\t0"])
-    with pytest.raises(CheckpointError, match="unknown array"):
+    with pytest.raises(CheckpointError, match="line 'bogus.*' is not `# key = value` metadata"):
         load_checkpoint(tmp_path)
 
 
-def test_checkpoint_missing_array(tmp_path):
-    p = small_params()
-    save_checkpoint(p, tmp_path)
-    _corrupt_manifest(tmp_path, lambda ls: [l for l in ls if not l.startswith("user_emb\t")])
-    with pytest.raises(CheckpointError, match="missing arrays"):
-        load_checkpoint(tmp_path)
+@pytest.mark.parametrize("line,edit,problem", [
+    ("# n_users = 7", "# n_users = 8", "truncated"),
+    ("# d1 = 4", "# d1 = 2", "too long"),
+], ids=["n_users", "d1"])
+def test_checkpoint_length_follows_the_manifest_sizes(tmp_path, line, edit, problem):
+    # a size or config line that changes an array's shape no longer
+    # matches the blob, and the length check names how
+    ckpt = tmp_path / "ckpt"
+    save_checkpoint(small_params(), ckpt)
+    _corrupt_manifest(ckpt, lambda ls: [edit if l == line else l for l in ls])
+    with pytest.raises(CheckpointError, match=problem):
+        load_checkpoint(ckpt)
 
 
-def test_checkpoint_shape_mismatch(tmp_path):
-    p = small_params()
-    save_checkpoint(p, tmp_path)
-    _corrupt_manifest(
-        tmp_path,
-        lambda ls: [l.replace("user_emb\t7,4", "user_emb\t7,5") for l in ls])
-    with pytest.raises(CheckpointError, match="shape"):
-        load_checkpoint(tmp_path)
+def test_checkpoint_blob_with_an_extra_byte(tmp_path):
+    ckpt = tmp_path / "ckpt"
+    save_checkpoint(small_params(), ckpt)
+    blob = ckpt / BLOB_NAME
+    blob.write_bytes(blob.read_bytes() + b"\0")
+    with pytest.raises(CheckpointError, match="too long"):
+        load_checkpoint(ckpt)
 
 
 def test_checkpoint_truncated_blob(tmp_path):
-    p = small_params()
-    save_checkpoint(p, tmp_path)
-    blob = tmp_path / BLOB_NAME
+    ckpt = tmp_path / "ckpt"
+    save_checkpoint(small_params(), ckpt)
+    blob = ckpt / BLOB_NAME
     blob.write_bytes(blob.read_bytes()[:-8])
     with pytest.raises(CheckpointError, match="truncated"):
-        load_checkpoint(tmp_path)
+        load_checkpoint(ckpt)
 
 
 def test_checkpoint_missing_meta(tmp_path):
@@ -226,33 +233,11 @@ def test_old_format_checkpoint_is_refused(tmp_path):
         load_checkpoint(tmp_path)
 
 
-@st.composite
-def run_configs(draw):
-    """Valid RunConfigs over every selector, both dtypes and T from 1."""
-    T = draw(st.integers(1, 4))
-    n_heads = draw(st.integers(1, 2))
-    variant, ablation = draw(st.sampled_from(SELECTORS))
-    alpha_min = draw(st.floats(0.01, 5.0))
-    cfg = RunConfig(
-        fraction=draw(st.floats(0.01, 0.99)), seed=draw(st.integers(0, 2**32 - 1)),
-        d1=n_heads * draw(st.integers(1, 3)), hidden=draw(st.integers(1, 4)),
-        mlp_layers=draw(st.integers(1, 3)), enc_layers=draw(st.integers(0, 2)),
-        n_heads=n_heads, max_history_len=draw(st.integers(1, 4)), T=T,
-        eta=draw(st.floats(0.01, 1.0)), alpha_min=alpha_min,
-        alpha_max=alpha_min + draw(st.floats(0.01, 10.0)),
-        batch_size=draw(st.integers(1, 512)),
-        learning_rate=draw(st.floats(1e-5, 1.0)), epochs=draw(st.integers(0, 20)),
-        lam=draw(st.floats(0.0, 1.0)), p_uncond=draw(st.floats(0.0, 1.0)),
-        loss_weighting=draw(st.sampled_from(["simplified", "variance_weighted"])),
-        init_scale=draw(st.floats(1e-3, 1.0)), omega=draw(st.floats(0.0, 8.0)),
-        t_prime=draw(st.integers(-1, T)), variant=variant, ablation=ablation,
-        dtype=draw(st.sampled_from(["float32", "float64"])))
-    cfg.validate()
-    return cfg
+SIZES = st.tuples(*[st.integers(1, 4)] * 3)
 
 
 @settings(max_examples=60, deadline=None)
-@given(cfg=run_configs(), sizes=st.tuples(*[st.integers(1, 4)] * 3))
+@given(cfg=run_configs(), sizes=SIZES)
 @example(cfg=RunConfig(d1=2, hidden=2, mlp_layers=1, enc_layers=0, T=1,
                        max_history_len=1, variant=6), sizes=(1, 1, 1))
 def test_checkpoint_round_trip_property(cfg, sizes):
@@ -265,3 +250,69 @@ def test_checkpoint_round_trip_property(cfg, sizes):
     for name, tensor in p.arrays.items():
         assert q[name].data.dtype == tensor.data.dtype == np.dtype(cfg.dtype)
         assert q[name].data.tobytes() == tensor.data.tobytes()
+
+
+CORRUPTION = settings(max_examples=25, deadline=None)
+
+
+@contextmanager
+def _saved(cfg, sizes):
+    """A temporary checkpoint directory of a fresh model."""
+    with tempfile.TemporaryDirectory() as tmp:
+        save_checkpoint(init_params(cfg, *sizes), tmp)
+        yield Path(tmp)
+
+
+@CORRUPTION
+@given(cfg=run_configs(), sizes=SIZES, data=st.data())
+def test_any_bit_flip_in_the_blob_is_refused(cfg, sizes, data):
+    with _saved(cfg, sizes) as ckpt:
+        blob = bytearray((ckpt / BLOB_NAME).read_bytes())
+        bit = data.draw(st.integers(0, 8 * len(blob) - 1))
+        blob[bit // 8] ^= 1 << (bit % 8)
+        (ckpt / BLOB_NAME).write_bytes(blob)
+        with pytest.raises(CheckpointError, match="sha256"):
+            load_checkpoint(ckpt)
+
+
+@CORRUPTION
+@given(cfg=run_configs(), sizes=SIZES, n=st.integers(1, 64), longer=st.booleans())
+def test_a_blob_of_another_length_is_refused(cfg, sizes, n, longer):
+    with _saved(cfg, sizes) as ckpt:
+        blob = (ckpt / BLOB_NAME).read_bytes()
+        (ckpt / BLOB_NAME).write_bytes(blob + bytes(n) if longer else blob[:-n])
+        with pytest.raises(CheckpointError, match="too long" if longer else "truncated"):
+            load_checkpoint(ckpt)
+
+
+@CORRUPTION
+@given(cfg=run_configs(), sizes=SIZES, data=st.data())
+def test_any_changed_digit_of_the_digest_is_refused(cfg, sizes, data):
+    with _saved(cfg, sizes) as ckpt:
+        text = (ckpt / MANIFEST_NAME).read_text()
+        digest = re.search(r"^# sha256 = ([0-9a-f]{64})$", text, re.M)
+        i = digest.start(1) + data.draw(st.integers(0, 63))
+        digit = data.draw(st.sampled_from("0123456789abcdef").filter(lambda c: c != text[i]))
+        (ckpt / MANIFEST_NAME).write_text(text[:i] + digit + text[i + 1:])
+        with pytest.raises(CheckpointError, match="sha256"):
+            load_checkpoint(ckpt)
+
+
+@CORRUPTION
+@given(cfg=run_configs(), sizes=SIZES)
+def test_a_checkpoint_with_per_array_lines_is_refused(cfg, sizes):
+    # the format before the digest: the same metadata and blob, no sha256
+    # line, and one `name, shape, dtype, byte offset` line per array
+    p = init_params(cfg, *sizes)
+    with _saved(cfg, sizes) as ckpt:
+        lines = [l for l in (ckpt / MANIFEST_NAME).read_text().splitlines()
+                 if not l.startswith("# sha256 = ")]
+        offset = 0
+        for name, tensor in p.arrays.items():
+            shape = ",".join(map(str, tensor.data.shape))
+            lines.append(f"{name}\t{shape}\t{tensor.data.dtype.name}\t{offset}")
+            offset += tensor.data.nbytes
+        assert offset == (ckpt / BLOB_NAME).stat().st_size
+        (ckpt / MANIFEST_NAME).write_text("\n".join(lines) + "\n")
+        with pytest.raises(CheckpointError, match="metadata"):
+            load_checkpoint(ckpt)
