@@ -96,7 +96,7 @@ class Tensor:
         return mul(self, -1.0)
 
     def __sub__(self, other):
-        return add(self, -as_tensor(other))
+        return add(self, -other)
 
     def __matmul__(self, other):
         return matmul(self, other)
@@ -134,7 +134,15 @@ def _make(data, parents, backward_fn) -> Tensor:
 
 
 def add(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a = as_tensor(a)
+    if isinstance(b, (int, float)):
+        data = a.data + b
+
+        def backward_scalar(g):
+            return (g,)
+
+        return _make(data, (a,), backward_scalar)
+    b = as_tensor(b)
     data = a.data + b.data
 
     def backward(g):
@@ -268,46 +276,18 @@ def transpose(a, axes) -> Tensor:
     return _make(data, (a,), backward)
 
 
-# the fewest rows a scatter round in `gather`'s backward writes: a round costs
-# about as much as `np.add.at` on 16 rows of float64 into float32
-_MIN_ROUND = 16
-
-
 def gather(table, indices) -> Tensor:
-    """Row lookup `table[indices]` with scatter-add backward (embeddings).
-
-    The backward equals `np.add.at(zeros_like(table), indices, g)` bit for
-    bit: every row gets its adds in index order, each rounded to the table's
-    dtype. It adds the k-th occurrence of every index in round k, so a
-    round writes distinct rows; unlike `np.add.at`, it stays fast when `g`
-    and the table differ in dtype. Rounds shrink as k grows; once one would
-    write fewer than `_MIN_ROUND` rows, the remaining adds, still in
-    (k, row) order, go to one `np.add.at` call, so an index repeated
-    thousands of times (padding slots) does not cost thousands of rounds."""
+    """Row lookup `table[indices]` with scatter-add backward (embeddings):
+    `np.add.at(zeros_like(table), indices, g)`, each add rounded to the
+    table's dtype. Every graph the package builds hands `g` in the table's
+    dtype, which keeps `np.add.at` on its fast same-dtype path."""
     table = as_tensor(table)
     idx = np.asarray(indices)
     data = table.data[idx]
 
     def backward(g):
         out = np.zeros_like(table.data)
-        flat = idx.reshape(-1) % max(len(out), 1)
-        rows = g.reshape(flat.shape + out.shape[1:])
-        order = np.argsort(flat, kind="stable")
-        dest = flat[order]
-        # rank of each entry among the entries of its row, in index order
-        pos = np.arange(dest.size)
-        rank = pos - np.maximum.accumulate(np.where(np.diff(dest, prepend=-1) != 0, pos, 0))
-        by_rank = np.argsort(rank, kind="stable")
-        src, dest = order[by_rank], dest[by_rank]
-        lo = 0
-        for hi in np.cumsum(np.bincount(rank)):
-            if hi - lo < _MIN_ROUND:
-                break
-            d = dest[lo:hi]
-            out[d] = out[d] + rows[src[lo:hi]]
-            lo = hi
-        if lo < dest.size:
-            np.add.at(out, dest[lo:], rows[src[lo:]])
+        np.add.at(out, idx, g)
         return (out,)
 
     return _make(data, (table,), backward)

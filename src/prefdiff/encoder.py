@@ -15,11 +15,7 @@ from .autodiff import Tensor
 from .errors import DataError
 from .params import ModelParams
 
-# A float64 0-d array, not a Python float: under dtype = float32 it promotes
-# `var + _EPS`, and with it the encoder, to float64 in both modes, as the
-# graph's `var + 1e-5` always did (`as_tensor` makes a float64 0-d array of
-# a Python float). Keeping float32 end to end starts here.
-_EPS = np.asarray(1e-5)
+_EPS = 1e-5
 
 
 def layer_norm(x, gain, bias):

@@ -48,9 +48,9 @@ def infer_user(u_init: np.ndarray, h, cfg: RunConfig, params: ModelParams,
     initialization draw. rng gives one `standard_normal` block of T'-1
     rows of the state's width, row k the noise of the k-th step (the same
     numbers as one draw per noisy step). The steps run on plain arrays,
-    without an autodiff graph. The noise z is float64, so the state is
-    float64 from the first step on, and later denoiser matmuls run in
-    float64.
+    without an autodiff graph. The first step runs in the model dtype;
+    its noise z is float64 (zero at t = 1), so under a float32 model the
+    state leaves it as float64 and later steps run in float64.
     """
     t_prime = cfg.resolved_t_prime()
     if not 0 <= t_prime <= params.schedule.T:

@@ -82,7 +82,10 @@ class ModelParams:
         """The denoiser's (w, b) arrays, each cast to its promotion with
         `dtype`, the dtype of the denoiser's input: `x @ w + b` then gives
         the same bits as with the model-dtype arrays, without casting them
-        on every call. An array already of that dtype is returned itself.
+        on every call. An array already of that dtype is returned itself:
+        under a float32 model the first reverse step gets the model arrays,
+        and the later steps, whose state the float64 noise has promoted,
+        get float64 casts.
 
         The casts are made once per parameter version and rebuilt when any
         source array is not the one they were cast from (`is`); the cache
@@ -223,8 +226,13 @@ def load_checkpoint(path) -> ModelParams:
     blob_path = os.path.join(path, BLOB_NAME)
     if not os.path.exists(manifest_path) or not os.path.exists(blob_path):
         raise CheckpointError(f"missing checkpoint files under {path}")
-    with open(manifest_path, "r", encoding="utf-8") as fh:
-        meta, digest = _parse_manifest(fh.read())
+    try:
+        with open(manifest_path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise CheckpointError(
+            f"{manifest_path}: not UTF-8 text: byte {exc.start}: {exc.reason}") from exc
+    meta, digest = _parse_manifest(text)
     with open(blob_path, "rb") as fh:
         blob = fh.read()
     specs = _array_specs(meta)

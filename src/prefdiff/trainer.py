@@ -91,7 +91,7 @@ def rec_loss(pred_ratings, true_ratings):
     n = pred_ratings.shape[0]
     if n == 0:
         raise DataError("rec_loss over empty input")
-    diff = pred_ratings - np.asarray(true_ratings, dtype=float)
+    diff = pred_ratings - np.asarray(true_ratings)
     return (diff * diff).sum() * (1.0 / n)
 
 

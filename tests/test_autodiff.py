@@ -40,6 +40,15 @@ def test_scalar_ops():
     check_grad(lambda a: ((a * 3.0 - 1.0) * 0.5).sum(), (5,))
 
 
+@pytest.mark.parametrize("op", [lambda a: a + 1e-5, lambda a: a - 1.0, lambda a: a * 2.0,
+                                lambda a: 2.0 * a, lambda a: -a, lambda a: a ** -0.5])
+def test_python_scalar_keeps_a_float32_graph_float32(op):
+    a = Tensor(np.full(3, 2.0, np.float32), requires_grad=True)
+    out = op(a)
+    out.sum().backward()
+    assert out.data.dtype == a.grad.dtype == np.float32
+
+
 def test_matmul_2d():
     check_grad(lambda a, b: (a @ b).sum(), (3, 4), (4, 2))
 

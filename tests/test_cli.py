@@ -350,6 +350,22 @@ def test_eval_rejects_a_repeated_key(main_checkpoint, run_config, tmp_path):
     assert msg == "config keys given more than once: ['t_prime']"
 
 
+def test_eval_reports_a_manifest_that_is_not_utf8(main_checkpoint, run_config, tmp_path):
+    # flipping the top bit of byte 3, the `_` of `# n_users`, makes it a
+    # UTF-8 lead byte that no continuation byte follows
+    ckpt = tmp_path / "checkpoint"
+    ckpt.mkdir()
+    for name in ("manifest.tsv", "params.bin"):
+        (ckpt / name).write_bytes(open(os.path.join(main_checkpoint, name), "rb").read())
+    manifest = bytearray((ckpt / "manifest.tsv").read_bytes())
+    manifest[3] ^= 0x80
+    (ckpt / "manifest.tsv").write_bytes(bytes(manifest))
+    result = CliRunner().invoke(main, ["eval", "--checkpoint", str(ckpt),
+                                       "--config", run_config])
+    message = error_line(result, "CheckpointError")
+    assert message.startswith(f"{ckpt / 'manifest.tsv'}: not UTF-8 text: byte 3"), message
+
+
 def test_eval_splits_as_the_checkpoint(main_checkpoint, run_config, tmp_path):
     # --seed keys only the rollout noise: with no reverse step the reports
     # under two seeds are the same bytes, over the checkpoint's test users

@@ -1,9 +1,11 @@
 """Inference rollout and cold-start evaluation."""
 import math
+import tempfile
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from prefdiff.autodiff import Tensor
 from prefdiff.data import (build_histories, held_out_ratings, split_cold_start,
@@ -13,11 +15,12 @@ from prefdiff.encoder import encode_history
 from prefdiff.errors import ConfigurationError, DataError
 from prefdiff.evaluate import (EvalReport, evaluate, infer_user,
                                report_from_errors)
-from prefdiff.params import ModelParams, init_params
+from prefdiff.params import ModelParams, init_params, load_checkpoint, save_checkpoint
 from prefdiff.rng import make_rng
 from prefdiff.schedule import posterior_mean_coeffs
 from prefdiff.trainer import train
 
+from conftest import run_configs
 from test_trainer import tiny_cfg, toy_domains
 
 
@@ -230,20 +233,21 @@ def _tiny_run_report(variant, ablation):
     return evaluate(params, src, tgt, split, cfg)
 
 
-# report lines recorded from the code before inference ran without the
-# autodiff graph; the graph-free rollout must reproduce them exactly (a
-# different BLAS build may move the last digits of both)
+# report lines of float32 models; `no_tf` was recorded before inference ran
+# without the autodiff graph, the others were re-recorded when float32
+# models came to train in float32 end to end (a different BLAS build may
+# move the last digits of both)
 GOLDEN_REPORTS = {
-    (0, "none"): ("mae\t3.792550336", "rmse\t3.942042418"),
-    (1, "none"): ("mae\t3.882049679", "rmse\t4.002656703"),
-    (2, "none"): ("mae\t3.830982788", "rmse\t3.951580868"),
-    (3, "none"): ("mae\t3.827199379", "rmse\t3.948412448"),
-    (4, "none"): ("mae\t3.79479595", "rmse\t3.936464909"),
-    (5, "none"): ("mae\t3.822933973", "rmse\t3.942684748"),
-    (6, "none"): ("mae\t3.881880465", "rmse\t3.997686023"),
+    (0, "none"): ("mae\t3.792550339", "rmse\t3.942042419"),
+    (1, "none"): ("mae\t3.88204968", "rmse\t4.002656703"),
+    (2, "none"): ("mae\t3.830982786", "rmse\t3.951580867"),
+    (3, "none"): ("mae\t3.827199377", "rmse\t3.948412447"),
+    (4, "none"): ("mae\t3.794795949", "rmse\t3.936464909"),
+    (5, "none"): ("mae\t3.822933969", "rmse\t3.942684744"),
+    (6, "none"): ("mae\t3.881880463", "rmse\t3.997686021"),
     (0, "no_tf"): ("mae\t3.877559983", "rmse\t3.995689337"),
-    (0, "no_gs"): ("mae\t3.882049679", "rmse\t4.002656703"),
-    (0, "no_dm"): ("mae\t3.79466486", "rmse\t3.931480461"),
+    (0, "no_gs"): ("mae\t3.88204968", "rmse\t4.002656703"),
+    (0, "no_dm"): ("mae\t3.794664853", "rmse\t3.931480457"),
 }
 
 
@@ -251,3 +255,28 @@ GOLDEN_REPORTS = {
 def test_tiny_run_report_matches_golden(variant, ablation):
     lines = _tiny_run_report(variant, ablation).tsv().split("\n")
     assert tuple(lines[1:3]) == GOLDEN_REPORTS[(variant, ablation)]
+
+
+FUZZ_DOMAINS = toy_domains(n_overlap=30, seed=7)
+
+
+@settings(max_examples=40, deadline=None)
+@given(cfg=run_configs())
+def test_every_accepted_config_trains_round_trips_and_evaluates_finite(cfg):
+    # any config that validation accepts either is refused at the split,
+    # before training, or trains, saves, loads and evaluates to finite
+    # numbers; the loaded checkpoint scores exactly as the trained model
+    src, tgt = FUZZ_DOMAINS
+    try:
+        split = split_cold_start(src, tgt, cfg.fraction, cfg.seed)
+    except DataError as exc:
+        assert "overlapping users" in str(exc)
+        return
+    params, history = train(src, tgt, split, cfg)
+    assert all(np.isfinite(row[k]) for row in history for k in ("rec", "diff", "total"))
+    with tempfile.TemporaryDirectory() as tmp:
+        save_checkpoint(params, tmp)
+        loaded = load_checkpoint(tmp)
+    report = evaluate(loaded, src, tgt, split, cfg, collect_per_user=True)
+    assert np.isfinite([report.mae, report.rmse]).all()
+    assert report == evaluate(params, src, tgt, split, cfg, collect_per_user=True)

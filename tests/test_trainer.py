@@ -11,7 +11,8 @@ from prefdiff import autodiff as ad
 from prefdiff.config import RunConfig
 from prefdiff.data import make_domain, split_cold_start, user_universe
 from prefdiff.errors import ConfigurationError, DataError
-from prefdiff.params import init_params, save_checkpoint
+from prefdiff.encoder import encode_history
+from prefdiff.params import ModelParams, init_params, save_checkpoint
 from prefdiff.rng import make_rng
 from prefdiff.schedule import build_schedule
 from prefdiff.trainer import (AdamState, BatchDraws, Examples,
@@ -303,8 +304,9 @@ def test_adam_update_matches_out_of_place_formula_bitwise(dtype):
         rng = make_rng(4, 4)
         for step in range(5):
             for name, tensor in p.arrays.items():
-                # gradients are float64 in training; null_token never gets
-                # one, and pos_emb only on every other step
+                # float64 gradients, so a float32 model's update casts
+                # them; null_token never gets one, and pos_emb only on
+                # every other step
                 skip = name == "null_token" or (name == "pos_emb" and step % 2)
                 tensor.grad = None if skip else rng.standard_normal(tensor.data.shape)
             adam.update(p, lr=0.05)
@@ -345,6 +347,67 @@ def test_backward_functions_leave_gradients_unwritten(variant, ablation, monkeyp
     total.backward()
     assert p["user_emb"].grad is not None
     AdamState().update(p, 0.01)
+
+
+def _graph_nodes(root):
+    """Every tensor of the autodiff graph that `root` was computed from."""
+    nodes, seen, stack = [], set(), [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            nodes.append(node)
+            stack.extend(node._parents)
+    return nodes
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("variant,ablation", SELECTORS)
+def test_a_training_step_stays_in_the_model_dtype(variant, ablation, dtype):
+    # one float64 constant in the graph promotes the step after it, and
+    # with it every gradient, to float64: a float32 model would then train
+    # at float64 speed and scatter float64 gradients into float32 tables
+    p = init_params(tiny_cfg(variant=variant, ablation=ablation, seed=11, dtype=dtype),
+                    6, 8, 9)
+    draws = sample_draws(make_rng(5, 0), 6, p.meta)
+    total, _ = compute_batch_loss(*toy_batch(p, n=6), p, draws)
+    total.backward()
+    nodes = _graph_nodes(total)
+    assert {node.data.dtype for node in nodes} == {np.dtype(dtype)}
+    assert {node.grad.dtype for node in nodes if node.grad is not None} == {np.dtype(dtype)}
+    grads = [t.grad for t in p.arrays.values() if t.grad is not None]
+    assert grads and {g.dtype for g in grads} == {np.dtype(dtype)}
+    assert encode_history(p["item_emb_src"].data[[1, 2, 3]], p).dtype == dtype
+
+
+# worst over 30 init and batch seeds x the 10 selectors: 1.8e-7 (loss) and
+# 4.3e-6 (a gradient); the bounds keep more than 10x margin over both
+LOSS_BOUND_F32 = 1e-5
+GRAD_BOUND_F32 = 1e-4
+
+
+@pytest.mark.parametrize("variant,ablation", SELECTORS)
+def test_float32_step_is_within_bound_of_float64(variant, ablation):
+    # the same step at both dtypes, from one float32 init cast up and with
+    # one set of draws; the gap is the rounding of float32 arithmetic alone
+    cfg = tiny_cfg(variant=variant, ablation=ablation, seed=11, dtype="float32")
+    p32 = init_params(cfg, 6, 8, 9)
+    p64 = ModelParams({name: ad.Tensor(t.data.astype(np.float64), requires_grad=True)
+                       for name, t in p32.arrays.items()},
+                      replace(p32.meta, cfg=replace(cfg, dtype="float64")))
+    draws = sample_draws(make_rng(5, 0), 6, p32.meta)
+    batch = toy_batch(p32, n=6)
+    losses = []
+    for p, d in ((p32, draws), (p64, replace(draws, eps=draws.eps.astype(np.float64)))):
+        total, _ = compute_batch_loss(*batch, p, d)
+        total.backward()
+        losses.append(float(total.data))
+    assert abs(losses[0] - losses[1]) <= LOSS_BOUND_F32 * abs(losses[1])
+    for name, t in p32.arrays.items():
+        g32, g64 = t.grad, p64[name].grad
+        assert (g32 is None) == (g64 is None), name
+        if g64 is not None:
+            assert np.linalg.norm(g32 - g64) <= GRAD_BOUND_F32 * np.linalg.norm(g64), name
 
 
 def test_train_binds_checkpoint_to_config_and_wiring():
@@ -477,20 +540,22 @@ def test_loss_history_tsv_format():
 
 
 # (variant, ablation, dtype) -> sha256 prefixes of (loss.tsv, params.bin) of a
-# tiny two-epoch train, recorded before the training step's scatter,
-# gradient accumulation and Adam update were rewritten; the rewrite must
-# reproduce them exactly (a different BLAS build may change them)
+# tiny two-epoch train. The float64 entry was recorded before the training
+# step's scatter, gradient accumulation and Adam update were rewritten; the
+# float32 entries were re-recorded when float32 models came to train in
+# float32 end to end (`test_float32_step_is_within_bound_of_float64` bounds
+# that move). A different BLAS build may change them.
 GOLDEN_TRAINS = {
-    (0, "none", "float32"): ("52a9bdc5ed6cbe48", "543c8d6bd52904fd"),
-    (1, "none", "float32"): ("c5b7bc1908929c4e", "14d6cae27a543931"),
-    (2, "none", "float32"): ("0776d185d3bfb0e5", "a0bb11afdbf99566"),
-    (3, "none", "float32"): ("4846fd1c30258859", "66e16e4d46506803"),
-    (4, "none", "float32"): ("497d240f8317b562", "65e5a2db99907a1f"),
-    (5, "none", "float32"): ("7d61c4f823343bcf", "8469cd6a391ad089"),
-    (6, "none", "float32"): ("53d3612633b34028", "e8555f4bbd6f5451"),
-    (0, "no_tf", "float32"): ("1b0d30578bf7dc08", "888ab4aa6e565bd1"),
-    (0, "no_gs", "float32"): ("c5b7bc1908929c4e", "14d6cae27a543931"),
-    (0, "no_dm", "float32"): ("4299b45fb614bd8f", "85e43e5c0b93c2c9"),
+    (0, "none", "float32"): ("61f9471760eef071", "5598eda88315ab5a"),
+    (1, "none", "float32"): ("befeb923900c5356", "998c5fb632fbca13"),
+    (2, "none", "float32"): ("6d9cdc32c4c5734d", "3448412fd1c9de20"),
+    (3, "none", "float32"): ("09feb04a6b5b57f8", "a8b88f59d4172464"),
+    (4, "none", "float32"): ("94058d2f683faaf0", "8aa13a57c0fff4f6"),
+    (5, "none", "float32"): ("a28a40f4c4e45664", "ddd90ea4af22d310"),
+    (6, "none", "float32"): ("fbedab1aca77d947", "ba17e961b98f606f"),
+    (0, "no_tf", "float32"): ("6ba2dcd9856c321c", "df21df0bd3fa6283"),
+    (0, "no_gs", "float32"): ("befeb923900c5356", "998c5fb632fbca13"),
+    (0, "no_dm", "float32"): ("a0e0b7bbb5e63927", "5cfef43377b937e7"),
     (0, "none", "float64"): ("9fade15da39de4fa", "ba1c42bd1fb5de84"),
 }
 
