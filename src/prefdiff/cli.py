@@ -95,8 +95,8 @@ def cmd_train(config_path, seed, fraction, variant, out_dir):
     """Train a model and write checkpoint, loss TSV, split manifest, and the
     normalized config."""
     cfg = load_config(config_path, seed=seed, fraction=fraction, variant=variant)
-    os.makedirs(out_dir, exist_ok=True)
     source, target, split = _load_run(cfg)
+    os.makedirs(out_dir, exist_ok=True)
     for warning in lint_pipeline(build_pipeline(cfg.variant, cfg.ablation), cfg.eta):
         click.echo(f"warning: {warning}", err=True)
     params, history = train(source, target, split, cfg)

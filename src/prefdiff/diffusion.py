@@ -1,7 +1,8 @@
 """Forward corruption, conditioned clean-state prediction, and the guided
 reverse step.
 
-Training runs `forward_marginal` and `denoise` inside its autodiff graph.
+Training runs `forward_marginal` and `denoise` inside its autodiff graph,
+the denoiser as one node of it.
 Cold-start inference runs `reverse_step` on plain numpy arrays, without a
 graph: it takes and returns (B, d) state rows, and calls `denoise` with
 array inputs, once per step or twice when the guidance strength omega > 0.
@@ -13,7 +14,7 @@ import math
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
+from .autodiff import Tensor, matmul_grads, unbroadcast
 from .params import ModelParams
 from .schedule import Schedule, posterior_mean_coeffs
 
@@ -39,27 +40,54 @@ def denoise(x_t, cond, t, params: ModelParams) -> Tensor:
     """MLP prediction of the clean state from [x_t || cond || step_emb(t)].
 
     x_t: (B, state_dim); cond: (B, d1); t: int or (B,) ints. Tanh hidden
-    layers, linear output. With a Tensor among x_t and cond the forward
-    builds the autodiff graph (training); with arrays it runs on the
-    parameter arrays, cast once to the input's dtype
-    (`ModelParams.denoiser_layers`), and returns a Tensor leaf without a
-    graph.
+    layers, linear output, on the parameter arrays cast once to the input's
+    dtype (`ModelParams.denoiser_layers`). With arrays the result is a
+    Tensor leaf without a graph. With a Tensor among x_t and cond it is one
+    graph node, whose parents are x_t, cond and the `den_*` weights and
+    whose backward replays the gradients of the per-operation graph of
+    concat, matmul, add and tanh, so training gives that graph's bits.
     """
     graph = isinstance(x_t, Tensor) or isinstance(cond, Tensor)
-    cat, tanh = (ad.concat, ad.tanh) if graph else (np.concatenate, np.tanh)
+    if graph:
+        x_t, cond = ad.as_tensor(x_t), ad.as_tensor(cond)
+        state, signal = x_t.data, cond.data
+    else:
+        state, signal = x_t, cond
     step = params.step_embedding(t)
     if step.ndim == 1:
         # the method: at B = 1, np.repeat's wrapper costs more than a matmul
-        step = step[None, :].repeat(x_t.shape[0], axis=0)
-    x = cat([x_t, cond, step], axis=-1)
-    n_layers = params.meta.cfg.mlp_layers
-    layers = [(params[f"den_w{layer}"], params[f"den_b{layer}"]) for layer in range(n_layers)] \
-        if graph else params.denoiser_layers(x.dtype)
-    for layer, (w, b) in enumerate(layers):
-        x = x @ w + b
-        if layer < n_layers - 1:
-            x = tanh(x)
-    return x if graph else Tensor(x)
+        step = step[None, :].repeat(state.shape[0], axis=0)
+    x = np.concatenate([state, signal, step], axis=-1)
+    layers = params.denoiser_layers(x.dtype)
+    inputs = []
+    for w, b in layers[:-1]:
+        inputs.append(x)
+        x = np.tanh(x @ w + b)
+    inputs.append(x)
+    w, b = layers[-1]
+    x = x @ w + b
+    if not graph:
+        return Tensor(x)
+    return _denoiser_node(x, x_t, cond, inputs, layers, params)
+
+
+def _denoiser_node(out, x_t: Tensor, cond: Tensor, inputs, layers, params: ModelParams):
+    """The graph node of a denoiser forward that took `inputs` (the input of
+    each layer, the first the concatenation) to `out`."""
+    def backward(g):
+        grads = []
+        for layer in reversed(range(len(layers))):
+            (w, b), x_in = layers[layer], inputs[layer]
+            g_b = unbroadcast(g, b.shape)
+            g, g_w = matmul_grads(g, x_in, w)
+            grads[:0] = [g_w, g_b]
+            if layer:  # through the tanh whose output x_in is
+                g = g * (1.0 - x_in * x_in)
+        width = x_t.shape[-1]
+        return (*np.split(g, [width, width + cond.shape[-1]], axis=-1)[:2], *grads)
+
+    return ad._make(out, (x_t, cond, *(params[name] for name in params.denoiser_names)),
+                    backward)
 
 
 def reverse_step(x: np.ndarray, cond: np.ndarray, uncond: np.ndarray, t: int,

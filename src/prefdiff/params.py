@@ -4,10 +4,10 @@ sinusoidal step embeddings, encoder weights, and checkpoint save/load.
 Checkpoint layout: a directory holding `manifest.tsv` and `params.bin`.
 The manifest is `# key = value` lines only: the three data sizes, the
 normalized text of the run config that trained the arrays, less its input
-paths, and the sha256 of `params.bin`. That config and those sizes fix
-every array's name and shape (`_array_specs`); `params.bin` is the arrays
-in that order, little-endian, in the model dtype. Both files are replaced
-atomically, the blob first.
+paths, and the sha256 of those lines followed by `params.bin`. That config
+and those sizes fix every array's name and shape (`_array_specs`);
+`params.bin` is the arrays in that order, little-endian, in the model
+dtype. Both files are replaced atomically, the blob first.
 """
 from __future__ import annotations
 
@@ -70,8 +70,8 @@ class ModelParams:
         cfg = meta.cfg
         self.schedule = build_schedule(cfg.T, cfg.eta, cfg.alpha_min, cfg.alpha_max)
         self.step_table = step_embedding_table(cfg.T, cfg.d1).astype(cfg.dtype)
-        self._denoiser_names = [f"den_{kind}{layer}" for layer in range(cfg.mlp_layers)
-                                for kind in "wb"]
+        self.denoiser_names = [f"den_{kind}{layer}" for layer in range(cfg.mlp_layers)
+                               for kind in "wb"]
         # dtype -> (the source arrays, their (w, b) pairs in that dtype)
         self._denoiser_casts: dict[np.dtype, tuple[list, list]] = {}
 
@@ -92,7 +92,7 @@ class ModelParams:
         holds the sources, so their ids are never reused. This relies on a
         contract: nothing in `src/` writes a parameter array in place. An
         update rebinds `Tensor.data` (`AdamState.update`)."""
-        sources = [self.arrays[name].data for name in self._denoiser_names]
+        sources = [self.arrays[name].data for name in self.denoiser_names]
         cached = self._denoiser_casts.get(dtype)
         if cached is None or any(map(operator.is_not, cached[0], sources)):
             cast = [a.astype(np.promote_types(dtype, a.dtype), copy=False) for a in sources]
@@ -179,17 +179,26 @@ def init_params(cfg: RunConfig, n_users: int, n_items_src: int,
     return ModelParams(arrays, meta)
 
 
-def _manifest_text(meta: ModelMeta, digest: str) -> str:
+def _metadata_text(meta: ModelMeta) -> str:
     sizes = [f"{key} = {getattr(meta, key)}" for key in SIZE_KEYS]
     config = [line for line in normalized_text(meta.cfg).splitlines()
               if line.partition(" = ")[0] in CONFIG_KEYS]
-    return "".join(f"# {line}\n" for line in sizes + config + [f"{DIGEST_KEY} = {digest}"])
+    return "".join(f"# {line}\n" for line in sizes + config)
+
+
+def _digest(meta: ModelMeta, blob: bytes) -> str:
+    """The sha256 of the metadata lines, as `_metadata_text` writes them,
+    followed by the blob: a metadata value changed to one that still
+    parses is refused like a changed blob."""
+    digest = hashlib.sha256(_metadata_text(meta).encode("utf-8"))
+    digest.update(blob)
+    return digest.hexdigest()
 
 
 def _parse_manifest(text: str) -> tuple[ModelMeta, str]:
-    """ModelMeta and the blob's sha256 from the manifest's `# key = value`
-    lines; a manifest with any other line or a missing key raises
-    CheckpointError."""
+    """ModelMeta and the checkpoint's sha256 from the manifest's
+    `# key = value` lines; a manifest with any other line or a missing key
+    raises CheckpointError."""
     lines = [line.strip() for line in text.splitlines() if line.strip()]
     stray = [line for line in lines if not line.startswith("#")]
     if stray:
@@ -210,15 +219,16 @@ def _parse_manifest(text: str) -> tuple[ModelMeta, str]:
 
 def save_checkpoint(params: ModelParams, path) -> None:
     """Write `params` under the directory `path`: `params.bin`, then the
-    manifest naming its sha256, so that a process killed between the two
-    leaves an old manifest that refuses the new blob."""
+    manifest, whose sha256 covers its metadata and the blob, so that a
+    process killed between the two leaves an old manifest that refuses the
+    new blob."""
     os.makedirs(path, exist_ok=True)
     dtype = np.dtype(params.meta.cfg.dtype).newbyteorder("<")
     blob = b"".join(np.ascontiguousarray(params.arrays[name].data, dtype).tobytes()
                     for name in _array_specs(params.meta))
     write_atomic(os.path.join(path, BLOB_NAME), blob)
-    write_atomic(os.path.join(path, MANIFEST_NAME),
-                 _manifest_text(params.meta, hashlib.sha256(blob).hexdigest()))
+    write_atomic(os.path.join(path, MANIFEST_NAME), _metadata_text(params.meta)
+                 + f"# {DIGEST_KEY} = {_digest(params.meta, blob)}\n")
 
 
 def load_checkpoint(path) -> ModelParams:
@@ -243,8 +253,9 @@ def load_checkpoint(path) -> ModelParams:
         raise CheckpointError(
             f"{BLOB_NAME} is {'truncated' if len(blob) < expected else 'too long'}: "
             f"{len(blob)} bytes, the manifest's arrays take {expected}")
-    if hashlib.sha256(blob).hexdigest() != digest:
-        raise CheckpointError(f"{BLOB_NAME} does not match the sha256 in the manifest")
+    if _digest(meta, blob) != digest:
+        raise CheckpointError(
+            f"the manifest's metadata and {BLOB_NAME} do not match the sha256 in the manifest")
     arrays: dict[str, Tensor] = {}
     offset = 0
     for (name, shape), count in zip(specs.items(), counts):

@@ -39,39 +39,68 @@ class Examples:
 
 
 class AdamState:
-    """Per-array first/second moment accumulators with bias correction."""
+    """First/second moment accumulators with bias correction. The moments
+    of the parameters that get gradients live in two flat buffers, and
+    `m[name]` and `v[name]` are views of them; a model's arrays share its
+    dtype, which the buffers take."""
 
     def __init__(self, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
         self.step = 0
+        self._names: tuple[str, ...] = ()
+        self._flat: tuple[np.ndarray, ...] = ()
+        self._deltas: list[np.ndarray] = []
+
+    def _lay_out(self, live: list[tuple[str, ad.Tensor]]) -> None:
+        """Flat buffers over the `live` parameters, in their order, holding
+        each one's moments so far (zero for a new one). A parameter left out
+        keeps its own moments until it is live again."""
+        dtype = live[0][1].data.dtype
+        sizes = [tensor.data.size for _, tensor in live]
+        m, v, delta, denom = (np.zeros(sum(sizes), dtype) for _ in range(4))
+        self._deltas = []
+        start = 0
+        for (name, tensor), size in zip(live, sizes):
+            shape, rows = tensor.data.shape, slice(start, start + size)
+            for moments, flat in ((self.m, m), (self.v, v)):
+                view = flat[rows].reshape(shape)
+                if name in moments:
+                    view[...] = moments[name]
+                moments[name] = view
+            self._deltas.append(delta[rows].reshape(shape))
+            start += size
+        self._names = tuple(name for name, _ in live)
+        self._flat = (m, v, delta, denom)
 
     def update(self, params: ModelParams, lr: float) -> None:
-        """One Adam step. The moments are updated in place, with the same
-        operations in the same order as the textbook formula, so the result
-        is the same to the bit; `tensor.data` is rebound, not written."""
+        """One Adam step over every parameter with a gradient, in one pass
+        over the flat buffers. The moments are updated in place, with the
+        same operations in the same order as the textbook formula, so the
+        result is the same to the bit; `tensor.data` is rebound, not
+        written, and a parameter without a gradient is left untouched."""
         self.step += 1
         b1, b2 = self.beta1, self.beta2
-        for name, tensor in params.arrays.items():
-            if tensor.grad is None:
-                continue
-            g = tensor.grad.astype(tensor.data.dtype, copy=False)
-            if name not in self.m:
-                self.m[name] = np.zeros_like(tensor.data)
-                self.v[name] = np.zeros_like(tensor.data)
-            m, v = self.m[name], self.v[name]
-            m *= b1
-            m += (1 - b1) * g
-            v *= b2
-            v += (1 - b2) * g * g
-            delta = m / (1 - b1 ** self.step)
-            delta *= lr
-            denom = v / (1 - b2 ** self.step)
-            np.sqrt(denom, out=denom)
-            denom += self.eps
-            delta /= denom
-            tensor.data = tensor.data - delta
+        live = [(name, t) for name, t in params.arrays.items() if t.grad is not None]
+        if not live:
+            return
+        if tuple(name for name, _ in live) != self._names:
+            self._lay_out(live)
+        m, v, delta, denom = self._flat
+        g = np.concatenate([t.grad for _, t in live], axis=None, dtype=m.dtype)
+        m *= b1
+        m += (1 - b1) * g
+        v *= b2
+        v += (1 - b2) * g * g
+        np.divide(m, 1 - b1 ** self.step, out=delta)
+        delta *= lr
+        np.divide(v, 1 - b2 ** self.step, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += self.eps
+        delta /= denom
+        for (_, tensor), step in zip(live, self._deltas):
+            tensor.data = tensor.data - step
 
 
 @dataclass

@@ -1,4 +1,14 @@
-"""Gradient checks for every autodiff primitive against central differences."""
+"""Gradient checks for every autodiff primitive against central differences,
+and the gradient oracle.
+
+The oracle is the preference encoder and the denoiser MLP written as graphs
+of per-operation Tensors, with the operations below that only it uses.
+`encoder.encode_batch` and `diffusion.denoise` enter a training graph as
+one node each; a training step through those nodes must give the loss and
+every parameter gradient of a step through the oracle, bit for bit.
+"""
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,11 +16,134 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from prefdiff import autodiff as ad
+from prefdiff import trainer
 from prefdiff.autodiff import Tensor
+from prefdiff.config import RunConfig
+from prefdiff.params import init_params
+from prefdiff.rng import make_rng
 
-from conftest import central_difference, relative_error
+from conftest import SELECTORS, central_difference, relative_error
 
 RNG = np.random.default_rng(42)
+
+
+# -- operations only the oracle uses --------------------------------------
+
+
+def power(a, exponent: float) -> Tensor:
+    a = ad.as_tensor(a)
+    data = a.data ** exponent
+
+    def backward(g):
+        return (g * exponent * a.data ** (exponent - 1.0),)
+
+    return ad._make(data, (a,), backward)
+
+
+def tanh(a) -> Tensor:
+    a = ad.as_tensor(a)
+    data = np.tanh(a.data)
+
+    def backward(g):
+        return (g * (1.0 - data * data),)
+
+    return ad._make(data, (a,), backward)
+
+
+def transpose(a, axes) -> Tensor:
+    a = ad.as_tensor(a)
+    data = a.data.transpose(axes)
+    inverse = np.argsort(axes)
+
+    def backward(g):
+        return (g.transpose(inverse),)
+
+    return ad._make(data, (a,), backward)
+
+
+def softmax(a) -> Tensor:
+    """Softmax along the last axis; -inf entries map to exactly zero weight,
+    and a slice that is entirely -inf maps to all-zero weights."""
+    a = ad.as_tensor(a)
+    data = ad.softmax_values(a.data)
+
+    def backward(g):
+        dot = (g * data).sum(axis=-1, keepdims=True)
+        return (data * (g - dot),)
+
+    return ad._make(data, (a,), backward)
+
+
+def masked_fill(a, mask: np.ndarray, value: float) -> Tensor:
+    """Replace entries where `mask` is False by `value` (no grad there)."""
+    a = ad.as_tensor(a)
+    mask = np.asarray(mask, dtype=bool)
+    data = np.where(mask, a.data, value)
+
+    def backward(g):
+        return (np.where(mask, g, 0.0),)
+
+    return ad._make(data, (a,), backward)
+
+
+# -- the oracle: the encoder and the denoiser as per-operation graphs ------
+
+
+def oracle_layer_norm(x, gain, bias):
+    inv_d = 1.0 / x.shape[-1]
+    mu = x.sum(axis=-1, keepdims=True) * inv_d
+    centered = x - mu
+    var = (centered * centered).sum(axis=-1, keepdims=True) * inv_d
+    return centered * power(var + 1e-5, -0.5) * gain + bias
+
+
+def _split_heads(x, n_heads: int):
+    b, l, d = x.shape
+    return transpose(x.reshape((b, l, n_heads, d // n_heads)), (0, 2, 1, 3))
+
+
+def _merge_heads(x):
+    b, h, l, dh = x.shape
+    return transpose(x, (0, 2, 1, 3)).reshape((b, l, h * dh))
+
+
+def oracle_encode_batch(item_vectors, mask, params):
+    """`encoder.encode_batch` on a graph Tensor, one graph node per operation."""
+    mask = np.asarray(mask, dtype=bool)
+    cfg = params.meta.cfg
+    x = item_vectors
+    if not params.meta.pipeline.bypass_transformer:
+        x = x + ad.gather(params["pos_emb"], np.arange(x.shape[1]))
+        for layer in range(cfg.enc_layers):
+            def p(name):
+                return params[f"enc{layer}_{name}"]
+
+            a = oracle_layer_norm(x, p("ln1_g"), p("ln1_b"))
+            q, k, v = (_split_heads(a @ p(name), cfg.n_heads) for name in ("wq", "wk", "wv"))
+            scores = (q @ transpose(k, (0, 1, 3, 2))) * ((cfg.d1 // cfg.n_heads) ** -0.5)
+            weights = softmax(masked_fill(scores, mask[:, None, None, :], -np.inf))
+            x = x + _merge_heads(weights @ v) @ p("wo")
+            b = oracle_layer_norm(x, p("ln2_g"), p("ln2_b"))
+            x = x + (tanh(b @ p("ff_w1") + p("ff_b1")) @ p("ff_w2") + p("ff_b2"))
+    pool = (mask / mask.sum(axis=1)[:, None]).astype(x.data.dtype)
+    return (x * pool[:, :, None]).sum(axis=1)
+
+
+def oracle_denoise(x_t, cond, t, params):
+    """`diffusion.denoise` on graph Tensors, one graph node per operation."""
+    step = params.step_embedding(t)
+    if step.ndim == 1:
+        step = step[None, :].repeat(x_t.shape[0], axis=0)
+    x = ad.concat([x_t, cond, step], axis=-1)
+    n_layers = params.meta.cfg.mlp_layers
+    for layer in range(n_layers):
+        x = x @ params[f"den_w{layer}"] + params[f"den_b{layer}"]
+        if layer < n_layers - 1:
+            x = tanh(x)
+    return x
+
+
+# -- the primitives against central differences ----------------------------
 
 
 def check_grad(build, *shapes, step=1e-6, tol=1e-6):
@@ -41,7 +174,7 @@ def test_scalar_ops():
 
 
 @pytest.mark.parametrize("op", [lambda a: a + 1e-5, lambda a: a - 1.0, lambda a: a * 2.0,
-                                lambda a: 2.0 * a, lambda a: -a, lambda a: a ** -0.5])
+                                lambda a: 2.0 * a, lambda a: -a, lambda a: power(a, -0.5)])
 def test_python_scalar_keeps_a_float32_graph_float32(op):
     a = Tensor(np.full(3, 2.0, np.float32), requires_grad=True)
     out = op(a)
@@ -66,10 +199,11 @@ def test_matmul_vector():
 
 
 def test_tanh_exp_power():
-    check_grad(lambda a: (ad.tanh(a) + (a * a + 1.0) ** 0.5).sum(), (6,))
+    check_grad(lambda a: (tanh(a) + power(a * a + 1.0, 0.5)).sum(), (6,))
+
 
 def test_sum_axis_keepdims():
-    check_grad(lambda a: ((a - a.sum(axis=1, keepdims=True) * 0.25) ** 2).sum(), (3, 4))
+    check_grad(lambda a: power(a - a.sum(axis=1, keepdims=True) * 0.25, 2).sum(), (3, 4))
 
 
 def test_mean():
@@ -77,11 +211,11 @@ def test_mean():
 
 
 def test_concat_split():
-    check_grad(lambda a, b: (ad.concat([a, b], axis=-1) ** 2).sum(), (2, 3), (2, 2))
+    check_grad(lambda a, b: power(ad.concat([a, b], axis=-1), 2).sum(), (2, 3), (2, 2))
 
 
 def test_reshape_transpose():
-    check_grad(lambda a: (a.reshape((2, 6)).transpose((1, 0)) ** 2).sum(), (2, 3, 2))
+    check_grad(lambda a: power(transpose(a.reshape((2, 6)), (1, 0)), 2).sum(), (2, 3, 2))
 
 
 def test_gather_accumulates_duplicates():
@@ -96,19 +230,19 @@ def test_gather_accumulates_duplicates():
 
 
 def test_softmax_grad():
-    check_grad(lambda a: (ad.softmax(a, axis=-1) * np.arange(4.0)).sum(), (3, 4))
+    check_grad(lambda a: (softmax(a) * np.arange(4.0)).sum(), (3, 4))
 
 
 def test_softmax_rows_sum_to_one():
     x = Tensor(RNG.standard_normal((5, 7)))
-    y = ad.softmax(x, axis=-1)
+    y = softmax(x)
     assert np.allclose(y.data.sum(axis=-1), 1.0)
 
 
 def test_masked_fill_neg_inf_gives_exact_zero_weight():
     x = Tensor(RNG.standard_normal((2, 4)), requires_grad=True)
     mask = np.array([[True, True, False, True], [True, False, False, True]])
-    y = ad.softmax(ad.masked_fill(x, mask, -np.inf), axis=-1)
+    y = softmax(masked_fill(x, mask, -np.inf))
     assert np.all(y.data[~mask] == 0.0)
     (y * RNG.standard_normal((2, 4))).sum().backward()
     assert np.all(x.grad[~mask] == 0.0)
@@ -188,3 +322,75 @@ def test_constant_operand_gets_no_gradient(op):
     assert grads[out._parents.index(x) ^ 1] is None
     (out * w).sum().backward()
     assert x.grad.tobytes() == both[0].grad.tobytes()
+
+
+# -- the training step's encoder and denoiser nodes against the oracle -----
+
+
+@st.composite
+def oracle_cases(draw):
+    """A model config over the 10 selectors, both dtypes, n_heads 1, 2 or
+    d1, 0-3 encoder layers and 1-3 denoiser layers; a batch of histories of
+    lengths 1 to max_history_len, padded to the longest; a seed."""
+    d1 = 2 * draw(st.integers(1, 2))
+    variant, ablation = draw(st.sampled_from(SELECTORS))
+    max_len = draw(st.integers(1, 5))
+    cfg = RunConfig(d1=d1, n_heads=draw(st.sampled_from([1, 2, d1])),
+                    enc_layers=draw(st.integers(0, 3)), mlp_layers=draw(st.integers(1, 3)),
+                    hidden=draw(st.integers(1, 5)), max_history_len=max_len,
+                    T=draw(st.integers(1, 5)), variant=variant, ablation=ablation,
+                    dtype=draw(st.sampled_from(["float32", "float64"])),
+                    lam=draw(st.floats(0.0, 1.0)), p_uncond=draw(st.floats(0.0, 1.0)),
+                    loss_weighting=draw(st.sampled_from(["simplified", "variance_weighted"])),
+                    eta=0.5, init_scale=0.5, seed=draw(st.integers(0, 2**16)))
+    cfg.validate()
+    lengths = draw(st.lists(st.integers(1, max_len), min_size=1, max_size=6))
+    return cfg, np.array(lengths), draw(st.integers(0, 2**16))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=oracle_cases())
+def test_training_step_equals_the_oracle_graph_bitwise(case):
+    cfg, lengths, seed = case
+    params = init_params(cfg, 5, 7, 6)
+    rng = make_rng(seed, 5)
+    for tensor in params.arrays.values():  # gains, biases and null token start at 1 or 0
+        tensor.data = tensor.data + rng.uniform(-0.3, 0.3, tensor.shape).astype(cfg.dtype)
+    n = len(lengths)
+    examples = trainer.Examples(
+        user=rng.integers(0, 5, n), item=rng.integers(0, 6, n),
+        rating=rng.integers(1, 6, n).astype(float), history_row=np.arange(n),
+        histories=rng.integers(0, 7, (n, cfg.max_history_len)), lengths=lengths)
+    draws = trainer.sample_draws(rng, n, params.meta)
+    runs = []
+    for encode, denoise in ((trainer.encode_batch, trainer.denoise),
+                            (oracle_encode_batch, oracle_denoise)):
+        params.zero_grads()
+        with mock.patch.object(trainer, "encode_batch", encode), \
+                mock.patch.object(trainer, "denoise", denoise):
+            total, _ = trainer.compute_batch_loss(examples, np.arange(n), params, draws)
+        total.backward()
+        runs.append((total.data, {name: t.grad for name, t in params.arrays.items()}))
+    (loss, grads), (oracle_loss, oracle_grads) = runs
+    assert loss.dtype == oracle_loss.dtype and loss.tobytes() == oracle_loss.tobytes()
+    for name, grad in grads.items():
+        expected = oracle_grads[name]
+        assert (grad is None) == (expected is None), name
+        if grad is not None:
+            assert grad.dtype == expected.dtype, name
+            assert np.array_equal(grad, expected), name
+            assert grad.tobytes() == expected.tobytes(), name
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), columns=st.integers(1, 6), dtype=st.sampled_from([np.float32, np.float64]))
+def test_softmax_values_over_many_rows_equals_it_row_by_row(data, columns, dtype):
+    # many rows take the np.maximum fold, one row the max reduction; -inf
+    # entries and rows that are entirely -inf included
+    rows = 16 * columns + 1
+    elements = st.one_of(st.just(-np.inf), st.floats(-30, 30, width=32))
+    x = data.draw(hnp.arrays(dtype, (rows, columns), elements=elements))
+    together = ad.softmax_values(x)
+    one_by_one = np.concatenate([ad.softmax_values(x[i:i + 1]) for i in range(rows)])
+    assert together.dtype == one_by_one.dtype == dtype
+    assert together.tobytes() == one_by_one.tobytes()

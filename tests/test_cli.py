@@ -1,5 +1,6 @@
 """End-to-end command-line runs on small synthetic data."""
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -252,7 +253,7 @@ def test_degenerate_split_is_refused_before_training(run_config, tmp_path, monke
     assert f"holds out {n_test} of 60 overlapping users" in message
     assert "1..59 test users" in message
     assert steps == []
-    assert not out.exists() or not any(out.iterdir())
+    assert not out.exists()
 
 
 @pytest.fixture(scope="module")
@@ -278,6 +279,20 @@ def _eval_mismatch(main_checkpoint, run_config, tmp_path, extra):
     result = CliRunner().invoke(
         main, ["eval", "--checkpoint", main_checkpoint, "--config", str(conf)])
     return error_line(result, "CheckpointError")
+
+
+def test_eval_refuses_a_checkpoint_whose_seed_line_was_edited(main_checkpoint, run_config,
+                                                             tmp_path):
+    # seed is free at eval, and the checkpoint's own seed draws the split:
+    # an edited seed line used to exit 0 and score a different split
+    ckpt = tmp_path / "checkpoint"
+    shutil.copytree(main_checkpoint, ckpt)
+    manifest = ckpt / "manifest.tsv"
+    assert "# seed = 7\n" in manifest.read_text()
+    manifest.write_text(manifest.read_text().replace("# seed = 7\n", "# seed = 8\n"))
+    result = CliRunner().invoke(main, ["eval", "--checkpoint", str(ckpt),
+                                       "--config", run_config])
+    assert "do not match the sha256" in error_line(result, "CheckpointError")
 
 
 def test_eval_rejects_longer_schedule(main_checkpoint, run_config, tmp_path):

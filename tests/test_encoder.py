@@ -22,32 +22,30 @@ def rand_hist(params, batch, length, seed=0):
 def test_masked_mean_pool_matches_numpy_mean():
     m = np.arange(12, dtype=np.float64).reshape(4, 3)
     mask = np.array([True, False, True, True])
-    pooled = masked_mean_pool(Tensor(m[None]), mask[None])
+    pooled, _ = masked_mean_pool(m[None], mask[None])
     assert pooled.shape == (1, 3)
-    assert np.allclose(pooled.data[0], m[mask].mean(axis=0))
+    assert np.allclose(pooled[0], m[mask].mean(axis=0))
 
 
 def test_masked_mean_pool_all_masked_raises():
     with pytest.raises(DataError):
-        masked_mean_pool(Tensor(np.ones((1, 3, 2))), np.zeros((1, 3), dtype=bool))
+        masked_mean_pool(np.ones((1, 3, 2)), np.zeros((1, 3), dtype=bool))
 
 
 def test_layer_norm_standardizes():
     rng = make_rng(1, 2)
-    x = Tensor(rng.standard_normal((5, 8)) * 3 + 2)
-    g = Tensor(np.ones(8))
-    b = Tensor(np.zeros(8))
-    y = layer_norm(x, g, b).data
+    x = rng.standard_normal((5, 8)) * 3 + 2
+    y, _ = layer_norm(x, np.ones(8), np.zeros(8))
     assert np.allclose(y.mean(axis=-1), 0.0, atol=1e-10)
     assert np.allclose(y.var(axis=-1), 1.0, atol=1e-4)
 
 
 def test_masked_mean_pool_ignores_padding(tiny_params):
-    x = Tensor(rand_hist(tiny_params, 2, 4))
+    x = rand_hist(tiny_params, 2, 4)
     mask = np.array([[1, 1, 0, 0], [1, 1, 1, 1]], dtype=bool)
-    out = masked_mean_pool(x, mask).data
-    assert np.allclose(out[0], x.data[0, :2].mean(axis=0))
-    assert np.allclose(out[1], x.data[1].mean(axis=0))
+    out, _ = masked_mean_pool(x, mask)
+    assert np.allclose(out[0], x[0, :2].mean(axis=0))
+    assert np.allclose(out[1], x[1].mean(axis=0))
 
 
 def test_padding_invariance_exact(tiny_params):
@@ -139,8 +137,8 @@ def test_encoder_gradients_match_finite_differences(tiny_params, name):
     probe = make_rng(3, 4).standard_normal((2, p.meta.cfg.d1))
 
     def loss_tensor():
-        out = encode_batch(Tensor(x_np), mask, p)
-        return ((out - probe) ** 2).sum()
+        diff = encode_batch(Tensor(x_np), mask, p) - probe
+        return (diff * diff).sum()
 
     p.zero_grads()
     loss_tensor().backward()
@@ -156,12 +154,12 @@ def test_encoder_input_gradient(tiny_params):
     mask = np.ones((1, 3), dtype=bool)
 
     def loss(x):
-        return (encode_batch(x if isinstance(x, Tensor) else Tensor(x_np), mask, p) ** 2).sum()
+        out = encode_batch(x, mask, p)
+        return (out * out).sum()
 
     x = Tensor(x_np.copy(), requires_grad=True)
-    out = (encode_batch(x, mask, p) ** 2).sum()
-    out.backward()
-    numeric = central_difference(lambda: float((encode_batch(Tensor(x_np), mask, p) ** 2).sum().data), x_np)
+    loss(x).backward()
+    numeric = central_difference(lambda: float(loss(Tensor(x_np)).data), x_np)
     assert relative_error(x.grad, numeric) < 1e-6
 
 
@@ -174,8 +172,8 @@ ARRAY_PATH_CASES = [(dtype, heads, layers, "none") for dtype in ("float32", "flo
 
 @pytest.mark.parametrize("dtype,n_heads,enc_layers,ablation", ARRAY_PATH_CASES)
 def test_array_path_equals_tensor_path_bitwise(dtype, n_heads, enc_layers, ablation):
-    # inference encodes plain arrays, training graph Tensors: one body, so
-    # the same bytes and dtype, float32's float64 promotion included
+    # inference encodes plain arrays, training graph Tensors into one node
+    # that runs the same array forward: the same bytes and dtype
     from prefdiff.config import RunConfig
     from prefdiff.params import init_params
     p = init_params(RunConfig(d1=8, seed=2, hidden=8, enc_layers=enc_layers,

@@ -1,5 +1,6 @@
 """Parameter initialization, step embeddings, and checkpoint round-trips."""
 import gc
+import hashlib
 import math
 import re
 import tempfile
@@ -10,13 +11,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import run_configs
 from prefdiff.config import RunConfig
 from prefdiff.errors import CheckpointError, ConfigurationError
-from prefdiff.params import (BLOB_NAME, MANIFEST_NAME, init_params,
+from prefdiff.params import (BLOB_NAME, MANIFEST_NAME, ModelMeta,
+                             _metadata_text, _parse_manifest, init_params,
                              load_checkpoint, save_checkpoint,
                              step_embedding_table)
 from prefdiff.schedule import build_schedule
@@ -216,6 +218,25 @@ def test_checkpoint_bad_meta_value(tmp_path):
         load_checkpoint(tmp_path)
 
 
+def test_a_changed_seed_line_is_refused(tmp_path):
+    # seed is a key `eval` lets differ, and it draws the split: a manifest
+    # whose seed line was edited used to load and score another split
+    save_checkpoint(small_params(), tmp_path)
+    _corrupt_manifest(tmp_path, lambda ls: [l.replace("# seed = 3", "# seed = 4") for l in ls])
+    with pytest.raises(CheckpointError, match="metadata and params.bin do not match the sha256"):
+        load_checkpoint(tmp_path)
+
+
+def test_a_digest_of_the_blob_alone_is_refused(tmp_path):
+    # a manifest written before the digest covered the metadata lines
+    save_checkpoint(small_params(), tmp_path)
+    blob_digest = hashlib.sha256((tmp_path / BLOB_NAME).read_bytes()).hexdigest()
+    _corrupt_manifest(tmp_path, lambda ls: [f"# sha256 = {blob_digest}"
+                                            if l.startswith("# sha256 = ") else l for l in ls])
+    with pytest.raises(CheckpointError, match="sha256"):
+        load_checkpoint(tmp_path)
+
+
 # the metadata lines that `prefdiff train` wrote before the manifest carried
 # the run config: ModelMeta's own fields as `# key=value`
 OLD_META = ["d1=4", "n_users=7", "n_items_src=5", "n_items_tgt=6", "hidden=8",
@@ -315,4 +336,28 @@ def test_a_checkpoint_with_per_array_lines_is_refused(cfg, sizes):
         assert offset == (ckpt / BLOB_NAME).stat().st_size
         (ckpt / MANIFEST_NAME).write_text("\n".join(lines) + "\n")
         with pytest.raises(CheckpointError, match="metadata"):
+            load_checkpoint(ckpt)
+
+
+@CORRUPTION
+@given(cfg=run_configs(), sizes=SIZES, other=run_configs(), other_sizes=SIZES, data=st.data())
+def test_any_changed_metadata_value_that_still_parses_is_refused(cfg, sizes, other,
+                                                                 other_sizes, data):
+    # one metadata line takes the value of another valid model's line; if
+    # the manifest still parses, the sha256 over the metadata refuses it
+    # (the length check comes first when the value changes an array shape)
+    theirs = _metadata_text(ModelMeta(replace(other, source_path="", target_path=""),
+                                      *other_sizes)).splitlines()
+    with _saved(cfg, sizes) as ckpt:
+        lines = (ckpt / MANIFEST_NAME).read_text().splitlines()
+        changed = [i for i, line in enumerate(theirs) if line != lines[i]]
+        assume(changed)
+        i = data.draw(st.sampled_from(changed))
+        text = "\n".join(lines[:i] + [theirs[i]] + lines[i + 1:]) + "\n"
+        try:
+            _parse_manifest(text)
+        except CheckpointError:
+            assume(False)
+        (ckpt / MANIFEST_NAME).write_text(text)
+        with pytest.raises(CheckpointError, match="sha256|truncated|too long"):
             load_checkpoint(ckpt)

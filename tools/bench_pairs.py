@@ -11,9 +11,13 @@ An even seed runs the base first and an odd seed the head first, so a
 drift of the host's speed within a pair falls on both sides alike. Each run's
 verdict and metrics go to standard error as it finishes; at the end a TSV
 on standard output gives, for every end-to-end metric of the head's
-`BENCHMARK.json`, each side's median and quartiles and the number of
-pairs in which the head was strictly better. The exit code is 1 if any run
-failed to finish or reported `correct: false`, else 0.
+`BENCHMARK.json`, each side's median and quartiles, the number of pairs in
+which the head was strictly better, the ratio of the head's median to the
+base's, and `gain`: `yes` when the head wins at least nine tenths of the
+pairs (ties count for neither side) and its median is better than the
+base's by more than the base's interquartile range, the rule a claimed gain
+must meet, else `no`. The exit code is 1 if any run failed to finish or
+reported `correct: false`, else 0.
 """
 from __future__ import annotations
 
@@ -87,7 +91,7 @@ def main(argv=None) -> int:
                   file=sys.stderr)
 
     print("metric\tunit\tbetter\tbase_median\tbase_q1\tbase_q3\t"
-          "head_median\thead_q1\thead_q3\thead_wins\tpairs")
+          "head_median\thead_q1\thead_q3\thead_wins\tpairs\thead_over_base\tgain")
     for metric in spec["end_to_end"]:
         name, sign = metric["name"], 1 if metric["better"] == "higher" else -1
         pairs = [(b[name], h[name]) for b, h in zip(results["base"], results["head"])
@@ -95,9 +99,13 @@ def main(argv=None) -> int:
         if not pairs:
             continue
         wins = sum(sign * (h - b) > 0 for b, h in pairs)
-        cells = [*spread([b for b, _ in pairs]), *spread([h for _, h in pairs])]
+        base, base_q1, base_q3 = spread([b for b, _ in pairs])
+        head = spread([h for _, h in pairs])
+        ratio = f"{head[0] / base:.4f}" if base else "nan"
+        gain = 10 * wins >= 9 * len(pairs) and sign * (head[0] - base) > base_q3 - base_q1
         print("\t".join([name, metric["unit"], metric["better"],
-                         *(f"{c:.6g}" for c in cells), str(wins), str(len(pairs))]))
+                         *(f"{c:.6g}" for c in (base, base_q1, base_q3, *head)),
+                         str(wins), str(len(pairs)), ratio, "yes" if gain else "no"]))
     return 0 if all_correct else 1
 
 
