@@ -5,6 +5,7 @@ normalized form written next to run outputs re-runs to identical results.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 from .errors import ConfigurationError
@@ -58,12 +59,14 @@ class RunConfig:
             (0.0 < self.eta <= 1.0, "eta must be in (0, 1]"),
             (0.0 < self.alpha_min < self.alpha_max, "need 0 < alpha_min < alpha_max"),
             (self.batch_size >= 1, "batch_size must be >= 1"),
+            (0.0 < self.learning_rate < math.inf, "learning_rate must be finite and > 0"),
             (self.epochs >= 0, "epochs must be >= 0"),
             (0.0 <= self.lam <= 1.0, "lam must be in [0, 1]"),
             (0.0 <= self.p_uncond <= 1.0, "p_uncond must be in [0, 1]"),
             (self.loss_weighting in ("simplified", "variance_weighted"),
              "loss_weighting must be simplified|variance_weighted"),
-            (self.omega >= 0, "omega must be >= 0"),
+            (0.0 <= self.init_scale < math.inf, "init_scale must be finite and >= 0"),
+            (0.0 <= self.omega < math.inf, "omega must be finite and >= 0"),
             (-1 <= self.t_prime <= self.T, "t_prime must be -1 (use T) or in 0..T"),
             (self.dtype in ("float32", "float64"), "dtype must be float32|float64"),
         ]

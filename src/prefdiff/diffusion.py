@@ -40,12 +40,11 @@ def denoise(x_t, cond, t, params: ModelParams) -> Tensor:
     """MLP prediction of the clean state from [x_t || cond || step_emb(t)].
 
     x_t: (B, state_dim); cond: (B, d1); t: int or (B,) ints. Tanh hidden
-    layers, linear output, on the parameter arrays cast once to the input's
-    dtype (`ModelParams.denoiser_layers`). With arrays the result is a
-    Tensor leaf without a graph. With a Tensor among x_t and cond it is one
-    graph node, whose parents are x_t, cond and the `den_*` weights and
-    whose backward replays the gradients of the per-operation graph of
-    concat, matmul, add and tanh, so training gives that graph's bits.
+    layers, linear output. With arrays the result is a Tensor leaf without
+    a graph. With a Tensor among x_t and cond it is one graph node, whose
+    parents are x_t, cond and the `den_*` weights and whose backward
+    replays the gradients of the per-operation graph of concat, matmul, add
+    and tanh, so training gives that graph's bits.
     """
     graph = isinstance(x_t, Tensor) or isinstance(cond, Tensor)
     if graph:
@@ -58,7 +57,8 @@ def denoise(x_t, cond, t, params: ModelParams) -> Tensor:
         # the method: at B = 1, np.repeat's wrapper costs more than a matmul
         step = step[None, :].repeat(state.shape[0], axis=0)
     x = np.concatenate([state, signal, step], axis=-1)
-    layers = params.denoiser_layers(x.dtype)
+    weights = [params[name].data for name in params.denoiser_names]
+    layers = list(zip(weights[::2], weights[1::2]))
     inputs = []
     for w, b in layers[:-1]:
         inputs.append(x)
@@ -99,7 +99,7 @@ def reverse_step(x: np.ndarray, cond: np.ndarray, uncond: np.ndarray, t: int,
     The guided prediction is (1+omega)*conditional - omega*unconditional;
     omega = 0 calls the denoiser once, on cond alone, so it is exactly the
     conditional prediction. Caller supplies z ~ N(0, I) for t > 1 and
-    z = 0 at t = 1.
+    z = 0 at t = 1; with z in the dtype of x, the step stays in it.
     """
     coef_u0, coef_ut, variance = posterior_mean_coeffs(params.schedule, t)
     pred = denoise(x, cond, t, params).data

@@ -15,12 +15,9 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor, matmul_grads, unbroadcast
 from .errors import DataError
-from .params import ModelParams
+from .params import ENCODER_LAYER_WEIGHTS, ModelParams
 
 _EPS = 1e-5
-# the weights of one layer, by name suffix, in the node's parent order
-_LAYER_WEIGHTS = ("wq", "wk", "wv", "wo", "ln1_g", "ln1_b", "ln2_g", "ln2_b",
-                 "ff_w1", "ff_b1", "ff_w2", "ff_b2")
 
 
 def layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray):
@@ -152,11 +149,10 @@ def encode_batch(item_vectors, mask: np.ndarray, params: ModelParams):
                             f"{cfg.max_history_len}")
         names = ["pos_emb"]
         x = x + params["pos_emb"].data[:length]
-        for layer in range(cfg.enc_layers):
-            layer_names = [f"enc{layer}_{suffix}" for suffix in _LAYER_WEIGHTS]
+        for layer_names in params.encoder_names:
             names += layer_names
             layers.append({suffix: params[name].data
-                           for suffix, name in zip(_LAYER_WEIGHTS, layer_names)})
+                           for suffix, name in zip(ENCODER_LAYER_WEIGHTS, layer_names)})
             x, cache = _layer(x, mask, layers[-1], cfg.n_heads)
             caches.append(cache)
     pooled, weights = masked_mean_pool(x, mask)
@@ -186,7 +182,8 @@ def _encoder_node(out, item_vectors: Tensor, tensors, mask, pool, layers, caches
         # turn a -0.0 into +0.0 as `np.add.at` does
         g_pos = np.zeros(pos.shape, pos.dtype)
         g_pos[:shape[1]] += unbroadcast(g, shape[1:])
-        return (g, g_pos, *(grads[suffix] for grads in layer_grads for suffix in _LAYER_WEIGHTS))
+        return (g, g_pos, *(grads[suffix] for grads in layer_grads
+                            for suffix in ENCODER_LAYER_WEIGHTS))
 
     return ad._make(out, (item_vectors, *tensors), backward)
 

@@ -47,10 +47,9 @@ def infer_user(u_init: np.ndarray, h, cfg: RunConfig, params: ModelParams,
     cold-start user is never gathered in training and so is still its
     initialization draw. rng gives one `standard_normal` block of T'-1
     rows of the state's width, row k the noise of the k-th step (the same
-    numbers as one draw per noisy step). The steps run on plain arrays,
-    without an autodiff graph. The first step runs in the model dtype;
-    its noise z is float64 (zero at t = 1), so under a float32 model the
-    state leaves it as float64 and later steps run in float64.
+    numbers as one draw per noisy step), cast to the state's dtype. The
+    steps run on plain arrays, without an autodiff graph, in the model
+    dtype.
     """
     t_prime = cfg.resolved_t_prime()
     if not 0 <= t_prime <= params.schedule.T:
@@ -61,8 +60,9 @@ def infer_user(u_init: np.ndarray, h, cfg: RunConfig, params: ModelParams,
     cond = h[None, :] if pipeline.guided else null
     omega = cfg.omega if pipeline.guided else 0.0
     noise = rng.standard_normal((max(t_prime - 1, 0), x.shape[1]))
+    noise = noise.astype(x.dtype, copy=False)
     for k, t in enumerate(range(t_prime, 0, -1)):
-        z = noise[k] if t > 1 else np.zeros(x.shape[1])
+        z = noise[k] if t > 1 else np.zeros(x.shape[1], x.dtype)
         x = reverse_step(x, cond, null, t, omega, z, params)
     return x[0]
 
@@ -87,7 +87,8 @@ def evaluate(params: ModelParams, source: DomainData, target: DomainData,
     Per-user noise streams are keyed by (seed, global user index) so the
     report is independent of evaluation order. A rating's prediction is the
     float64 inner product of the user's scoring embedding and the item's
-    target embedding, not clipped to the rating range.
+    target embedding, not clipped to the rating range. A non-finite
+    prediction raises ConfigurationError naming the first user who has one.
     """
     pipeline = params.meta.pipeline
     universe = data_mod.user_universe(source, target)
@@ -116,6 +117,11 @@ def evaluate(params: ModelParams, source: DomainData, target: DomainData,
         # np.vecdot is bitwise np.dot per row; V @ e would round differently
         ue = np.vecdot(emb.astype(np.float64), item_rows.astype(np.float64)) \
             - target.rating[user_rows]
+        if not np.isfinite(ue).all():
+            raise ConfigurationError(
+                f"user {uid}: non-finite prediction at omega={cfg.omega}, "
+                f"t_prime={cfg.resolved_t_prime()}: the rollout left the range "
+                f"of {params.meta.cfg.dtype}")
         errors.append(ue)
         if collect_per_user:
             per_user[uid] = (float(np.mean(np.abs(ue))),

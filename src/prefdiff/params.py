@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import operator
 import os
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
@@ -35,6 +34,9 @@ SIZE_KEYS = ("n_users", "n_items_src", "n_items_tgt")
 PATH_KEYS = ("source_path", "target_path")
 CONFIG_KEYS = tuple(f.name for f in fields(RunConfig) if f.name not in PATH_KEYS)
 DIGEST_KEY = "sha256"
+# the weights of one encoder layer, by name suffix, in blob and node order
+ENCODER_LAYER_WEIGHTS = ("wq", "wk", "wv", "wo", "ln1_g", "ln1_b", "ln2_g", "ln2_b",
+                         "ff_w1", "ff_b1", "ff_w2", "ff_b2")
 
 
 @dataclass(frozen=True)
@@ -72,32 +74,12 @@ class ModelParams:
         self.step_table = step_embedding_table(cfg.T, cfg.d1).astype(cfg.dtype)
         self.denoiser_names = [f"den_{kind}{layer}" for layer in range(cfg.mlp_layers)
                                for kind in "wb"]
-        # dtype -> (the source arrays, their (w, b) pairs in that dtype)
-        self._denoiser_casts: dict[np.dtype, tuple[list, list]] = {}
+        # the weight names of each encoder layer, in ENCODER_LAYER_WEIGHTS order
+        self.encoder_names = [tuple(f"enc{layer}_{s}" for s in ENCODER_LAYER_WEIGHTS)
+                              for layer in range(cfg.enc_layers)]
 
     def __getitem__(self, name: str) -> Tensor:
         return self.arrays[name]
-
-    def denoiser_layers(self, dtype) -> list[tuple[np.ndarray, np.ndarray]]:
-        """The denoiser's (w, b) arrays, each cast to its promotion with
-        `dtype`, the dtype of the denoiser's input: `x @ w + b` then gives
-        the same bits as with the model-dtype arrays, without casting them
-        on every call. An array already of that dtype is returned itself:
-        under a float32 model the first reverse step gets the model arrays,
-        and the later steps, whose state the float64 noise has promoted,
-        get float64 casts.
-
-        The casts are made once per parameter version and rebuilt when any
-        source array is not the one they were cast from (`is`); the cache
-        holds the sources, so their ids are never reused. This relies on a
-        contract: nothing in `src/` writes a parameter array in place. An
-        update rebinds `Tensor.data` (`AdamState.update`)."""
-        sources = [self.arrays[name].data for name in self.denoiser_names]
-        cached = self._denoiser_casts.get(dtype)
-        if cached is None or any(map(operator.is_not, cached[0], sources)):
-            cast = [a.astype(np.promote_types(dtype, a.dtype), copy=False) for a in sources]
-            cached = self._denoiser_casts[dtype] = (sources, list(zip(cast[::2], cast[1::2])))
-        return cached[1]
 
     def zero_grads(self) -> None:
         for t in self.arrays.values():
@@ -134,20 +116,10 @@ def _array_specs(meta: ModelMeta) -> dict[str, tuple[int, ...]]:
         specs[f"den_w{layer}"] = (widths[layer], widths[layer + 1])
         specs[f"den_b{layer}"] = (widths[layer + 1],)
     d_ff = 2 * d1
+    shapes = [(d1, d1)] * 4 + [(d1,)] * 4 + [(d1, d_ff), (d_ff,), (d_ff, d1), (d1,)]
     for layer in range(cfg.enc_layers):
-        p = f"enc{layer}_"
-        specs[p + "wq"] = (d1, d1)
-        specs[p + "wk"] = (d1, d1)
-        specs[p + "wv"] = (d1, d1)
-        specs[p + "wo"] = (d1, d1)
-        specs[p + "ln1_g"] = (d1,)
-        specs[p + "ln1_b"] = (d1,)
-        specs[p + "ln2_g"] = (d1,)
-        specs[p + "ln2_b"] = (d1,)
-        specs[p + "ff_w1"] = (d1, d_ff)
-        specs[p + "ff_b1"] = (d_ff,)
-        specs[p + "ff_w2"] = (d_ff, d1)
-        specs[p + "ff_b2"] = (d1,)
+        specs.update({f"enc{layer}_{suffix}": shape
+                      for suffix, shape in zip(ENCODER_LAYER_WEIGHTS, shapes)})
     if meta.pipeline.with_projection:
         specs["proj_w"] = (2 * d1, d1)
         specs["proj_b"] = (d1,)

@@ -78,8 +78,10 @@ class AdamState:
         """One Adam step over every parameter with a gradient, in one pass
         over the flat buffers. The moments are updated in place, with the
         same operations in the same order as the textbook formula, so the
-        result is the same to the bit; `tensor.data` is rebound, not
-        written, and a parameter without a gradient is left untouched."""
+        result is the same to the bit. `tensor.data` is rebound to a new
+        array, so an array that a graph node or a caller still holds keeps
+        the values it was read with; a parameter without a gradient is left
+        untouched."""
         self.step += 1
         b1, b2 = self.beta1, self.beta2
         live = [(name, t) for name, t in params.arrays.items() if t.grad is not None]

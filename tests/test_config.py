@@ -80,6 +80,14 @@ def test_missing_equals():
     "t_prime = -2\n",
     "enc_layers = -1\n",
     "hidden = 0\n",
+    "init_scale = -1\n",
+    "init_scale = nan\n",
+    "init_scale = inf\n",
+    "learning_rate = 0\n",
+    "learning_rate = nan\n",
+    "learning_rate = inf\n",
+    "omega = inf\n",
+    "omega = nan\n",
 ])
 def test_validation_failures(text):
     with pytest.raises(ConfigurationError):
@@ -90,6 +98,10 @@ def test_validation_lists_every_problem():
     with pytest.raises(ConfigurationError) as info:
         parse_config_text("dtype = bogus\nbatch_size = 0\n")
     assert "dtype" in str(info.value) and "batch_size" in str(info.value)
+    with pytest.raises(ConfigurationError) as info:
+        parse_config_text("init_scale = -1\nlearning_rate = nan\nomega = inf\nT = 0\n")
+    for key in ("init_scale", "learning_rate", "omega", "T must"):
+        assert key in str(info.value)
 
 
 def test_overrides_replace_file_values_before_validation():

@@ -241,7 +241,7 @@ def test_denoise_on_arrays_returns_leaf_tensor(tiny_params):
 
 
 def test_denoise_never_uses_a_stale_cast():
-    # float64 rows against float32 weights run on cached float64 casts; a
+    # float64 rows against float32 weights give float64 predictions; a
     # training step rebinds the weight arrays, and the next call must run on
     # the new ones, as a model built from fresh copies of them does
     cfg = tiny_cfg(dtype="float32", batch_size=8)
@@ -268,8 +268,8 @@ def test_denoise_never_uses_a_stale_cast():
 def test_reverse_step_arrays_match_tensor_inputs(variant, ablation, t_prime, omega):
     # a float32 rollout as inference runs it: at every step the denoiser
     # agrees bitwise on array inputs and on Tensor inputs (the training
-    # graph), through the float64 promotion, and the array reverse step
-    # equals the same step built on the graph
+    # graph), and the array reverse step equals the same step built on the
+    # graph and stays float32
     p = init_params(RunConfig(d1=4, seed=4, init_scale=0.3, hidden=8,
                               mlp_layers=3, enc_layers=1, max_history_len=4,
                               T=5, variant=variant, ablation=ablation,
@@ -294,7 +294,8 @@ def test_reverse_step_arrays_match_tensor_inputs(variant, ablation, t_prime, ome
         return on_graph
 
     for t in range(t_prime, 0, -1):
-        z = rng.standard_normal(x.shape[1]) if t > 1 else np.zeros(x.shape[1])
+        z = rng.standard_normal(x.shape[1]).astype(np.float32) if t > 1 \
+            else np.zeros(x.shape[1], np.float32)
         got = reverse_step(x, cond, null, t, omega, z, p)
         if omega == 0.0:
             pred = graph_predict(x, cond, t)
@@ -304,6 +305,6 @@ def test_reverse_step_arrays_match_tensor_inputs(variant, ablation, t_prime, ome
         c0, ct, var = posterior_mean_coeffs(s, t)
         want = c0 * pred + ct * Tensor(x) + math.sqrt(var) * z
         assert isinstance(got, np.ndarray)
-        assert got.dtype == want.data.dtype == np.float64
+        assert got.dtype == want.data.dtype == np.float32
         assert got.tobytes() == want.data.tobytes()
         x = got

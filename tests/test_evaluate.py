@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from prefdiff import evaluate as evaluate_mod
 from prefdiff.autodiff import Tensor
 from prefdiff.data import (build_histories, held_out_ratings, split_cold_start,
                            user_universe)
@@ -52,19 +53,20 @@ def test_single_step_matches_hand_rollout(tiny_params):
 @pytest.mark.parametrize("t_prime", [0, 1, 2, 5])
 def test_rollout_matches_stepwise_hand_rollout(t_prime, dtype):
     # the rollout's one (T'-1, d) noise block gives the numbers of one
-    # standard_normal(d) draw per noisy step, in step order
+    # standard_normal(d) draw per noisy step, in step order, each cast to
+    # the model dtype
     cfg = tiny_cfg(omega=1.5, t_prime=t_prime, dtype=dtype)
     p = init_params(cfg, 6, 8, 9)
     u = make_rng(4, 0).standard_normal(4).astype(dtype)
-    h = make_rng(4, 1).standard_normal(4)
+    h = make_rng(4, 1).standard_normal(4).astype(dtype)
     got = infer_user(u, h, cfg, p, make_rng(cfg.seed, 5))
     rng = make_rng(cfg.seed, 5)
     null = p["null_token"].data[None, :]
     x = u[None, :]
     for t in range(t_prime, 0, -1):
-        z = rng.standard_normal(4) if t > 1 else np.zeros(4)
+        z = rng.standard_normal(4).astype(dtype) if t > 1 else np.zeros(4, dtype)
         x = reverse_step(x, h[None, :], null, t, 1.5, z, p)
-    assert got.dtype == x.dtype
+    assert got.dtype == x.dtype == dtype
     assert got.tobytes() == x[0].tobytes()
 
 
@@ -223,6 +225,87 @@ def test_every_pipeline_at_every_t_prime(variant, ablation, t_prime):
                                     rel=1e-12)
 
 
+def _as_float64(params: ModelParams) -> ModelParams:
+    """The same weights, cast up, in a float64 model."""
+    return ModelParams({name: Tensor(t.data.astype(np.float64))
+                        for name, t in params.arrays.items()},
+                       replace(params.meta, cfg=replace(params.meta.cfg, dtype="float64")))
+
+
+def _recording(fn, seen: list):
+    """fn, appending each result to `seen`."""
+    def wrapped(*args):
+        seen.append(fn(*args))
+        return seen[-1]
+    return wrapped
+
+
+@pytest.mark.parametrize("omega", [0.0, 2.0])
+@pytest.mark.parametrize("t_prime", [0, 1, 5])
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("variant,ablation", SELECTORS)
+def test_a_rollout_stays_in_the_model_dtype(variant, ablation, dtype, t_prime, omega,
+                                            monkeypatch):
+    # float64 noise in a float32 rollout would promote every step after the
+    # first to float64: each reverse step of every user's rollout returns
+    # its state in the model dtype
+    src, tgt = toy_domains(n_overlap=10)
+    split = split_cold_start(src, tgt, 0.2, seed=1)
+    cfg = tiny_cfg(variant=variant, ablation=ablation, dtype=dtype, omega=omega,
+                   t_prime=t_prime)
+    p = init_params(cfg, len(user_universe(src, tgt)), src.n_items, tgt.n_items)
+    steps, rollouts = [], []
+    monkeypatch.setattr(evaluate_mod, "reverse_step", _recording(reverse_step, steps))
+    monkeypatch.setattr(evaluate_mod, "infer_user", _recording(infer_user, rollouts))
+    evaluate(p, src, tgt, split, cfg)
+    users = len(split.cold_start_test) if p.meta.pipeline.uses_diffusion else 0
+    assert (len(rollouts), len(steps)) == (users, users * t_prime)
+    assert {x.dtype for x in steps + rollouts} <= {np.dtype(dtype)}
+
+
+# worst over training seeds 0-29 x the 9 diffusing selectors x omega 0, 2
+# at T = 20: 5.2e-7 (a user's state) and 9.8e-9 (MAE); the bounds keep more
+# than 10x margin over both
+STATE_BOUND_F32 = 1e-5
+MAE_BOUND_F32 = 1e-6
+
+
+@pytest.mark.parametrize("omega", [0.0, 2.0])
+@pytest.mark.parametrize("variant,ablation", SELECTORS[:-1])
+def test_float32_rollout_is_within_bound_of_float64(variant, ablation, omega, monkeypatch):
+    # one trained float32 model, and its weights cast to float64: the
+    # float32 rollout rounds in float32 at every step, the gap to the
+    # float64 rollout of the same weights and noise stays small
+    src, tgt = toy_domains(n_overlap=25, seed=3)
+    split = split_cold_start(src, tgt, 0.2, seed=1)
+    cfg = tiny_cfg(epochs=2, batch_size=16, variant=variant, ablation=ablation,
+                   omega=omega, T=20, dtype="float32")
+    p32, _ = train(src, tgt, split, cfg)
+    runs = []
+    for p in (p32, _as_float64(p32)):
+        rollouts = []
+        monkeypatch.setattr(evaluate_mod, "infer_user", _recording(infer_user, rollouts))
+        runs.append((rollouts, evaluate(p, src, tgt, split, cfg).mae))
+    (states32, mae32), (states64, mae64) = runs
+    assert len(states32) == len(states64) == len(split.cold_start_test)
+    for x32, x64 in zip(states32, states64):
+        assert (x32.dtype, x64.dtype) == (np.float32, np.float64)
+        assert np.linalg.norm(x32 - x64) <= STATE_BOUND_F32 * np.linalg.norm(x64)
+    assert abs(mae32 - mae64) <= MAE_BOUND_F32 * mae64
+
+
+def test_evaluate_refuses_a_non_finite_prediction():
+    # omega = 1e39 is finite, and so is a float64 rollout at it; in float32
+    # the guided prediction (1 + omega) * pred overflows
+    src, tgt, split, params = _trained_setup(epochs=1, dtype="float32")
+    cfg = tiny_cfg(omega=1e39, t_prime=1)
+    first = sorted(split.cold_start_test)[0]
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(ConfigurationError, match=f"user {first}: non-finite prediction"):
+        evaluate(params, src, tgt, split, cfg)
+    assert np.isfinite(evaluate(_as_float64(params), src, tgt, split, cfg).mae)
+
+
 def _tiny_run_report(variant, ablation):
     """The report of a tiny float32 train then a guided eval at t_prime = T."""
     src, tgt = toy_domains(n_overlap=25, seed=3)
@@ -233,20 +316,18 @@ def _tiny_run_report(variant, ablation):
     return evaluate(params, src, tgt, split, cfg)
 
 
-# report lines of float32 models; `no_tf` was recorded before inference ran
-# without the autodiff graph, the others were re-recorded when float32
-# models came to train in float32 end to end (a different BLAS build may
-# move the last digits of both)
+# report lines of float32 models (a different BLAS build may move their
+# last digits)
 GOLDEN_REPORTS = {
-    (0, "none"): ("mae\t3.792550339", "rmse\t3.942042419"),
-    (1, "none"): ("mae\t3.88204968", "rmse\t4.002656703"),
-    (2, "none"): ("mae\t3.830982786", "rmse\t3.951580867"),
-    (3, "none"): ("mae\t3.827199377", "rmse\t3.948412447"),
-    (4, "none"): ("mae\t3.794795949", "rmse\t3.936464909"),
-    (5, "none"): ("mae\t3.822933969", "rmse\t3.942684744"),
+    (0, "none"): ("mae\t3.792550337", "rmse\t3.942042416"),
+    (1, "none"): ("mae\t3.882049681", "rmse\t4.002656704"),
+    (2, "none"): ("mae\t3.830982783", "rmse\t3.951580865"),
+    (3, "none"): ("mae\t3.827199374", "rmse\t3.948412445"),
+    (4, "none"): ("mae\t3.794795944", "rmse\t3.936464906"),
+    (5, "none"): ("mae\t3.822933967", "rmse\t3.942684742"),
     (6, "none"): ("mae\t3.881880463", "rmse\t3.997686021"),
-    (0, "no_tf"): ("mae\t3.877559983", "rmse\t3.995689337"),
-    (0, "no_gs"): ("mae\t3.88204968", "rmse\t4.002656703"),
+    (0, "no_tf"): ("mae\t3.877559979", "rmse\t3.995689335"),
+    (0, "no_gs"): ("mae\t3.882049681", "rmse\t4.002656704"),
     (0, "no_dm"): ("mae\t3.794664853", "rmse\t3.931480457"),
 }
 
