@@ -143,6 +143,7 @@ def cmd_eval(ckpt_path, config_path, seed, out, per_user):
 @click.option("--out", type=click.Path(), default=None)
 def cmd_schedule_dump(T, eta, alpha_min, alpha_max, out):
     """Emit t, beta_t, alpha_bar_t, beta_tilde_t as TSV."""
+    RunConfig(T=T, eta=eta, alpha_min=alpha_min, alpha_max=alpha_max).validate()
     s = schedule_mod.build_schedule(T, eta, alpha_min, alpha_max)
     text = schedule_mod.dump_tsv(s)
     if out:

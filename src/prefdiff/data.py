@@ -175,8 +175,6 @@ def split_cold_start(source: DomainData, target: DomainData,
     """Hold out `round(fraction * |overlap|)` overlapping users as cold-start
     test users; the rest train. Deterministic given the seed. A split that
     would leave either side empty raises a DataError."""
-    if not 0.0 < fraction < 1.0:
-        raise DataError(f"fraction must be in (0, 1), got {fraction}")
     overlap = sorted(overlapping_users(source, target))
     if not overlap:
         raise DataError("no overlapping users between the two domains")

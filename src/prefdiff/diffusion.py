@@ -22,12 +22,10 @@ from .schedule import Schedule, posterior_mean_coeffs
 def forward_marginal(u0, t, eps: np.ndarray, s: Schedule):
     """Closed-form corruption of the clean state straight to step t.
 
-    t is an int, or an int array with one step per row of u0. The
-    coefficients are cast to the dtype of the noise eps; u0 may be an array
-    or a graph Tensor, and the result is of the same kind."""
+    t is an int in 1..T, or an int array with one such step per row of
+    u0. The coefficients are cast to the dtype of the noise eps; u0 may be
+    an array or a graph Tensor, and the result is of the same kind."""
     t = np.asarray(t)
-    if np.any((t < 1) | (t > s.T)):
-        raise IndexError(f"step t outside 1..{s.T}")
     eps = np.asarray(eps)
     a = np.sqrt(s.alpha_bar[t - 1]).astype(eps.dtype)
     b = np.sqrt(s.one_minus_alpha_bar[t - 1]).astype(eps.dtype)

@@ -14,7 +14,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor, matmul_grads, unbroadcast
-from .errors import DataError
 from .params import ENCODER_LAYER_WEIGHTS, ModelParams
 
 _EPS = 1e-5
@@ -115,10 +114,8 @@ def _layer_grads(g, mask: np.ndarray, w: dict, cache):
 
 def masked_mean_pool(x: np.ndarray, mask: np.ndarray):
     """Batched average pooling over unmasked positions, (B, L, d) -> (B, d),
-    and the (B, L) pooling weights."""
+    and the (B, L) pooling weights; every row has an unmasked position."""
     counts = mask.sum(axis=1)
-    if np.any(counts == 0):
-        raise DataError("empty history in batch")
     weights = (mask / counts[:, None]).astype(x.dtype)
     return (x * weights[:, :, None]).sum(axis=1), weights
 
@@ -127,7 +124,8 @@ def encode_batch(item_vectors, mask: np.ndarray, params: ModelParams):
     """Guidance signals for a batch of padded histories.
 
     item_vectors: (B, L, d1) source-item embeddings, an array or a graph
-    Tensor; mask: (B, L) booleans, which flag real (non-padded) positions.
+    Tensor, with L <= max_history_len; mask: (B, L) booleans, which flag
+    real (non-padded) positions, at least one per history.
     Padded positions never receive attention weight and never enter the
     pooled output. An array gives an array; a Tensor gives one graph node
     whose parents are item_vectors, `pos_emb` and the `enc*` weights. Under
@@ -143,12 +141,8 @@ def encode_batch(item_vectors, mask: np.ndarray, params: ModelParams):
     names = []
     layers, caches = [], []
     if not bypass:
-        length = x.shape[1]
-        if length > cfg.max_history_len:
-            raise DataError(f"history length {length} exceeds max_history_len "
-                            f"{cfg.max_history_len}")
         names = ["pos_emb"]
-        x = x + params["pos_emb"].data[:length]
+        x = x + params["pos_emb"].data[:x.shape[1]]
         for layer_names in params.encoder_names:
             names += layer_names
             layers.append({suffix: params[name].data
@@ -190,8 +184,6 @@ def _encoder_node(out, item_vectors: Tensor, tensors, mask, pool, layers, caches
 
 def encode_history(item_vectors: np.ndarray, params: ModelParams) -> np.ndarray:
     """The d1 guidance signal of one history, (L, d1) item embeddings in
-    chronological order, through :func:`encode_batch` on arrays."""
+    chronological order with 1 <= L, through :func:`encode_batch` on arrays."""
     vecs = np.asarray(item_vectors)
-    if vecs.shape[0] == 0:
-        raise DataError("empty history")
     return encode_batch(vecs[None], np.ones((1, vecs.shape[0]), dtype=bool), params)[0]

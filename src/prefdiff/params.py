@@ -132,9 +132,6 @@ def init_params(cfg: RunConfig, n_users: int, n_items_src: int,
     cfg's architecture and wiring, deterministic per cfg.seed. Null token
     starts at zero; layer-norm gains at one."""
     sizes = dict(zip(SIZE_KEYS, (n_users, n_items_src, n_items_tgt)))
-    for name, v in sizes.items():
-        if v < 1:
-            raise ConfigurationError(f"{name} must be positive, got {v}")
     meta = ModelMeta(replace(cfg, **dict.fromkeys(PATH_KEYS, "")), **sizes)
     rng = make_rng(cfg.seed, 0xA11)
     np_dtype = np.dtype(cfg.dtype)

@@ -14,8 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError
-
 
 @dataclass(frozen=True)
 class Schedule:
@@ -33,10 +31,6 @@ class Schedule:
     post_coef_u0: np.ndarray = field(repr=False)
     post_coef_ut: np.ndarray = field(repr=False)
 
-    def check_step(self, t: int) -> None:
-        if not 1 <= t <= self.T:
-            raise IndexError(f"step t={t} outside 1..{self.T}")
-
 
 def uniform_spacing(T: int) -> np.ndarray:
     """T uniformly spaced values from 1 to 2T+1 (midpoint T+1 when T == 1)."""
@@ -46,14 +40,8 @@ def uniform_spacing(T: int) -> np.ndarray:
 
 
 def build_schedule(T: int, eta: float, alpha_min: float, alpha_max: float) -> Schedule:
-    if T < 1:
-        raise ConfigurationError(f"T must be >= 1, got {T}")
-    if not 0.0 < eta <= 1.0:
-        raise ConfigurationError(f"eta must be in (0, 1], got {eta}")
-    if not 0.0 < alpha_min < alpha_max:
-        raise ConfigurationError(
-            f"need 0 < alpha_min < alpha_max, got {alpha_min=} {alpha_max=}")
-
+    """The schedule of T >= 1 steps at 0 < eta <= 1 and
+    0 < alpha_min < alpha_max, the ranges `RunConfig.validate` enforces."""
     s = uniform_spacing(T)
     exponent = -alpha_min / T - s * (alpha_max - alpha_min) / (2.0 * T * T)
     one_minus_ab = eta * (1.0 - np.exp(exponent))
@@ -74,8 +62,7 @@ def build_schedule(T: int, eta: float, alpha_min: float, alpha_max: float) -> Sc
 
 def posterior_mean_coeffs(s: Schedule, t: int) -> tuple[float, float, float]:
     """Coefficients (on the clean state, on the noised state) and variance of
-    the closed-form denoising posterior at step t."""
-    s.check_step(t)
+    the closed-form denoising posterior at step t in 1..T."""
     return (float(s.post_coef_u0[t - 1]),
             float(s.post_coef_ut[t - 1]),
             float(s.beta_tilde[t - 1]))

@@ -15,7 +15,7 @@ from .config import RunConfig
 from .data import ColdStartSplit, DomainData
 from .diffusion import denoise, forward_marginal
 from .encoder import encode_batch
-from .errors import DataError, TrainingError
+from .errors import TrainingError
 from .params import ModelMeta, ModelParams, init_params
 from .rng import make_rng
 from .schedule import Schedule
@@ -109,8 +109,6 @@ class AdamState:
 class TrainerState:
     optimizer: AdamState
     rng: np.random.Generator
-    masked_examples: int = 0
-    total_examples: int = 0
 
 
 def new_trainer_state(seed: int) -> TrainerState:
@@ -118,17 +116,16 @@ def new_trainer_state(seed: int) -> TrainerState:
 
 
 def rec_loss(pred_ratings, true_ratings):
-    """Mean squared error; polymorphic over numpy arrays and autodiff tensors."""
+    """Mean squared error over n >= 1 ratings; polymorphic over numpy arrays
+    and autodiff tensors."""
     n = pred_ratings.shape[0]
-    if n == 0:
-        raise DataError("rec_loss over empty input")
     diff = pred_ratings - np.asarray(true_ratings)
     return (diff * diff).sum() * (1.0 / n)
 
 
 def diffusion_coefficient(s: Schedule, t, weighting: str):
-    """Per-step weight on the squared clean-state error, for an int step
-    (a float) or an int array of steps (a float64 array).
+    """Per-step weight on the squared clean-state error, for an int step in
+    1..T (a float) or an int array of such steps (a float64 array).
 
     The variance at t=1 is zero, which makes the exact weight singular; the
     floor is the t=2 variance. Simplified weighting drops the coefficient."""
@@ -136,8 +133,6 @@ def diffusion_coefficient(s: Schedule, t, weighting: str):
     if weighting == "simplified":
         coef = np.ones(t.shape)
     else:
-        if np.any((t < 1) | (t > s.T)):
-            raise IndexError(f"step t outside 1..{s.T}")
         floor = float(s.beta_tilde[1]) if s.T >= 2 else 1.0
         sigma2 = np.maximum(s.beta_tilde[t - 1], floor)
         ab_prev = np.where(t == 1, 1.0, s.alpha_bar[t - 2])
@@ -239,15 +234,11 @@ def compute_batch_loss(examples: Examples, rows: np.ndarray, params: ModelParams
 def train_step(examples: Examples, rows: np.ndarray, params: ModelParams,
                state: TrainerState) -> dict:
     """One gradient update on the joint loss over the batch of examples at
-    `rows`; returns the loss report. Steps t and condition masks are sampled
-    per example."""
-    if len(rows) == 0:
-        raise DataError("empty batch")
+    `rows`, which are not empty; returns the loss report. Steps t and
+    condition masks are sampled per example."""
     draws = sample_draws(state.rng, len(rows), params.meta)
     params.zero_grads()
     total, report = compute_batch_loss(examples, rows, params, draws)
-    state.masked_examples += report["masked"]
-    state.total_examples += report["batch"]
     total.backward()
     state.optimizer.update(params, params.meta.cfg.learning_rate)
     params.zero_grads()

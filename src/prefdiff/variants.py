@@ -56,8 +56,6 @@ class Pipeline:
     """One model wiring. `kind` is "main", "v1".."v6", or "no_dm"."""
 
     def __init__(self, kind: str, *, bypass_transformer: bool = False):
-        if kind not in WIRINGS:
-            raise ConfigurationError(f"unknown pipeline kind {kind!r}")
         self.kind = kind
         self.wiring = w = WIRINGS[kind]
         self.bypass_transformer = bypass_transformer

@@ -51,7 +51,6 @@ def relative_error(a: np.ndarray, b: np.ndarray) -> float:
 def forward_chain_step(u_prev: np.ndarray, t: int, eps: np.ndarray, s) -> np.ndarray:
     """One-step corruption u_{t-1} -> u_t under schedule s: the oracle that
     composes to `diffusion.forward_marginal`."""
-    s.check_step(t)
     beta = float(s.beta[t - 1])
     return math.sqrt(1.0 - beta) * np.asarray(u_prev) + math.sqrt(beta) * np.asarray(eps)
 

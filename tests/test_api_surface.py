@@ -1,5 +1,6 @@
-"""Every function and method defined in `prefdiff` serves a command, and
-every file it writes goes through `data.write_atomic`.
+"""Every function and method defined in `prefdiff` serves a command, every
+file it writes goes through `data.write_atomic`, and every `raise` is at
+one of the boundaries where a run's inputs are checked.
 
 The test wraps each function, method and (cached) property getter of the
 package with a call counter, runs every CLI command on a tiny synthetic pair, and
@@ -14,6 +15,7 @@ import importlib
 import inspect
 import pkgutil
 import re
+from collections import Counter
 from functools import cached_property
 from pathlib import Path
 
@@ -145,6 +147,54 @@ def test_every_file_is_written_through_write_atomic():
     assert outside == []
     # the scan sees the write it exempts
     assert [call for _, call in inside] == ["open(tmp, 'wb')"]
+
+
+# every `raise` of the package, by module and function, with its count: the
+# boundaries that check a run once, where its inputs enter, plus the two
+# non-finite checks (training loss, evaluated prediction) and autodiff's
+# scalar check. Code below the boundaries trusts what they guarantee.
+RAISE_SITES = {
+    "cli._Commands.main": 1,        # re-raises a package error outside standalone mode
+    "cli._check_checkpoint": 1,
+    "cli.cmd_eval": 1,
+    "cli.cmd_sweep": 2,
+    "config.RunConfig.validate": 1,
+    "config._coerce": 1,
+    "config.parse_config_text": 2,
+    "config.load_config": 1,
+    "data._check_line": 5,
+    "data.load_ratings": 2,
+    "data.split_cold_start": 2,
+    "params._parse_manifest": 3,
+    "params.load_checkpoint": 4,
+    "variants.build_pipeline": 3,
+    "trainer.compute_batch_loss": 2,
+    "evaluate.evaluate": 1,
+    "autodiff.Tensor.backward": 1,
+}
+
+
+def _raise_sites(node, scope: str) -> Counter:
+    """The number of `raise` statements under `node` per enclosing
+    `module.Class.function` name, `scope` being node's own."""
+    sites = Counter()
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            sites += _raise_sites(child, f"{scope}.{child.name}")
+        else:
+            if isinstance(child, ast.Raise):
+                sites[scope] += 1
+            sites += _raise_sites(child, scope)
+    return sites
+
+
+def test_every_raise_is_at_a_boundary():
+    # a range that a boundary fixes is not checked again below it: adding a
+    # re-check back takes an edit of RAISE_SITES
+    found = Counter()
+    for path in sorted(Path(prefdiff.__file__).parent.glob("*.py")):
+        found += _raise_sites(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    assert dict(found) == RAISE_SITES
 
 
 def _cli(*args):

@@ -102,6 +102,16 @@ def test_schedule_dump(tmp_path):
     assert len(lines) == 7
 
 
+def test_schedule_dump_lists_every_bad_option():
+    # the four options are checked as a run config, every problem at once
+    result = CliRunner().invoke(main, ["schedule-dump", "--steps", "0", "--eta", "2",
+                                       "--alpha-min", "5", "--alpha-max", "1"])
+    message = error_line(result, "ConfigurationError")
+    for problem in ("T must be >= 1", "eta must be in (0, 1]",
+                    "need 0 < alpha_min < alpha_max"):
+        assert problem in message, message
+
+
 def test_train_outputs_and_determinism(run_config, tmp_path):
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     invoke("train", "--config", run_config, "--seed", "7", "--out", str(out_a))

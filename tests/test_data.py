@@ -13,8 +13,8 @@ from prefdiff.data import (build_histories,
                            overlapping_users, split_cold_start,
                            training_ratings, user_universe, write_atomic,
                            write_split_manifest)
-from prefdiff.encoder import encode_history
 from prefdiff.errors import DataError
+from prefdiff.trainer import build_examples
 
 
 def write_tsv(path, rows):
@@ -158,16 +158,17 @@ def test_history_timestamp_ties_keep_file_order():
     assert _history(d, ["u"], 5, "u") == (1, 0)
 
 
-def test_history_empty_user_raises(tiny_params):
-    # a user without source interactions gets no history, and an empty
-    # history cannot be encoded into a guidance signal
+def test_history_empty_user_raises():
+    # a user without source interactions gets no history; a split leaves
+    # such a user out, and refuses data where every user lacks one, so no
+    # empty history reaches the encoder
     d = _domain([("u", "a", 3.0, 1)])
     table, lengths, row_of = build_histories(d, ["ghost", "u"], max_len=5)
     assert row_of == {"u": 0}
     # the table is zero-padded past the history's one item
     assert table.tolist() == [[0, 0, 0, 0, 0]] and lengths.tolist() == [1]
-    with pytest.raises(DataError, match="empty history"):
-        encode_history(np.zeros((0, tiny_params.meta.cfg.d1)), tiny_params)
+    with pytest.raises(DataError, match="no overlapping users"):
+        split_cold_start(d, _domain([("ghost", "t", 3.0, 1)]), 0.5, seed=0)
 
 
 def test_build_histories_matches_single():
@@ -253,13 +254,15 @@ def test_split_size_property(n, frac, seed):
 
 @given(st.lists(st.tuples(st.integers(0, 11), st.sampled_from("st"), st.integers(0, 5)),
                 min_size=1, max_size=80),
-       st.floats(min_value=0.05, max_value=0.95), st.integers(0, 2**31 - 1))
+       st.floats(min_value=0.05, max_value=0.95), st.integers(0, 2**31 - 1),
+       st.integers(1, 4))
 @settings(max_examples=60, deadline=None)
-def test_split_users_are_in_both_domains(ratings, frac, seed):
+def test_split_users_are_in_both_domains(ratings, frac, seed, max_len):
     # users rate in the source ("s"), the target ("t") or both, beside a
     # source-only and a target-only user; a split holds only users with
     # ratings on both sides, and neither side is empty, so training and
-    # evaluation need no filter of their own
+    # evaluation need no filter of their own, and every history they
+    # encode holds 1..max_history_len items
     rows = {side: [(f"u{u}", f"i{i}", 3.0, k) for k, (u, s, i) in enumerate(ratings) if s == side]
             for side in "st"}
     src = _domain(rows["s"] + [("src_only", "i0", 3.0, 0)])
@@ -273,6 +276,14 @@ def test_split_users_are_in_both_domains(ratings, frac, seed):
     assert split.overlap_train and split.cold_start_test
     for u in split.overlap_train | split.cold_start_test:
         assert u in src.user_index and u in tgt.user_index
+    examples = build_examples(src, tgt, split, user_universe(src, tgt), max_len)
+    assert len(examples.user) and np.all(examples.history_row >= 0)
+    assert np.all((1 <= examples.lengths) & (examples.lengths <= max_len))
+    # evaluate reads test user k's history at row k
+    test_users = sorted(split.cold_start_test)
+    _, lengths, row_of = build_histories(src, test_users, max_len)
+    assert row_of == {u: k for k, u in enumerate(test_users)}
+    assert np.all((1 <= lengths) & (lengths <= max_len))
 
 
 def test_load_columns(tmp_path):

@@ -1,6 +1,7 @@
 """Inference rollout and cold-start evaluation."""
 import math
 import tempfile
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -13,7 +14,8 @@ from prefdiff.data import (build_histories, held_out_ratings, split_cold_start,
                            user_universe)
 from prefdiff.diffusion import denoise, reverse_step
 from prefdiff.encoder import encode_history
-from prefdiff.errors import ConfigurationError, DataError
+from prefdiff.cli import _check_checkpoint
+from prefdiff.errors import CheckpointError, ConfigurationError, DataError
 from prefdiff.evaluate import (EvalReport, evaluate, infer_user,
                                report_from_errors)
 from prefdiff.params import ModelParams, init_params, load_checkpoint, save_checkpoint
@@ -50,11 +52,11 @@ def test_single_step_matches_hand_rollout(tiny_params):
 
 
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
-@pytest.mark.parametrize("t_prime", [0, 1, 2, 5])
+@pytest.mark.parametrize("t_prime", [-1, 0, 1, 2, 5])
 def test_rollout_matches_stepwise_hand_rollout(t_prime, dtype):
-    # the rollout's one (T'-1, d) noise block gives the numbers of one
-    # standard_normal(d) draw per noisy step, in step order, each cast to
-    # the model dtype
+    # the rollout visits exactly t = t'..1 (T..1 at t_prime = -1), and its
+    # one (T'-1, d) noise block gives the numbers of one standard_normal(d)
+    # draw per noisy step, in step order, each cast to the model dtype
     cfg = tiny_cfg(omega=1.5, t_prime=t_prime, dtype=dtype)
     p = init_params(cfg, 6, 8, 9)
     u = make_rng(4, 0).standard_normal(4).astype(dtype)
@@ -63,7 +65,7 @@ def test_rollout_matches_stepwise_hand_rollout(t_prime, dtype):
     rng = make_rng(cfg.seed, 5)
     null = p["null_token"].data[None, :]
     x = u[None, :]
-    for t in range(t_prime, 0, -1):
+    for t in range(cfg.resolved_t_prime(), 0, -1):
         z = rng.standard_normal(4).astype(dtype) if t > 1 else np.zeros(4, dtype)
         x = reverse_step(x, h[None, :], null, t, 1.5, z, p)
     assert got.dtype == x.dtype == dtype
@@ -82,9 +84,12 @@ def test_rollout_deterministic_given_rng_key(tiny_params):
 
 
 def test_t_prime_out_of_range(tiny_params):
-    with pytest.raises(ConfigurationError):
-        infer_user(np.zeros(4), None, tiny_cfg(t_prime=6), tiny_params,
-                   make_rng(0, 0))
+    # infer_user trusts t_prime: the run config holds it to -1 (T) or 0..T
+    # (test_schedule.py::test_step_range_checks), and eval refuses a config
+    # whose T is not the checkpoint's
+    trained = tiny_params.meta.cfg
+    with pytest.raises(CheckpointError, match="T is 5 in the checkpoint but 6"):
+        _check_checkpoint(trained, replace(trained, T=6, t_prime=6))
 
 
 def test_report_from_errors_values():
@@ -92,8 +97,6 @@ def test_report_from_errors_values():
     assert rep.mae == pytest.approx(4 / 3)
     assert rep.rmse == pytest.approx(math.sqrt(2.0))
     assert rep.n_predictions == 3
-    with pytest.raises(DataError):
-        report_from_errors(np.array([]))
 
 
 def test_report_tsv_formats():
@@ -300,9 +303,11 @@ def test_evaluate_refuses_a_non_finite_prediction():
     src, tgt, split, params = _trained_setup(epochs=1, dtype="float32")
     cfg = tiny_cfg(omega=1e39, t_prime=1)
     first = sorted(split.cold_start_test)[0]
-    with np.errstate(over="ignore", invalid="ignore"), \
-            pytest.raises(ConfigurationError, match=f"user {first}: non-finite prediction"):
-        evaluate(params, src, tgt, split, cfg)
+    # refused with the one error, and no numpy warning before it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigurationError, match=f"user {first}: non-finite prediction"):
+            evaluate(params, src, tgt, split, cfg)
     assert np.isfinite(evaluate(_as_float64(params), src, tgt, split, cfg).mae)
 
 

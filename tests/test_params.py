@@ -106,8 +106,6 @@ def test_init_deterministic_and_seed_sensitive():
 
 
 def test_init_validation():
-    with pytest.raises(ConfigurationError):
-        small_params(n_users=0)
     # the architecture is checked once, by RunConfig.validate
     with pytest.raises(ConfigurationError, match="n_heads"):
         replace(small_params().meta.cfg, n_heads=3).validate()

@@ -1,10 +1,12 @@
 """Schedule construction: closed-form values, algebraic identities,
 monotonicity, and the degenerate cases."""
 import math
+import re
 
 import numpy as np
 import pytest
 
+from prefdiff.config import RunConfig
 from prefdiff.errors import ConfigurationError
 from prefdiff.schedule import (Schedule, build_schedule, dump_tsv,
                                posterior_mean_coeffs, uniform_spacing)
@@ -92,22 +94,29 @@ def test_mean_preservation_identity():
 
 
 def test_step_range_checks():
-    s = build_schedule(5, 0.5, 0.1, 10.0)
-    with pytest.raises(IndexError):
-        posterior_mean_coeffs(s, 0)
-    with pytest.raises(IndexError):
-        posterior_mean_coeffs(s, 6)
+    # a schedule reads steps 1..T only: training draws them there
+    # (test_trainer.py::test_sample_draws_steps_are_exactly_1_to_T), the
+    # rollout walks t_prime..1, and the run config holds t_prime to -1 (T)
+    # or 0..T
+    for t_prime in (-1, 0, 5):
+        RunConfig(T=5, t_prime=t_prime).validate()
+    for t_prime in (-2, 6):
+        with pytest.raises(ConfigurationError, match="t_prime must be"):
+            RunConfig(T=5, t_prime=t_prime).validate()
 
 
 @pytest.mark.parametrize("bad", [
-    dict(T=0, eta=0.5, alpha_min=0.1, alpha_max=10.0),
-    dict(T=10, eta=0.0, alpha_min=0.1, alpha_max=10.0),
-    dict(T=10, eta=1.5, alpha_min=0.1, alpha_max=10.0),
-    dict(T=10, eta=0.5, alpha_min=10.0, alpha_max=0.1),
+    (dict(T=0, eta=0.5, alpha_min=0.1, alpha_max=10.0), "T must be >= 1"),
+    (dict(T=10, eta=0.0, alpha_min=0.1, alpha_max=10.0), "eta must be in"),
+    (dict(T=10, eta=1.5, alpha_min=0.1, alpha_max=10.0), "eta must be in"),
+    (dict(T=10, eta=0.5, alpha_min=10.0, alpha_max=0.1), "alpha_min < alpha_max"),
 ])
 def test_parameter_validation(bad):
-    with pytest.raises(ConfigurationError):
-        build_schedule(**bad)
+    # build_schedule trusts its inputs; the run config they come from is
+    # checked once
+    settings, problem = bad
+    with pytest.raises(ConfigurationError, match=re.escape(problem)):
+        RunConfig(**settings).validate()
 
 
 def test_dump_tsv_shape():

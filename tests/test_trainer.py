@@ -6,13 +6,15 @@ from itertools import chain
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prefdiff import autodiff as ad
 from prefdiff.config import RunConfig
 from prefdiff.data import make_domain, split_cold_start, user_universe
-from prefdiff.errors import ConfigurationError, DataError
+from prefdiff.errors import ConfigurationError
 from prefdiff.encoder import encode_history
-from prefdiff.params import ModelParams, init_params, save_checkpoint
+from prefdiff.params import ModelMeta, ModelParams, init_params, save_checkpoint
 from prefdiff.rng import make_rng
 from prefdiff.schedule import build_schedule
 from prefdiff.trainer import (AdamState, BatchDraws, Examples,
@@ -21,7 +23,7 @@ from prefdiff.trainer import (AdamState, BatchDraws, Examples,
                               new_trainer_state, rec_loss, sample_draws, train,
                               train_step)
 
-from conftest import central_difference, relative_error, with_cfg
+from conftest import central_difference, relative_error, run_configs, with_cfg
 
 
 def tiny_cfg(**kw):
@@ -68,8 +70,6 @@ def test_rec_loss_is_mse():
     pred = np.array([1.0, 2.0, 4.0])
     true = np.array([1.0, 1.0, 1.0])
     assert rec_loss(pred, true) == pytest.approx((0 + 1 + 9) / 3)
-    with pytest.raises(DataError):
-        rec_loss(np.zeros(0), np.zeros(0))
 
 
 def test_diffusion_coefficient_simplified_is_one():
@@ -99,8 +99,6 @@ def test_diffusion_coefficient_array_matches_scalar_bitwise(weighting):
         scalar = diffusion_coefficient(s, int(tt), weighting)
         assert isinstance(scalar, float)
         assert np.float64(scalar).tobytes() == coefs[tt - 1].tobytes()
-    with pytest.raises(IndexError):
-        diffusion_coefficient(s, np.array([1, 11]), "variance_weighted")
 
 
 def test_batch_arrays_pads_histories_like_a_loop():
@@ -193,6 +191,16 @@ def test_masking_empirical_rate(tiny_params):
     assert abs(report["masked"] / n - p_uncond) < 4 * sigma
 
 
+@settings(max_examples=60, deadline=None)
+@given(cfg=run_configs(), seed=st.integers(0, 2**32 - 1))
+def test_sample_draws_steps_are_exactly_1_to_T(cfg, seed):
+    # the one source of the steps that forward_marginal, the step embedding
+    # and diffusion_coefficient read in training; at T <= 4, 256 draws miss
+    # a step with probability below 1e-31
+    draws = sample_draws(make_rng(seed, 0), 256, ModelMeta(cfg, 3, 4, 5))
+    assert set(draws.t.tolist()) == set(range(1, cfg.T + 1))
+
+
 def test_config_validation():
     tiny_cfg().validate()
     for bad in (dict(lam=-0.1), dict(lam=1.5), dict(batch_size=0),
@@ -240,11 +248,10 @@ def test_masking_rate_in_band(tiny_params):
     p = with_cfg(tiny_params, p_uncond=0.25)
     state = new_trainer_state(0)
     batch = toy_batch(p, n=8)
-    n_steps = 400
-    for _ in range(n_steps):
-        train_step(*batch, p, state)
-    rate = state.masked_examples / state.total_examples
-    sigma = math.sqrt(0.25 * 0.75 / state.total_examples)
+    reports = [train_step(*batch, p, state) for _ in range(400)]
+    masked, total = (sum(report[k] for report in reports) for k in ("masked", "batch"))
+    rate = masked / total
+    sigma = math.sqrt(0.25 * 0.75 / total)
     assert abs(rate - 0.25) < 4 * sigma
 
 
@@ -257,8 +264,6 @@ def test_train_step_changes_params_and_reports(tiny_params):
     assert not np.array_equal(p["user_emb"].data, before)
     assert set(report) >= {"rec", "diff", "total", "masked", "batch"}
     assert report["total"] == pytest.approx(report["rec"] + cfg.lam * report["diff"])
-    with pytest.raises(DataError):
-        train_step(toy_batch(p)[0], np.arange(0), p, state)
 
 
 def test_adam_first_step_is_signed_lr():

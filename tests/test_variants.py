@@ -11,6 +11,7 @@ from prefdiff.rng import make_rng
 from prefdiff.trainer import compute_batch_loss, sample_draws, train
 from prefdiff.variants import WIRINGS, Pipeline, build_pipeline, lint_pipeline
 
+from conftest import SELECTORS
 from test_trainer import tiny_cfg, toy_batch, toy_domains
 from prefdiff.data import split_cold_start
 
@@ -158,8 +159,9 @@ def test_selector():
         build_pipeline(ablation="bogus")
     with pytest.raises(ConfigurationError):
         build_pipeline(variant=2, ablation="no_tf")
-    with pytest.raises(ConfigurationError):
-        Pipeline("v0")
+    # the selectors the config accepts build every wiring and nothing else,
+    # so Pipeline trusts its kind
+    assert {build_pipeline(v, a).kind for v, a in SELECTORS} == set(WIRINGS)
 
 
 def test_lint_warns_on_signal_noising_with_high_eta():
