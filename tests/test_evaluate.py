@@ -10,11 +10,11 @@ from hypothesis import given, settings
 
 from prefdiff import evaluate as evaluate_mod
 from prefdiff.autodiff import Tensor
+from prefdiff.cli import _check_checkpoint
 from prefdiff.data import (build_histories, held_out_ratings, split_cold_start,
                            user_universe)
 from prefdiff.diffusion import denoise, reverse_step
 from prefdiff.encoder import encode_history
-from prefdiff.cli import _check_checkpoint
 from prefdiff.errors import CheckpointError, ConfigurationError, DataError
 from prefdiff.evaluate import (EvalReport, evaluate, infer_user,
                                report_from_errors)
