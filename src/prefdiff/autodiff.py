@@ -170,31 +170,13 @@ def mul(a, b) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
+    """`a @ b` for operands of at least 2-D."""
     a, b = as_tensor(a), as_tensor(b)
-    ad = a.data if a.data.ndim > 1 else a.data[None, :]
-    bd = b.data if b.data.ndim > 1 else b.data[:, None]
-    squeeze_a = a.data.ndim == 1
-    squeeze_b = b.data.ndim == 1
-    data = ad @ bd
-    if squeeze_a:
-        data = data[..., 0, :]
-    if squeeze_b:
-        data = data[..., 0]
 
     def backward(g):
-        gm = g
-        if squeeze_a:
-            gm = np.expand_dims(gm, -2)
-        if squeeze_b:
-            gm = np.expand_dims(gm, -1)
-        ga, gb = matmul_grads(gm, ad, bd)
-        if squeeze_a:
-            ga = ga[..., 0, :]
-        if squeeze_b:
-            gb = gb[..., 0]
-        return ga.reshape(a.data.shape), gb.reshape(b.data.shape)
+        return matmul_grads(g, a.data, b.data)
 
-    return _make(data, (a, b), backward)
+    return _make(a.data @ b.data, (a, b), backward)
 
 
 def matmul_grads(g: np.ndarray, a: np.ndarray, b: np.ndarray):

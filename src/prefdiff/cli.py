@@ -18,7 +18,7 @@ from .errors import CheckpointError, ConfigurationError, PrefDiffError
 from .evaluate import evaluate
 from .params import load_checkpoint, save_checkpoint
 from .trainer import loss_history_tsv, train
-from .variants import build_pipeline, lint_pipeline
+from .variants import SELECTORS, lint_pipeline
 
 # the keys an evaluation may set apart from its checkpoint's training run
 EVAL_FREE_KEYS = ("source_path", "target_path", "seed", "omega", "t_prime")
@@ -97,7 +97,7 @@ def cmd_train(config_path, seed, fraction, variant, out_dir):
     cfg = load_config(config_path, seed=seed, fraction=fraction, variant=variant)
     source, target, split = _load_run(cfg)
     os.makedirs(out_dir, exist_ok=True)
-    for warning in lint_pipeline(build_pipeline(cfg.variant, cfg.ablation), cfg.eta):
+    for warning in lint_pipeline(SELECTORS[cfg.variant, cfg.ablation], cfg.eta):
         click.echo(f"warning: {warning}", err=True)
     params, history = train(source, target, split, cfg)
     save_checkpoint(params, os.path.join(out_dir, "checkpoint"))
@@ -210,9 +210,11 @@ def cmd_variant_bench(config_path, seed, out):
     base = load_config(config_path, seed=seed)
     source, target, split = _load_run(base)
     rows = ["variant\tmae\trmse\tn"]
-    for vid in range(1, 7):
-        cfg = replace(base, variant=vid, ablation="none")
-        for warning in lint_pipeline(build_pipeline(vid), base.eta):
+    for (vid, ablation), pipeline in SELECTORS.items():
+        if vid == 0:    # the full model and its ablations
+            continue
+        cfg = replace(base, variant=vid, ablation=ablation)
+        for warning in lint_pipeline(pipeline, base.eta):
             click.echo(f"warning (variant {vid}): {warning}", err=True)
         params, _ = train(source, target, split, cfg)
         report = evaluate(params, source, target, split, replace(cfg, omega=0.0))

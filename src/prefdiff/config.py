@@ -9,7 +9,7 @@ import math
 from dataclasses import dataclass, fields
 
 from .errors import ConfigurationError
-from .variants import build_pipeline
+from .variants import SELECTORS
 
 
 @dataclass(frozen=True)
@@ -37,8 +37,8 @@ class RunConfig:
     init_scale: float = 0.1
     omega: float = 0.0
     t_prime: int = -1          # -1 means "use T"
-    variant: int = 0           # 0 = full model, 1..6 = comparison wirings
-    ablation: str = "none"     # none | no_tf | no_gs | no_dm
+    variant: int = 0           # with ablation, a key of variants.SELECTORS
+    ablation: str = "none"
     dtype: str = "float32"
 
     def resolved_t_prime(self) -> int:
@@ -69,12 +69,11 @@ class RunConfig:
             (0.0 <= self.omega < math.inf, "omega must be finite and >= 0"),
             (-1 <= self.t_prime <= self.T, "t_prime must be -1 (use T) or in 0..T"),
             (self.dtype in ("float32", "float64"), "dtype must be float32|float64"),
+            ((self.variant, self.ablation) in SELECTORS,
+             f"(variant, ablation) = {(self.variant, self.ablation)} is not one of "
+             f"{list(SELECTORS)}"),
         ]
         problems = [msg for ok, msg in checks if not ok]
-        try:
-            build_pipeline(self.variant, self.ablation)
-        except ConfigurationError as exc:
-            problems.append(str(exc))
         if problems:
             raise ConfigurationError("; ".join(problems))
 

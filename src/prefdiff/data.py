@@ -19,6 +19,7 @@ from .errors import DataError
 from .rng import make_rng
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
+RATING_RANGE = (0.0, 5.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,16 +123,16 @@ def _parse_columns(fields: list[str], lo: float, hi: float):
     return None
 
 
-def load_ratings(path, rating_range: tuple[float, float] = (0.0, 5.0)) -> DomainData:
+def load_ratings(path) -> DomainData:
     """Parse a ratings TSV (`user \\t item \\t rating \\t timestamp`).
 
-    Blank lines are skipped. Timestamps are non-negative and fit in int64.
-    Duplicate (user, item) pairs keep the latest-timestamp line, ties the
-    later line, at the row of the pair's first line. A bad line raises a
-    DataError that names the first one; a file that is not UTF-8 text
-    raises one that names the file.
+    Blank lines are skipped. Ratings lie in `RATING_RANGE`; timestamps are
+    non-negative and fit in int64. Duplicate (user, item) pairs keep the
+    latest-timestamp line, ties the later line, at the row of the pair's
+    first line. A bad line raises a DataError that names the first one; a
+    file that is not UTF-8 text raises one that names the file.
     """
-    lo, hi = rating_range
+    lo, hi = RATING_RANGE
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().split("\n")
@@ -196,14 +197,11 @@ def build_histories(source: DomainData, users, max_len: int):
 
     Returns `(table, lengths, row_of)`: a zero-padded (n, max_len) int64
     table of source item indices, oldest first, the int64 history lengths,
-    and the table row of each user id. Rows follow the order of `users`;
-    users with no interactions are omitted. Ties in timestamp go by file
-    line.
+    and the table row of each user id. Rows follow the order of `users`,
+    distinct users with source ratings, as those of a `ColdStartSplit`.
+    Ties in timestamp go by file line.
     """
-    row_of: dict[str, int] = {}
-    for u in users:
-        if u in source.user_index:
-            row_of.setdefault(u, len(row_of))
+    row_of = {u: k for k, u in enumerate(users)}
     slot = np.full(source.n_users, -1, dtype=np.int64)
     slot[np.fromiter(map(source.user_index.__getitem__, row_of), np.int64,
                      count=len(row_of))] = np.arange(len(row_of))
@@ -225,7 +223,7 @@ def build_histories(source: DomainData, users, max_len: int):
 def _rows_of(domain: DomainData, users) -> np.ndarray:
     """Row indices, in row order, of the ratings of the given users."""
     member = np.zeros(domain.n_users, dtype=bool)
-    member[[domain.user_index[u] for u in users if u in domain.user_index]] = True
+    member[[domain.user_index[u] for u in users]] = True
     return np.flatnonzero(member[domain.user])
 
 

@@ -110,7 +110,7 @@ def evaluate(params: ModelParams, source: DomainData, target: DomainData,
         # a rollout that leaves the dtype's range is refused below, without warnings
         with np.errstate(over="ignore", invalid="ignore"):
             x0 = infer_user(u_init, h, cfg, params, make_rng(cfg.seed, u_idx)) \
-                if pipeline.uses_diffusion else None
+                if pipeline.diffusion else None
             emb = pipeline.score_embedding(x0, h, u_init, params)
             # np.vecdot is bitwise np.dot per row; V @ e would round differently
             ue = np.vecdot(emb.astype(np.float64), item_rows.astype(np.float64)) \

@@ -15,7 +15,6 @@ import hashlib
 import math
 import os
 from dataclasses import dataclass, fields, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -25,7 +24,7 @@ from .data import write_atomic
 from .errors import CheckpointError, ConfigurationError
 from .rng import make_rng
 from .schedule import build_schedule
-from .variants import Pipeline, build_pipeline
+from .variants import SELECTORS, Pipeline
 
 MANIFEST_NAME = "manifest.tsv"
 BLOB_NAME = "params.bin"
@@ -48,13 +47,13 @@ class ModelMeta:
     n_items_src: int
     n_items_tgt: int
 
-    @cached_property
+    @property
     def pipeline(self) -> Pipeline:
-        return build_pipeline(self.cfg.variant, self.cfg.ablation)
+        return SELECTORS[self.cfg.variant, self.cfg.ablation]
 
     @property
     def state_dim(self) -> int:
-        return self.pipeline.state_mult * self.cfg.d1
+        return len(self.pipeline.state) * self.cfg.d1
 
     @property
     def denoiser_in(self) -> int:
@@ -120,7 +119,7 @@ def _array_specs(meta: ModelMeta) -> dict[str, tuple[int, ...]]:
     for layer in range(cfg.enc_layers):
         specs.update({f"enc{layer}_{suffix}": shape
                       for suffix, shape in zip(ENCODER_LAYER_WEIGHTS, shapes)})
-    if meta.pipeline.with_projection:
+    if meta.pipeline.projection is not None:
         specs["proj_w"] = (2 * d1, d1)
         specs["proj_b"] = (d1,)
     return specs

@@ -40,38 +40,32 @@ class Examples:
 
 class AdamState:
     """First/second moment accumulators with bias correction. The moments
-    of the parameters that get gradients live in two flat buffers, and
-    `m[name]` and `v[name]` are views of them; a model's arrays share its
-    dtype, which the buffers take."""
+    of the parameters that get gradients live in two flat buffers, laid out
+    at the first update, and `m[name]` and `v[name]` are views of them; a
+    model's arrays share its dtype, which the buffers take. Which
+    parameters get gradients is fixed by the model's wiring, so the layout
+    holds for every step."""
 
     def __init__(self, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
         self.step = 0
-        self._names: tuple[str, ...] = ()
         self._flat: tuple[np.ndarray, ...] = ()
         self._deltas: list[np.ndarray] = []
 
     def _lay_out(self, live: list[tuple[str, ad.Tensor]]) -> None:
-        """Flat buffers over the `live` parameters, in their order, holding
-        each one's moments so far (zero for a new one). A parameter left out
-        keeps its own moments until it is live again."""
+        """Zeroed flat buffers over the `live` parameters, in their order."""
         dtype = live[0][1].data.dtype
         sizes = [tensor.data.size for _, tensor in live]
         m, v, delta, denom = (np.zeros(sum(sizes), dtype) for _ in range(4))
-        self._deltas = []
         start = 0
         for (name, tensor), size in zip(live, sizes):
             shape, rows = tensor.data.shape, slice(start, start + size)
-            for moments, flat in ((self.m, m), (self.v, v)):
-                view = flat[rows].reshape(shape)
-                if name in moments:
-                    view[...] = moments[name]
-                moments[name] = view
+            self.m[name] = m[rows].reshape(shape)
+            self.v[name] = v[rows].reshape(shape)
             self._deltas.append(delta[rows].reshape(shape))
             start += size
-        self._names = tuple(name for name, _ in live)
         self._flat = (m, v, delta, denom)
 
     def update(self, params: ModelParams, lr: float) -> None:
@@ -85,9 +79,7 @@ class AdamState:
         self.step += 1
         b1, b2 = self.beta1, self.beta2
         live = [(name, t) for name, t in params.arrays.items() if t.grad is not None]
-        if not live:
-            return
-        if tuple(name for name, _ in live) != self._names:
+        if not self._flat:
             self._lay_out(live)
         m, v, delta, denom = self._flat
         g = np.concatenate([t.grad for _, t in live], axis=None, dtype=m.dtype)
@@ -163,7 +155,7 @@ class BatchDraws:
 
 def sample_draws(rng: np.random.Generator, B: int, meta: ModelMeta) -> BatchDraws:
     """The draws of a batch of B examples for the model that `meta` describes."""
-    r = rng.uniform(size=B) if meta.pipeline.uses_masking else None
+    r = rng.uniform(size=B) if meta.pipeline.guided else None
     t = rng.integers(1, meta.cfg.T + 1, size=B)
     eps = rng.standard_normal((B, meta.state_dim)).astype(meta.cfg.dtype)
     return BatchDraws(r=r, t=t, eps=eps)
@@ -189,14 +181,14 @@ def compute_batch_loss(examples: Examples, rows: np.ndarray, params: ModelParams
 
     n_masked = 0
     null_row = params["null_token"].reshape((1, d1))
-    if pipeline.uses_masking:
+    if pipeline.guided:
         keep = (draws.r >= cfg.p_uncond).astype(dtype)[:, None]
         n_masked = int(B - keep.sum())
         cond = h * keep + null_row * (1.0 - keep)
     else:
         cond = null_row * np.ones((B, 1), dtype=dtype)
 
-    if pipeline.uses_diffusion:
+    if pipeline.diffusion:
         x0 = pipeline.clean_state(u0, h)
         t = draws.t
         x_t = forward_marginal(x0, t, draws.eps, params.schedule)

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from prefdiff import variants
 from prefdiff.config import RunConfig
 from prefdiff.params import ModelParams, init_params
 
-SELECTORS = [(v, "none") for v in range(7)] + [(0, a) for a in ("no_tf", "no_gs", "no_dm")]
+SELECTORS = list(variants.SELECTORS)
 PATHS = st.text(st.characters(blacklist_categories=("Cc", "Cs", "Z")), max_size=8)
 
 

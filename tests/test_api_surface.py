@@ -24,7 +24,7 @@ from click.testing import CliRunner
 
 import prefdiff
 
-SELECTORS = [(v, "none") for v in range(7)] + [(0, a) for a in ("no_tf", "no_gs", "no_dm")]
+SELECTORS = list(prefdiff.variants.SELECTORS)
 T = 3
 SWEEPS = {"t_prime": "0,3", "omega": "0,2", "eta": "0.1,0.5", "T": "2,3",
           "history_len": "2,4"}
@@ -167,7 +167,6 @@ RAISE_SITES = {
     "data.split_cold_start": 2,
     "params._parse_manifest": 3,
     "params.load_checkpoint": 4,
-    "variants.build_pipeline": 3,
     "trainer.compute_batch_loss": 2,
     "evaluate.evaluate": 1,
     "autodiff.Tensor.backward": 1,

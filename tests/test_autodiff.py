@@ -194,10 +194,6 @@ def test_matmul_broadcast_weights():
     check_grad(lambda a, b: (a @ b).sum(), (2, 3, 4), (4, 5))
 
 
-def test_matmul_vector():
-    check_grad(lambda a, b: (a @ b).sum(), (4,), (4, 3))
-
-
 def test_tanh_exp_power():
     check_grad(lambda a: (tanh(a) + power(a * a + 1.0, 0.5)).sum(), (6,))
 

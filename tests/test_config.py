@@ -6,6 +6,7 @@ from conftest import run_configs
 from prefdiff.config import (RunConfig, load_config, normalized_text,
                              parse_config_text)
 from prefdiff.errors import ConfigurationError
+from prefdiff.variants import SELECTORS
 
 
 def test_defaults_validate():
@@ -107,8 +108,22 @@ def test_validation_lists_every_problem():
 def test_overrides_replace_file_values_before_validation():
     cfg = parse_config_text("seed = 1\nvariant = 2\n", seed=5, variant=None)
     assert (cfg.seed, cfg.variant) == (5, 2)
-    with pytest.raises(ConfigurationError, match="mutually exclusive"):
+    with pytest.raises(ConfigurationError, match=r"\(variant, ablation\) = \(3, 'no_tf'\)"):
         parse_config_text("ablation = no_tf\n", variant=3)
+
+
+@pytest.mark.parametrize("selector,pair", [
+    ("variant = 9\n", "(9, 'none')"),
+    ("ablation = what\n", "(0, 'what')"),
+    ("variant = 2\nablation = no_tf\n", "(2, 'no_tf')"),
+])
+def test_a_selector_outside_the_table_is_one_more_problem(selector, pair):
+    # the message names the pair and the accepted ones, beside every other problem
+    with pytest.raises(ConfigurationError) as info:
+        parse_config_text(selector + "batch_size = 0\n")
+    message = str(info.value)
+    assert f"(variant, ablation) = {pair} is not one of {list(SELECTORS)}" in message
+    assert "batch_size must be >= 1" in message
 
 
 def test_normalized_round_trip(tmp_path):

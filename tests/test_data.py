@@ -159,11 +159,10 @@ def test_history_timestamp_ties_keep_file_order():
 
 
 def test_history_empty_user_raises():
-    # a user without source interactions gets no history; a split leaves
-    # such a user out, and refuses data where every user lacks one, so no
-    # empty history reaches the encoder
+    # a split holds only users with source interactions, and refuses data
+    # where every user lacks one, so no empty history reaches the encoder
     d = _domain([("u", "a", 3.0, 1)])
-    table, lengths, row_of = build_histories(d, ["ghost", "u"], max_len=5)
+    table, lengths, row_of = build_histories(d, ["u"], max_len=5)
     assert row_of == {"u": 0}
     # the table is zero-padded past the history's one item
     assert table.tolist() == [[0, 0, 0, 0, 0]] and lengths.tolist() == [1]
@@ -412,16 +411,16 @@ def test_load_matches_per_line_loader(tmp_path, lines, bad, newline, trailing):
 
 @given(rows=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 5), st.integers(0, 3)),
                      min_size=1, max_size=40),
-       users=st.lists(st.sampled_from(["u0", "u1", "u2", "u3", "u4", "ghost"]), max_size=8),
-       max_len=st.integers(1, 6), seed=st.integers(0, 2**16))
+       data=st.data(), max_len=st.integers(1, 6), seed=st.integers(0, 2**16))
 @settings(max_examples=200, deadline=None)
-def test_build_histories_matches_per_user_sort(rows, users, max_len, seed):
+def test_build_histories_matches_per_user_sort(rows, data, max_len, seed):
     position = np.random.default_rng(seed).permutation(len(rows)) + 1
     d = _domain([(f"u{u}", f"i{i}", 3.0, t) for u, i, t in rows], position=position)
+    # distinct users with ratings, as a split gives
+    users = data.draw(st.lists(st.sampled_from(d.users), unique=True))
     table, lengths, row_of = build_histories(d, users, max_len)
-    want_users = [u for u in dict.fromkeys(users) if u in d.user_index]
-    assert list(row_of) == want_users and list(row_of.values()) == list(range(len(want_users)))
-    assert table.shape == (len(want_users), max_len) and table.dtype == np.int64
+    assert list(row_of) == users and list(row_of.values()) == list(range(len(users)))
+    assert table.shape == (len(users), max_len) and table.dtype == np.int64
     for u, row in row_of.items():
         mine = [k for k in range(d.n_ratings) if d.users[d.user[k]] == u]
         mine.sort(key=lambda k: (d.timestamp[k], d.position[k]))

@@ -15,8 +15,7 @@ from prefdiff.rng import make_rng
 from prefdiff.schedule import build_schedule, posterior_mean_coeffs
 from prefdiff.trainer import build_examples, new_trainer_state, train_step
 
-from conftest import forward_chain_step
-from test_evaluate import SELECTORS
+from conftest import SELECTORS, forward_chain_step
 from test_trainer import tiny_cfg, toy_domains
 
 

@@ -23,7 +23,7 @@ from prefdiff.rng import make_rng
 from prefdiff.schedule import posterior_mean_coeffs
 from prefdiff.trainer import train
 
-from conftest import run_configs
+from conftest import SELECTORS, run_configs
 from test_trainer import tiny_cfg, toy_domains
 
 
@@ -191,10 +191,6 @@ def test_evaluate_runs_for_every_pipeline():
         assert np.isfinite(rep.mae)
 
 
-SELECTORS = [(v, "none") for v in range(7)] + \
-    [(0, a) for a in ("no_tf", "no_gs", "no_dm")]
-
-
 @pytest.mark.parametrize("t_prime", [0, 1, 5])
 @pytest.mark.parametrize("variant,ablation", SELECTORS)
 def test_every_pipeline_at_every_t_prime(variant, ablation, t_prime):
@@ -220,7 +216,7 @@ def test_every_pipeline_at_every_t_prime(variant, ablation, t_prime):
         h = encode_history(params["item_emb_src"].data[items], params)
         x = pipe.inference_init(u, h)
         assert np.array_equal(infer_user(u, h, cfg, params, make_rng(0, 0)), x)
-        emb = pipe.score_embedding(Tensor(x) if pipe.uses_diffusion else None,
+        emb = pipe.score_embedding(Tensor(x) if pipe.diffusion else None,
                                    h, u, params).data
         v = params["item_emb_tgt"].data[tgt.item[k]]
         errors.append(_dot64(emb, v) - tgt.rating[k])
@@ -261,7 +257,7 @@ def test_a_rollout_stays_in_the_model_dtype(variant, ablation, dtype, t_prime, o
     monkeypatch.setattr(evaluate_mod, "reverse_step", _recording(reverse_step, steps))
     monkeypatch.setattr(evaluate_mod, "infer_user", _recording(infer_user, rollouts))
     evaluate(p, src, tgt, split, cfg)
-    users = len(split.cold_start_test) if p.meta.pipeline.uses_diffusion else 0
+    users = len(split.cold_start_test) if p.meta.pipeline.diffusion else 0
     assert (len(rollouts), len(steps)) == (users, users * t_prime)
     assert {x.dtype for x in steps + rollouts} <= {np.dtype(dtype)}
 

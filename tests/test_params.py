@@ -22,6 +22,7 @@ from prefdiff.params import (BLOB_NAME, MANIFEST_NAME, ModelMeta,
                              load_checkpoint, save_checkpoint,
                              step_embedding_table)
 from prefdiff.schedule import build_schedule
+from prefdiff.variants import SELECTORS
 
 def small_params(n_users=7, **kw):
     """A float64 model for 7 users, 5 source and 6 target items; `kw` are
@@ -74,7 +75,7 @@ def test_params_carry_the_schedule_of_their_config(tmp_path):
 def test_pipeline_is_built_once():
     meta = small_params(variant=2).meta
     assert meta.pipeline is meta.pipeline
-    assert meta.pipeline.kind == "v2"
+    assert meta.pipeline is SELECTORS[2, "none"]
 
 
 def test_init_shapes_and_special_values():

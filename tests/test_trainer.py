@@ -23,7 +23,7 @@ from prefdiff.trainer import (AdamState, BatchDraws, Examples,
                               new_trainer_state, rec_loss, sample_draws, train,
                               train_step)
 
-from conftest import central_difference, relative_error, run_configs, with_cfg
+from conftest import SELECTORS, central_difference, relative_error, run_configs, with_cfg
 
 
 def tiny_cfg(**kw):
@@ -307,13 +307,12 @@ def test_adam_update_matches_out_of_place_formula_bitwise(dtype):
         p = init_params(RunConfig(d1=4, seed=2, hidden=4, mlp_layers=2, enc_layers=1,
                                   max_history_len=3, T=3, dtype=dtype), 5, 4, 4)
         rng = make_rng(4, 4)
-        for step in range(5):
+        for _ in range(5):
             for name, tensor in p.arrays.items():
                 # float64 gradients, so a float32 model's update casts
-                # them; null_token never gets one, and pos_emb only on
-                # every other step
-                skip = name == "null_token" or (name == "pos_emb" and step % 2)
-                tensor.grad = None if skip else rng.standard_normal(tensor.data.shape)
+                # them; null_token never gets one
+                tensor.grad = None if name == "null_token" \
+                    else rng.standard_normal(tensor.data.shape)
             adam.update(p, lr=0.05)
         runs.append((p, adam))
     (new, new_adam), (ref, ref_adam) = runs
@@ -326,7 +325,23 @@ def test_adam_update_matches_out_of_place_formula_bitwise(dtype):
         assert new_adam.v[name].tobytes() == ref_adam.v[name].tobytes()
 
 
-SELECTORS = [(v, "none") for v in range(7)] + [(0, a) for a in ("no_tf", "no_gs", "no_dm")]
+@pytest.mark.parametrize("variant,ablation", SELECTORS)
+def test_the_wiring_fixes_which_parameters_get_gradients(variant, ablation):
+    # AdamState lays out its buffers over the parameters with a gradient at
+    # its first update and keeps that layout: every step gives gradients to
+    # the same parameters, whether it keeps every condition or masks them all
+    p = init_params(tiny_cfg(variant=variant, ablation=ablation, lam=0.0), 6, 8, 9)
+    adam, live = AdamState(), set()
+    for p_uncond in (0.0, 1.0):
+        q = with_cfg(p, p_uncond=p_uncond)
+        for seed in range(3):
+            q.zero_grads()
+            draws = sample_draws(make_rng(seed, 0), 6, q.meta)
+            total, _ = compute_batch_loss(*toy_batch(q, n=6, seed=seed), q, draws)
+            total.backward()
+            live.add(frozenset(name for name, t in q.arrays.items() if t.grad is not None))
+            adam.update(q, 0.01)
+    assert len(live) == 1 and set(adam.m) == set(*live)
 
 
 @pytest.mark.parametrize("variant,ablation", SELECTORS)
@@ -425,7 +440,7 @@ def test_train_binds_checkpoint_to_config_and_wiring():
     assert (meta.cfg.eta, meta.cfg.alpha_min, meta.cfg.alpha_max) == (0.3, 0.2, 5.0)
     assert (meta.cfg.variant, meta.cfg.ablation) == (4, "none")
     # the config's wiring is trained
-    assert "proj_w" in params.arrays and meta.pipeline.with_projection
+    assert "proj_w" in params.arrays and meta.pipeline.projection is not None
 
 
 def test_build_examples_respects_split_and_histories():

@@ -38,6 +38,9 @@ from pathlib import Path
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
+# spelled out, not read from prefdiff.variants.SELECTORS, so that --src also
+# runs checkouts older than that table; tests/test_variants.py checks that
+# the two agree
 SELECTORS = [(v, "none") for v in range(7)] + [(0, a) for a in ("no_tf", "no_gs", "no_dm")]
 # (run directory, config lines): every selector at float32, the main model at float64
 RUNS = [(f"v{v}_{a}", f"variant = {v}\nablation = {a}\n") for v, a in SELECTORS] \
