@@ -37,12 +37,13 @@ def forward_marginal(u0, t, eps: np.ndarray, s: Schedule):
 def denoise(x_t, cond, t, params: ModelParams) -> Tensor:
     """MLP prediction of the clean state from [x_t || cond || step_emb(t)].
 
-    x_t: (B, state_dim); cond: (B, d1); t: int or (B,) ints. Tanh hidden
-    layers, linear output. With arrays the result is a Tensor leaf without
-    a graph. With a Tensor among x_t and cond it is one graph node, whose
-    parents are x_t, cond and the `den_*` weights and whose backward
-    replays the gradients of the per-operation graph of concat, matmul, add
-    and tanh, so training gives that graph's bits.
+    x_t: (B, state_dim); cond: (B, d1); t: a (B,) int array, or one int
+    (Python or numpy) for every row. Tanh hidden layers, linear output.
+    With arrays the result is a Tensor leaf without a graph. With a Tensor
+    among x_t and cond it is one graph node, whose parents are x_t, cond
+    and the `den_*` weights and whose backward replays the gradients of the
+    per-operation graph of concat, matmul, add and tanh, so training gives
+    that graph's bits.
     """
     graph = isinstance(x_t, Tensor) or isinstance(cond, Tensor)
     if graph:
@@ -50,13 +51,15 @@ def denoise(x_t, cond, t, params: ModelParams) -> Tensor:
         state, signal = x_t.data, cond.data
     else:
         state, signal = x_t, cond
-    step = params.step_embedding(t)
-    if step.ndim == 1:
-        # the method: at B = 1, np.repeat's wrapper costs more than a matmul
-        step = step[None, :].repeat(state.shape[0], axis=0)
+    if isinstance(t, np.ndarray):
+        step = params.step_table[t - 1]
+    else:
+        # a (1, d1) slice: at B = 1, the rollout's case, no repeat is needed
+        step = params.step_table[t - 1:t]
+        if state.shape[0] > 1:
+            step = step.repeat(state.shape[0], axis=0)
     x = np.concatenate([state, signal, step], axis=-1)
-    weights = [params[name].data for name in params.denoiser_names]
-    layers = list(zip(weights[::2], weights[1::2]))
+    layers = [(w.data, b.data) for w, b in params.denoiser_weights]
     inputs = []
     for w, b in layers[:-1]:
         inputs.append(x)
@@ -84,7 +87,7 @@ def _denoiser_node(out, x_t: Tensor, cond: Tensor, inputs, layers, params: Model
         width = x_t.shape[-1]
         return (*np.split(g, [width, width + cond.shape[-1]], axis=-1)[:2], *grads)
 
-    return ad._make(out, (x_t, cond, *(params[name] for name in params.denoiser_names)),
+    return ad._make(out, (x_t, cond, *(w for layer in params.denoiser_weights for w in layer)),
                     backward)
 
 

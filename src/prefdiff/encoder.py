@@ -137,23 +137,19 @@ def encode_batch(item_vectors, mask: np.ndarray, params: ModelParams):
     graph = isinstance(item_vectors, Tensor)
     x = item_vectors.data if graph else item_vectors
     cfg = params.meta.cfg
-    bypass = params.meta.pipeline.bypass_transformer
-    names = []
-    layers, caches = [], []
-    if not bypass:
-        names = ["pos_emb"]
-        x = x + params["pos_emb"].data[:x.shape[1]]
-        for layer_names in params.encoder_names:
-            names += layer_names
-            layers.append({suffix: params[name].data
-                           for suffix, name in zip(ENCODER_LAYER_WEIGHTS, layer_names)})
+    tensors, layers, caches = [], [], []
+    if not params.meta.pipeline.bypass_transformer:
+        tensors = [params["pos_emb"]]
+        x = x + tensors[0].data[:x.shape[1]]
+        for weights in params.encoder_weights:
+            tensors += weights.values()
+            layers.append({suffix: w.data for suffix, w in weights.items()})
             x, cache = _layer(x, mask, layers[-1], cfg.n_heads)
             caches.append(cache)
-    pooled, weights = masked_mean_pool(x, mask)
+    pooled, pool = masked_mean_pool(x, mask)
     if not graph:
         return pooled
-    return _encoder_node(pooled, item_vectors, [params[name] for name in names],
-                         mask, weights, layers, caches)
+    return _encoder_node(pooled, item_vectors, tensors, mask, pool, layers, caches)
 
 
 def _encoder_node(out, item_vectors: Tensor, tensors, mask, pool, layers, caches):

@@ -98,12 +98,12 @@ def evaluate(params: ModelParams, source: DomainData, target: DomainData,
     ends = np.cumsum(counts)
     errors: list[np.ndarray] = []
     per_user: dict[str, tuple[float, float, int]] = {}
-    tgt_emb = params["item_emb_tgt"].data
+    item_src, tgt_emb = params["item_emb_src"].data, params["item_emb_tgt"].data
     for k, uid in enumerate(test_users):    # every test user has history row k
         code = target.user_index[uid]
         user_rows = rows[ends[code] - counts[code]:ends[code]]
-        item_vecs = params["item_emb_src"].data[histories[k, :lengths[k]]]
-        h = encode_history(item_vecs, params) if pipeline.uses_history else None
+        h = encode_history(item_src[histories[k, :lengths[k]]], params) \
+            if pipeline.uses_history else None
         u_idx = universe[uid]
         u_init = params["user_emb"].data[u_idx]
         item_rows = tgt_emb[target.item[user_rows]]

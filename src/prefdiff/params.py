@@ -63,7 +63,14 @@ class ModelMeta:
 
 class ModelParams:
     """Named parameter arrays plus metadata, and the noise schedule and step
-    embeddings that the metadata's config fixes. Arrays are autodiff leaves."""
+    embeddings that the metadata's config fixes. Arrays are autodiff leaves.
+
+    `step_table` row t-1 is the fixed sinusoidal embedding of step t, in the
+    model dtype. `denoiser_weights` holds the denoiser's `(w, b)` Tensors,
+    layer by layer, and `encoder_weights` each encoder layer's Tensors by
+    ENCODER_LAYER_WEIGHTS suffix, in that order. They are looked up once;
+    their `.data` is read at every call, because the Adam update rebinds it.
+    """
 
     def __init__(self, arrays: dict[str, Tensor], meta: ModelMeta):
         self.arrays = arrays
@@ -71,11 +78,10 @@ class ModelParams:
         cfg = meta.cfg
         self.schedule = build_schedule(cfg.T, cfg.eta, cfg.alpha_min, cfg.alpha_max)
         self.step_table = step_embedding_table(cfg.T, cfg.d1).astype(cfg.dtype)
-        self.denoiser_names = [f"den_{kind}{layer}" for layer in range(cfg.mlp_layers)
-                               for kind in "wb"]
-        # the weight names of each encoder layer, in ENCODER_LAYER_WEIGHTS order
-        self.encoder_names = [tuple(f"enc{layer}_{s}" for s in ENCODER_LAYER_WEIGHTS)
-                              for layer in range(cfg.enc_layers)]
+        self.denoiser_weights = [(arrays[f"den_w{layer}"], arrays[f"den_b{layer}"])
+                                 for layer in range(cfg.mlp_layers)]
+        self.encoder_weights = [{s: arrays[f"enc{layer}_{s}"] for s in ENCODER_LAYER_WEIGHTS}
+                                for layer in range(cfg.enc_layers)]
 
     def __getitem__(self, name: str) -> Tensor:
         return self.arrays[name]
@@ -83,11 +89,6 @@ class ModelParams:
     def zero_grads(self) -> None:
         for t in self.arrays.values():
             t.zero_grad()
-
-    def step_embedding(self, t) -> np.ndarray:
-        """Fixed sinusoidal embedding for step t (int or int array, 1-based),
-        in the model dtype."""
-        return self.step_table[t - 1]
 
 
 def step_embedding_table(T: int, d1: int) -> np.ndarray:

@@ -30,6 +30,8 @@ class Schedule:
     beta_tilde: np.ndarray = field(repr=False)
     post_coef_u0: np.ndarray = field(repr=False)
     post_coef_ut: np.ndarray = field(repr=False)
+    # row t-1: post_coef_u0, post_coef_ut and beta_tilde at t as Python floats
+    reverse_coeffs: tuple[tuple[float, float, float], ...] = field(repr=False)
 
 
 def uniform_spacing(T: int) -> np.ndarray:
@@ -57,15 +59,15 @@ def build_schedule(T: int, eta: float, alpha_min: float, alpha_max: float) -> Sc
         one_minus_alpha_bar=one_minus_ab, alpha_bar=alpha_bar, alpha=alpha,
         beta=beta, beta_tilde=beta_tilde,
         post_coef_u0=post_coef_u0, post_coef_ut=post_coef_ut,
+        reverse_coeffs=tuple(zip(post_coef_u0.tolist(), post_coef_ut.tolist(),
+                                 beta_tilde.tolist())),
     )
 
 
 def posterior_mean_coeffs(s: Schedule, t: int) -> tuple[float, float, float]:
     """Coefficients (on the clean state, on the noised state) and variance of
     the closed-form denoising posterior at step t in 1..T."""
-    return (float(s.post_coef_u0[t - 1]),
-            float(s.post_coef_ut[t - 1]),
-            float(s.beta_tilde[t - 1]))
+    return s.reverse_coeffs[t - 1]
 
 
 def dump_tsv(s: Schedule) -> str:

@@ -131,7 +131,7 @@ def oracle_encode_batch(item_vectors, mask, params):
 
 def oracle_denoise(x_t, cond, t, params):
     """`diffusion.denoise` on graph Tensors, one graph node per operation."""
-    step = params.step_embedding(t)
+    step = params.step_table[t - 1]
     if step.ndim == 1:
         step = step[None, :].repeat(x_t.shape[0], axis=0)
     x = ad.concat([x_t, cond, step], axis=-1)

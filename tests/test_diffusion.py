@@ -257,6 +257,20 @@ def test_denoise_never_uses_a_stale_cast():
     assert after.tobytes() != before.tobytes()
 
 
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("B", [1, 3])
+def test_denoise_step_type_does_not_change_the_bits(B, dtype):
+    # one step for every row, as a Python int, a numpy integer or a (B,)
+    # array of it, gives the same (B, state_dim) prediction
+    p = init_params(tiny_cfg(dtype=dtype), 3, 3, 3)
+    rng = make_rng(17, B)
+    x, cond = rng.standard_normal((2, B, 4)).astype(dtype)
+    want = denoise(x, cond, np.full(B, 4), p).data
+    assert want.shape == (B, 4)
+    for t in (4, np.int64(4), np.int32(4)):
+        assert denoise(x, cond, t, p).data.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("omega", [0.0, 2.0])
 @pytest.mark.parametrize("t_prime", [1, 5])
 @pytest.mark.parametrize("variant,ablation", SELECTORS)

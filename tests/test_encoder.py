@@ -7,10 +7,13 @@ import pytest
 from prefdiff.autodiff import Tensor
 from prefdiff.encoder import (encode_batch, encode_history, layer_norm,
                               masked_mean_pool)
-from prefdiff.params import ModelParams
+from prefdiff.data import split_cold_start, user_universe
+from prefdiff.params import ModelParams, init_params
 from prefdiff.rng import make_rng
+from prefdiff.trainer import build_examples, new_trainer_state, train_step
 
 from conftest import central_difference, relative_error
+from test_trainer import tiny_cfg, toy_domains
 
 
 def rand_hist(params, batch, length, seed=0):
@@ -169,3 +172,23 @@ def test_array_path_equals_tensor_path_bitwise(dtype, n_heads, enc_layers, ablat
     assert isinstance(on_arrays, np.ndarray) and on_graph._backward_fn is not None
     assert on_arrays.dtype == on_graph.data.dtype
     assert on_arrays.tobytes() == on_graph.data.tobytes()
+
+
+def test_encode_history_never_uses_stale_weights():
+    # a training step rebinds the encoder's weight arrays, and the next
+    # inference call must run on the new ones, as a model built from fresh
+    # copies of them does
+    cfg = tiny_cfg(dtype="float32", batch_size=8)
+    src, tgt = toy_domains()
+    split = split_cold_start(src, tgt, 0.2, seed=1)
+    universe = user_universe(src, tgt)
+    p = init_params(cfg, len(universe), src.n_items, tgt.n_items)
+    examples = build_examples(src, tgt, split, universe, cfg.max_history_len)
+    vecs = rand_hist(p, 1, 3, seed=8)[0].astype(np.float32)
+    before = encode_history(vecs, p)
+    train_step(examples, np.arange(8), p, new_trainer_state(cfg.seed))
+    after = encode_history(vecs, p)
+    fresh = ModelParams({name: Tensor(t.data.copy()) for name, t in p.arrays.items()},
+                        p.meta)
+    assert after.tobytes() == encode_history(vecs, fresh).tobytes()
+    assert after.tobytes() != before.tobytes()

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from conftest import run_configs
 from prefdiff.config import RunConfig
+from prefdiff.diffusion import denoise
 from prefdiff.errors import CheckpointError, ConfigurationError
 from prefdiff.params import (BLOB_NAME, MANIFEST_NAME, ModelMeta,
                              _metadata_text, _parse_manifest, init_params,
@@ -51,9 +52,16 @@ def test_step_embedding_bounds_and_distinctness():
 
 
 def test_step_embedding_lookup_is_one_based():
+    # the denoiser reads step t's embedding from row t - 1 of the table
     p = small_params()
-    assert np.array_equal(p.step_embedding(1), p.step_table[0])
-    assert np.array_equal(p.step_embedding(np.array([2, 4])), p.step_table[[1, 3]])
+    assert np.array_equal(p.step_table, step_embedding_table(6, 4))
+    rng = np.random.default_rng(5)
+    for t, rows in ((1, [0]), (np.array([2, 4]), [1, 3])):
+        x, cond = rng.standard_normal((2, len(rows), 4))
+        want = np.concatenate([x, cond, p.step_table[rows]], axis=1)
+        want = np.tanh(want @ p["den_w0"].data + p["den_b0"].data)
+        want = want @ p["den_w1"].data + p["den_b1"].data
+        assert denoise(x, cond, t, p).data.tobytes() == want.tobytes()
 
 
 def _same_schedule(a, b) -> bool:

@@ -82,6 +82,20 @@ def test_posterior_coeffs_match_one_line_oracle():
         assert var == pytest.approx((1 - ab_prev) / (1 - ab) * beta, rel=1e-12)
 
 
+@pytest.mark.parametrize("T", [1, 2, 50])
+def test_reverse_coeff_rows_are_the_float64_arrays(T):
+    # the rollout reads one row of Python floats per step: each is the
+    # float() of the float64 arrays at t - 1, for every t
+    s = build_schedule(T, 0.1, 0.1, 10.0)
+    assert len(s.reverse_coeffs) == T
+    for t in range(1, T + 1):
+        row = posterior_mean_coeffs(s, t)
+        want = (float(s.post_coef_u0[t - 1]), float(s.post_coef_ut[t - 1]),
+                float(s.beta_tilde[t - 1]))
+        assert all(type(c) is float for c in row)
+        assert np.array(row).tobytes() == np.array(want).tobytes()
+
+
 def test_mean_preservation_identity():
     # a noiseless trajectory maps to itself under the posterior mean
     s = build_schedule(20, 0.7, 0.1, 10.0)
