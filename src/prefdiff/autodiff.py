@@ -51,9 +51,6 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    def zero_grad(self):
-        self.grad = None
-
     def backward(self):
         if self.data.size != 1:
             raise ValueError("backward() expects a scalar tensor")
@@ -107,9 +104,6 @@ class Tensor:
 
     def sum(self, axis=None, keepdims=False):
         return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return tmean(self, axis=axis, keepdims=keepdims)
 
     def reshape(self, *shape):
         return reshape(self, shape if len(shape) > 1 else shape[0])
@@ -198,15 +192,6 @@ def tsum(a, axis=None, keepdims=False) -> Tensor:
     return _make(data, (a,), backward)
 
 
-def tmean(a, axis=None, keepdims=False) -> Tensor:
-    a = as_tensor(a)
-    if axis is None:
-        count = a.data.size
-    else:
-        count = a.data.shape[axis]
-    return tsum(a, axis=axis, keepdims=keepdims) * (1.0 / count)
-
-
 def concat(tensors, axis: int = -1) -> Tensor:
     tensors = [as_tensor(t) for t in tensors]
     data = np.concatenate([t.data for t in tensors], axis=axis)
@@ -233,8 +218,8 @@ def gather(table, indices) -> Tensor:
     """Row lookup `table[indices]` with scatter-add backward (embeddings).
 
     The backward is one 1-D `np.add.at` over the flattened table, at
-    `row * width + column` for every index's row (negative indices taken
-    modulo the row count first): each element gets its adds in index
+    `row * width + column` for every index's row, each in 0..rows-1 (the
+    data's index maps make them): each element gets its adds in index
     order, each rounded to the table's dtype, so the result is that of
     `np.add.at(zeros_like(table), indices, g)`. Every graph the package
     builds hands `g` in the table's dtype, which keeps `np.add.at` on its
@@ -246,32 +231,10 @@ def gather(table, indices) -> Tensor:
     def backward(g):
         shape = table.data.shape
         width = math.prod(shape[1:])
-        flat = (idx % shape[0])[..., None] * width + np.arange(width)
+        flat = idx[..., None] * width + np.arange(width)
         out = np.zeros(shape, table.data.dtype)
         np.add.at(out.reshape(-1), flat.reshape(-1), np.reshape(g, -1))
         return (out,)
 
     return _make(data, (table,), backward)
 
-
-def softmax_values(x: np.ndarray) -> np.ndarray:
-    """Softmax over the last axis, on a plain array. A -inf entry gets
-    exactly zero weight, and a slice that is entirely -inf gets all-zero
-    weights.
-
-    The row max is `max(axis=-1)` unless there are more than 16 rows per
-    column; then it is an `np.maximum` fold over the columns, which gives
-    the same values. numpy's reduction along a short last axis costs about
-    a sixteenth of a call per row, the fold one call per column: at
-    (128, 1, 10, 10) the fold takes 18 us against 104 us, at (1, 1, 10, 10)
-    12 us against 2 us."""
-    columns = x.shape[-1]
-    if x.size > 16 * columns * columns:
-        m = x[..., :1]
-        for column in range(1, columns):
-            m = np.maximum(m, x[..., column:column + 1])
-    else:
-        m = x.max(axis=-1, keepdims=True)
-    e = np.exp(x - np.where(np.isfinite(m), m, 0.0))
-    s = e.sum(axis=-1, keepdims=True)
-    return np.divide(e, s, out=np.zeros_like(e), where=s > 0.0)

@@ -16,7 +16,7 @@ from . import schedule as schedule_mod
 from .config import RunConfig, _coerce, load_config, normalized_text
 from .errors import CheckpointError, ConfigurationError, PrefDiffError
 from .evaluate import evaluate
-from .params import load_checkpoint, save_checkpoint
+from .params import SIZE_KEYS, ModelMeta, load_checkpoint, save_checkpoint
 from .trainer import loss_history_tsv, train
 from .variants import SELECTORS, lint_pipeline
 
@@ -31,13 +31,16 @@ def _load_run(cfg: RunConfig):
     return source, target, split
 
 
-def _check_checkpoint(trained: RunConfig, cfg: RunConfig) -> None:
-    """Raise one CheckpointError listing every config key, besides
-    EVAL_FREE_KEYS, whose value differs from the checkpoint's."""
-    problems = [f"{f.name} is {getattr(trained, f.name)} in the checkpoint but "
-                f"{getattr(cfg, f.name)} in the config" for f in fields(RunConfig)
+def _check_checkpoint(trained: ModelMeta, run: ModelMeta) -> None:
+    """Raise one CheckpointError listing every data size, and every config
+    key besides EVAL_FREE_KEYS, whose value in the run differs from the checkpoint's."""
+    problems = [f"{f.name} is {getattr(trained.cfg, f.name)} in the checkpoint but "
+                f"{getattr(run.cfg, f.name)} in the config" for f in fields(RunConfig)
                 if f.name not in EVAL_FREE_KEYS
-                and getattr(trained, f.name) != getattr(cfg, f.name)]
+                and getattr(trained.cfg, f.name) != getattr(run.cfg, f.name)]
+    problems += [f"{key} is {getattr(trained, key)} in the checkpoint but "
+                 f"{getattr(run, key)} in the data" for key in SIZE_KEYS
+                 if getattr(trained, key) != getattr(run, key)]
     if problems:
         raise CheckpointError("checkpoint does not match the config: " + "; ".join(problems))
 
@@ -123,16 +126,16 @@ def cmd_eval(ckpt_path, config_path, seed, out, per_user):
         raise ConfigurationError("--per-user writes <out>.per_user and needs --out")
     cfg = load_config(config_path, seed=seed)
     params = load_checkpoint(ckpt_path)
-    trained = params.meta.cfg
-    _check_checkpoint(trained, cfg)
-    source, target, split = _load_run(replace(cfg, seed=trained.seed))
-    report = evaluate(params, source, target, split, cfg, collect_per_user=per_user)
-    click.echo(report.tsv(), nl=False)
+    source = data_mod.load_ratings(cfg.source_path)
+    target = data_mod.load_ratings(cfg.target_path)
+    _check_checkpoint(params.meta, ModelMeta(cfg, len(data_mod.user_universe(source, target)),
+                                             source.n_items, target.n_items))
+    split = data_mod.split_cold_start(source, target, cfg.fraction, params.meta.cfg.seed)
+    report = evaluate(params, source, target, split, cfg)
+    _emit_table(report.tsv(), out)
     click.echo(f"MAE={report.mae:.4f} RMSE={report.rmse:.4f} over {report.n_predictions} ratings")
-    if out:
-        data_mod.write_atomic(out, report.tsv())
-        if per_user:
-            data_mod.write_atomic(out + ".per_user", report.per_user_tsv())
+    if per_user:
+        data_mod.write_atomic(out + ".per_user", report.per_user_tsv())
 
 
 @main.command("schedule-dump")
@@ -167,7 +170,7 @@ def cmd_sweep(config_path, sweep_axis, sweep_values, seed, out):
     """Train/evaluate over one hyper-parameter axis; one TSV row per value.
 
     Every value is checked before any data is loaded; one error lists every
-    bad value, and a list with no values is an error. Inference-only axes
+    bad value, and a list with no values is an error. Axes in EVAL_FREE_KEYS
     (t_prime, omega) train once and re-evaluate."""
     base = load_config(config_path, seed=seed)
     name = SWEEP_AXES[sweep_axis]
@@ -188,7 +191,7 @@ def cmd_sweep(config_path, sweep_axis, sweep_values, seed, out):
         raise ConfigurationError(f"no sweep values in {sweep_values!r}")
     source, target, split = _load_run(base)
     rows = ["value\tmae\trmse\tn"]
-    inference_only = sweep_axis in ("t_prime", "omega")
+    inference_only = name in EVAL_FREE_KEYS
     params = None
     if inference_only:
         params, _ = train(source, target, split, base)

@@ -130,7 +130,8 @@ def load_ratings(path) -> DomainData:
     non-negative and fit in int64. Duplicate (user, item) pairs keep the
     latest-timestamp line, ties the later line, at the row of the pair's
     first line. A bad line raises a DataError that names the first one; a
-    file that is not UTF-8 text raises one that names the file.
+    path that cannot be read, or a file that is not UTF-8 text, raises one
+    that names the path.
     """
     lo, hi = RATING_RANGE
     try:
@@ -138,6 +139,8 @@ def load_ratings(path) -> DomainData:
             lines = fh.read().split("\n")
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text: byte {exc.start}: {exc.reason}") from exc
+    except OSError as exc:
+        raise DataError(f"cannot read ratings file {str(path)!r}: {exc.strerror}") from exc
     lineno = np.flatnonzero(np.fromiter(map(len, lines), np.int64, count=len(lines))) + 1
     lines = list(filter(None, lines))
     if not lines:

@@ -21,7 +21,7 @@ class EvalReport:
     mae: float
     rmse: float
     n_predictions: int
-    per_user: dict[str, tuple[float, float, int]] | None = None
+    per_user: dict[str, tuple[float, float, int]]
 
     def tsv(self) -> str:
         lines = ["metric\tvalue",
@@ -32,7 +32,7 @@ class EvalReport:
 
     def per_user_tsv(self) -> str:
         lines = ["user_id\tmae\trmse\tn"]
-        for uid, (mae, rmse, n) in sorted((self.per_user or {}).items()):
+        for uid, (mae, rmse, n) in sorted(self.per_user.items()):
             lines.append(f"{uid}\t{mae:.10g}\t{rmse:.10g}\t{n}")
         return "\n".join(lines) + "\n"
 
@@ -65,8 +65,7 @@ def infer_user(u_init: np.ndarray, h, cfg: RunConfig, params: ModelParams,
     return x[0]
 
 
-def report_from_errors(errors: np.ndarray,
-                       per_user: dict | None = None) -> EvalReport:
+def report_from_errors(errors: np.ndarray, per_user: dict) -> EvalReport:
     mae = float(np.mean(np.abs(errors)))
     rmse = float(math.sqrt(np.mean(errors ** 2)))
     return EvalReport(mae=mae, rmse=rmse, n_predictions=int(errors.size),
@@ -74,16 +73,16 @@ def report_from_errors(errors: np.ndarray,
 
 
 def evaluate(params: ModelParams, source: DomainData, target: DomainData,
-             split: ColdStartSplit, cfg: RunConfig,
-             collect_per_user: bool = False) -> EvalReport:
+             split: ColdStartSplit, cfg: RunConfig) -> EvalReport:
     """Score every held-out target rating of every cold-start test user,
     under the config, schedule and wiring the parameters were trained with.
     From cfg it reads only omega, t_prime (-1: cfg.T) and seed.
 
-    Per-user noise streams are keyed by (seed, global user index) so the
-    report is independent of evaluation order. A rating's prediction is the
-    float64 inner product of the user's scoring embedding and the item's
-    target embedding, not clipped to the rating range. A non-finite
+    The report holds each user's MAE, RMSE and count too. Per-user noise
+    streams are keyed by (seed, global user index) so the report is
+    independent of evaluation order. A rating's prediction is the float64
+    inner product of the user's scoring embedding and the item's target
+    embedding, not clipped to the rating range. A non-finite
     prediction raises ConfigurationError naming the first user who has one.
     """
     pipeline = params.meta.pipeline
@@ -121,7 +120,6 @@ def evaluate(params: ModelParams, source: DomainData, target: DomainData,
                 f"t_prime={cfg.resolved_t_prime()}: the rollout left the range "
                 f"of {params.meta.cfg.dtype}")
         errors.append(ue)
-        if collect_per_user:
-            per_user[uid] = (float(np.mean(np.abs(ue))),
-                             float(math.sqrt(np.mean(ue ** 2))), ue.size)
-    return report_from_errors(np.concatenate(errors), per_user if collect_per_user else None)
+        per_user[uid] = (float(np.mean(np.abs(ue))), float(math.sqrt(np.mean(ue ** 2))),
+                         ue.size)
+    return report_from_errors(np.concatenate(errors), per_user)

@@ -88,7 +88,7 @@ class ModelParams:
 
     def zero_grads(self) -> None:
         for t in self.arrays.values():
-            t.zero_grad()
+            t.grad = None
 
 
 def step_embedding_table(T: int, d1: int) -> np.ndarray:

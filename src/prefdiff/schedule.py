@@ -20,17 +20,15 @@ class Schedule:
     """Precomputed per-step noise quantities, arrays indexed by t-1 for t=1..T."""
 
     T: int
-    eta: float
-    alpha_min: float
-    alpha_max: float
     one_minus_alpha_bar: np.ndarray = field(repr=False)
     alpha_bar: np.ndarray = field(repr=False)
     alpha: np.ndarray = field(repr=False)
     beta: np.ndarray = field(repr=False)
     beta_tilde: np.ndarray = field(repr=False)
-    post_coef_u0: np.ndarray = field(repr=False)
-    post_coef_ut: np.ndarray = field(repr=False)
-    # row t-1: post_coef_u0, post_coef_ut and beta_tilde at t as Python floats
+    # variance-weighted L_diff's weight alpha_bar_{t-1} / (2 * beta_tilde_t), beta_tilde
+    # floored at its t=2 value (1 at T = 1): the t=1 posterior variance is zero
+    loss_weight: np.ndarray = field(repr=False)
+    # row t-1: posterior mean coefficients on u0 and u_t, and beta_tilde, as Python floats
     reverse_coeffs: tuple[tuple[float, float, float], ...] = field(repr=False)
 
 
@@ -52,15 +50,14 @@ def build_schedule(T: int, eta: float, alpha_min: float, alpha_max: float) -> Sc
     alpha = alpha_bar / ab_prev
     beta = 1.0 - alpha
     beta_tilde = (1.0 - ab_prev) / one_minus_ab * beta
-    post_coef_u0 = np.sqrt(ab_prev) * beta / one_minus_ab
-    post_coef_ut = np.sqrt(alpha) * (1.0 - ab_prev) / one_minus_ab
+    floor = beta_tilde[1] if T >= 2 else 1.0
+    coef_u0 = np.sqrt(ab_prev) * beta / one_minus_ab
+    coef_ut = np.sqrt(alpha) * (1.0 - ab_prev) / one_minus_ab
     return Schedule(
-        T=T, eta=eta, alpha_min=alpha_min, alpha_max=alpha_max,
-        one_minus_alpha_bar=one_minus_ab, alpha_bar=alpha_bar, alpha=alpha,
+        T=T, one_minus_alpha_bar=one_minus_ab, alpha_bar=alpha_bar, alpha=alpha,
         beta=beta, beta_tilde=beta_tilde,
-        post_coef_u0=post_coef_u0, post_coef_ut=post_coef_ut,
-        reverse_coeffs=tuple(zip(post_coef_u0.tolist(), post_coef_ut.tolist(),
-                                 beta_tilde.tolist())),
+        loss_weight=ab_prev / (2.0 * np.maximum(beta_tilde, floor)),
+        reverse_coeffs=tuple(zip(coef_u0.tolist(), coef_ut.tolist(), beta_tilde.tolist())),
     )
 
 

@@ -18,7 +18,6 @@ from .encoder import encode_batch
 from .errors import TrainingError
 from .params import ModelMeta, ModelParams, init_params
 from .rng import make_rng
-from .schedule import Schedule
 
 logger = logging.getLogger(__name__)
 
@@ -115,23 +114,6 @@ def rec_loss(pred_ratings, true_ratings):
     return (diff * diff).sum() * (1.0 / n)
 
 
-def diffusion_coefficient(s: Schedule, t, weighting: str):
-    """Per-step weight on the squared clean-state error, for an int step in
-    1..T (a float) or an int array of such steps (a float64 array).
-
-    The variance at t=1 is zero, which makes the exact weight singular; the
-    floor is the t=2 variance. Simplified weighting drops the coefficient."""
-    t = np.asarray(t)
-    if weighting == "simplified":
-        coef = np.ones(t.shape)
-    else:
-        floor = float(s.beta_tilde[1]) if s.T >= 2 else 1.0
-        sigma2 = np.maximum(s.beta_tilde[t - 1], floor)
-        ab_prev = np.where(t == 1, 1.0, s.alpha_bar[t - 2])
-        coef = ab_prev / (2.0 * sigma2)
-    return float(coef) if coef.ndim == 0 else coef
-
-
 def _batch_arrays(examples: Examples, rows: np.ndarray, dtype: str):
     """The batch's columns; histories are cut to the longest one in the
     batch and padded with item 0, which `mask` marks as padding."""
@@ -197,10 +179,11 @@ def compute_batch_loss(examples: Examples, rows: np.ndarray, params: ModelParams
             nmf = nm.astype(dtype)
             x_t = x_t * nmf + x0 * (1.0 - nmf)
         x0_hat = denoise(x_t, cond, t, params)
-        coefs = diffusion_coefficient(params.schedule, t, cfg.loss_weighting).astype(dtype)
         diff = x0_hat - x0
         per_example = (diff * diff).sum(axis=1)
-        l_diff = (per_example * coefs).mean()
+        if cfg.loss_weighting == "variance_weighted":
+            per_example = per_example * params.schedule.loss_weight[t - 1].astype(dtype)
+        l_diff = per_example.sum() * (1.0 / B)
         emb = pipeline.score_embedding(x0_hat, h, u0, params)
     else:
         l_diff = None

@@ -163,7 +163,7 @@ RAISE_SITES = {
     "config.parse_config_text": 2,
     "config.load_config": 1,
     "data._check_line": 5,
-    "data.load_ratings": 2,
+    "data.load_ratings": 3,
     "data.split_cold_start": 2,
     "params._parse_manifest": 3,
     "params.load_checkpoint": 4,

@@ -94,6 +94,25 @@ def test_train_reports_non_utf8_config(data_files, tmp_path):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("path,reason", [("", "No such file or directory"),
+                                         ("missing.tsv", "No such file or directory"),
+                                         ("ratings", "Is a directory")],
+                         ids=["empty", "missing", "directory"])
+def test_train_reports_an_unreadable_ratings_path(run_config, tmp_path, monkeypatch,
+                                                  path, reason):
+    # no source_path (the empty path), a missing file and a directory used
+    # to end in an OSError traceback
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "ratings").mkdir()
+    kept = [line for line in open(run_config).read().splitlines()
+            if not line.startswith("source_path")]
+    conf = tmp_path / "run.conf"
+    conf.write_text("\n".join(kept) + (f"\nsource_path = {path}\n" if path else "\n"))
+    result = CliRunner().invoke(main, ["train", "--config", str(conf), "--out", "out"])
+    assert error_line(result, "DataError") == f"cannot read ratings file {path!r}: {reason}"
+    assert not (tmp_path / "out").exists()
+
+
 def test_schedule_dump(tmp_path):
     out = tmp_path / "sched.tsv"
     invoke("schedule-dump", "--steps", "6", "--eta", "0.5", "--out", str(out))
@@ -356,6 +375,31 @@ def test_eval_lists_every_run_setting_mismatch(main_checkpoint, run_config, tmp_
                          "eta = 0.9\nalpha_max = 5\nablation = no_tf\n")
     assert msg.count(" in the checkpoint but ") == 3
     assert "eta is 0.1" in msg and "alpha_max is 10.0" in msg and "ablation is none" in msg
+
+
+def test_eval_refuses_data_of_other_sizes(run_config, data_files, tmp_path):
+    # a checkpoint of a 40-user, 12-item pair evaluated on the 60-user,
+    # 30-item pair used to crash with an IndexError; a same-size pair of
+    # other users still passes
+    small = []
+    for name, domain in zip(("src", "tgt"), generate_pair(n_users=40, n_items=12,
+                                                          ratings_per_user=4, seed=2)):
+        small.append(tmp_path / f"small_{name}.tsv")
+        write_tsv(domain, small[-1])
+    conf = _with_keys(run_config, tmp_path,
+                      f"source_path = {small[0]}\ntarget_path = {small[1]}\n")
+    invoke("train", "--config", str(conf), "--out", str(tmp_path / "run"))
+    checkpoint = str(tmp_path / "run" / "checkpoint")
+    result = CliRunner().invoke(main, ["eval", "--checkpoint", checkpoint,
+                                       "--config", run_config])
+    msg = error_line(result, "CheckpointError")
+    assert msg.count(" in the checkpoint but ") == 3
+    assert "n_users is 40 in the checkpoint but 60 in the data" in msg
+    assert "n_items_src is 12 in the checkpoint but 30 in the data" in msg
+    assert "n_items_tgt is 12 in the checkpoint but 30 in the data" in msg
+    for path in small:
+        path.write_text("".join(f"x{line}\n" for line in path.read_text().splitlines()))
+    assert "MAE=" in invoke("eval", "--checkpoint", checkpoint, "--config", str(conf)).output
 
 
 def test_eval_accepts_other_inference_settings(main_checkpoint, run_config, tmp_path):

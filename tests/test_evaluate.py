@@ -87,13 +87,13 @@ def test_t_prime_out_of_range(tiny_params):
     # infer_user trusts t_prime: the run config holds it to -1 (T) or 0..T
     # (test_schedule.py::test_step_range_checks), and eval refuses a config
     # whose T is not the checkpoint's
-    trained = tiny_params.meta.cfg
+    trained = tiny_params.meta
     with pytest.raises(CheckpointError, match="T is 5 in the checkpoint but 6"):
-        _check_checkpoint(trained, replace(trained, T=6, t_prime=6))
+        _check_checkpoint(trained, replace(trained, cfg=replace(trained.cfg, T=6, t_prime=6)))
 
 
 def test_report_from_errors_values():
-    rep = report_from_errors(np.array([1.0, -1.0, 2.0]))
+    rep = report_from_errors(np.array([1.0, -1.0, 2.0]), {})
     assert rep.mae == pytest.approx(4 / 3)
     assert rep.rmse == pytest.approx(math.sqrt(2.0))
     assert rep.n_predictions == 3
@@ -125,7 +125,7 @@ def _trained_setup(seed=11, epochs=4, dtype="float64"):
 def test_evaluate_covers_all_held_out_ratings():
     src, tgt, split, params = _trained_setup()
     cfg = tiny_cfg(omega=1.0, t_prime=3, seed=5)
-    rep = evaluate(params, src, tgt, split, cfg, collect_per_user=True)
+    rep = evaluate(params, src, tgt, split, cfg)
     assert rep.n_predictions == len(held_out_ratings(tgt, split))
     assert set(rep.per_user) == set(split.cold_start_test)
     assert sum(n for _, _, n in rep.per_user.values()) == rep.n_predictions
@@ -155,7 +155,7 @@ def test_evaluate_t_prime_zero_is_raw_embeddings():
         u = params["user_emb"].data[universe[tgt.users[tgt.user[k]]]]
         v = params["item_emb_tgt"].data[tgt.item[k]]
         errors.append(_dot64(u, v) - tgt.rating[k])
-    want = report_from_errors(np.asarray(errors))
+    want = report_from_errors(np.asarray(errors), {})
     assert rep.mae == pytest.approx(want.mae, rel=1e-12)
 
 
@@ -164,8 +164,7 @@ def test_evaluate_scores_are_unclipped_float64_dots():
     # embedding and the item embedding, never clipped to the rating range
     src, tgt, split, params = _trained_setup(epochs=0, dtype="float32")
     params["user_emb"].data[...] *= 1000.0
-    rep = evaluate(params, src, tgt, split, tiny_cfg(t_prime=0, seed=7),
-                   collect_per_user=True)
+    rep = evaluate(params, src, tgt, split, tiny_cfg(t_prime=0, seed=7))
     universe = user_universe(src, tgt)
     preds = []
     for uid, (mae, rmse, n) in rep.per_user.items():
@@ -220,7 +219,7 @@ def test_every_pipeline_at_every_t_prime(variant, ablation, t_prime):
                                    h, u, params).data
         v = params["item_emb_tgt"].data[tgt.item[k]]
         errors.append(_dot64(emb, v) - tgt.rating[k])
-    assert rep.mae == pytest.approx(report_from_errors(np.asarray(errors)).mae,
+    assert rep.mae == pytest.approx(report_from_errors(np.asarray(errors), {}).mae,
                                     rel=1e-12)
 
 
@@ -359,6 +358,6 @@ def test_every_accepted_config_trains_round_trips_and_evaluates_finite(cfg):
     with tempfile.TemporaryDirectory() as tmp:
         save_checkpoint(params, tmp)
         loaded = load_checkpoint(tmp)
-    report = evaluate(loaded, src, tgt, split, cfg, collect_per_user=True)
+    report = evaluate(loaded, src, tgt, split, cfg)
     assert np.isfinite([report.mae, report.rmse]).all()
-    assert report == evaluate(params, src, tgt, split, cfg, collect_per_user=True)
+    assert report == evaluate(params, src, tgt, split, cfg)

@@ -85,15 +85,37 @@ def test_posterior_coeffs_match_one_line_oracle():
 @pytest.mark.parametrize("T", [1, 2, 50])
 def test_reverse_coeff_rows_are_the_float64_arrays(T):
     # the rollout reads one row of Python floats per step: each is the
-    # float() of the float64 arrays at t - 1, for every t
+    # float() of the closed-form coefficients over the float64 arrays at
+    # t - 1, for every t
     s = build_schedule(T, 0.1, 0.1, 10.0)
+    ab_prev = np.concatenate(([1.0], s.alpha_bar[:-1]))
+    coef_u0 = np.sqrt(ab_prev) * s.beta / s.one_minus_alpha_bar
+    coef_ut = np.sqrt(s.alpha) * (1.0 - ab_prev) / s.one_minus_alpha_bar
     assert len(s.reverse_coeffs) == T
     for t in range(1, T + 1):
         row = posterior_mean_coeffs(s, t)
-        want = (float(s.post_coef_u0[t - 1]), float(s.post_coef_ut[t - 1]),
-                float(s.beta_tilde[t - 1]))
+        want = (float(coef_u0[t - 1]), float(coef_ut[t - 1]), float(s.beta_tilde[t - 1]))
         assert all(type(c) is float for c in row)
         assert np.array(row).tobytes() == np.array(want).tobytes()
+
+
+def test_loss_weight_values_and_t1_floor():
+    # alpha_bar_{t-1} / (2 * beta_tilde_t); t=1 has zero posterior
+    # variance, so beta_tilde is floored at its t=2 value
+    s = build_schedule(10, 0.5, 0.1, 10.0)
+    floor = s.beta_tilde[1]
+    assert s.loss_weight.dtype == np.float64 and s.loss_weight.shape == (10,)
+    assert s.beta_tilde[0] == 0.0
+    assert s.loss_weight[0] == 1.0 / (2 * floor)
+    for t in range(2, 11):
+        want = s.alpha_bar[t - 2] / (2 * max(s.beta_tilde[t - 1], floor))
+        assert s.loss_weight[t - 1] == pytest.approx(want, rel=1e-15)
+
+
+def test_loss_weight_of_a_one_step_schedule():
+    # T = 1 has no t=2 variance: the floor is 1, and alpha_bar_0 is 1
+    s = build_schedule(1, 0.5, 0.1, 10.0)
+    assert s.loss_weight.tolist() == [0.5]
 
 
 def test_mean_preservation_identity():

@@ -1,15 +1,17 @@
 """Print the sha256 of every file that the commands which read, train or
 evaluate write: `prefdiff ingest --out` on both input pairs,
 `prefdiff train` and `prefdiff eval --per-user` over all ten model
-selectors and the main model at float64, `prefdiff sweep` on each of its
-five axes, and `prefdiff variant-bench`.
+selectors, the main model at float64 and the main model under the
+variance-weighted diffusion loss, `prefdiff sweep` on each of its five
+axes, and `prefdiff variant-bench`.
 
     python3 tools/output_digest.py > digest.tsv
     python3 tools/output_digest.py --src ../other-checkout/src > other.tsv
     diff digest.tsv other.tsv
 
 For each selector (variants 0-6 and the ablations no_tf, no_gs, no_dm) at
-the default dtype float32, and for the main model (variant 0) at float64,
+the default dtype float32, for the main model (variant 0) at float64, and
+for the main model at float32 with `loss_weighting = variance_weighted`,
 the script trains once and evaluates at t_prime 0, 1 and T, each at omega 0
 and 2, on `synthetic.generate_pair(n_users=2000, n_items=300,
 ratings_per_user=10, seed=5)` with d1=16, T=50, max_history_len=10,
@@ -21,7 +23,7 @@ T, history_len) train once per value. The commands run in-process through
 `prefdiff.cli.main` with one BLAS thread, in a temporary directory that is
 the current directory, so the configs hold relative paths; their own
 messages go to standard error. Each output line is `path<TAB>sha256` for one file of the
-directory (inputs, configs and outputs), sorted by path, 277 lines in all; identical output at two commits means
+directory (inputs, configs and outputs), sorted by path, 301 lines in all; identical output at two commits means
 byte-identical training and evaluation outputs.
 """
 from __future__ import annotations
@@ -42,9 +44,12 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 # runs checkouts older than that table; tests/test_variants.py checks that
 # the two agree
 SELECTORS = [(v, "none") for v in range(7)] + [(0, a) for a in ("no_tf", "no_gs", "no_dm")]
-# (run directory, config lines): every selector at float32, the main model at float64
+# (run directory, config lines): every selector at float32, the main model at
+# float64, and the main model under the variance-weighted diffusion loss
 RUNS = [(f"v{v}_{a}", f"variant = {v}\nablation = {a}\n") for v, a in SELECTORS] \
-    + [("v0_none_float64", "variant = 0\nablation = none\ndtype = float64\n")]
+    + [("v0_none_float64", "variant = 0\nablation = none\ndtype = float64\n"),
+       ("v0_none_variance_weighted",
+        "variant = 0\nablation = none\nloss_weighting = variance_weighted\n")]
 T = 50
 T_PRIMES = (0, 1, T)
 OMEGAS = (0.0, 2.0)
