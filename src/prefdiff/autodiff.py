@@ -1,10 +1,11 @@
 """Small reverse-mode automatic differentiation engine over numpy arrays.
 
-Every learnable quantity in the model is a :class:`Tensor`. Operations build
-a graph only when some input requires a gradient, so forward-only code
-(inference, evaluation) pays almost no overhead. The preference encoder and
-the denoiser enter a graph as one node each (`_make` with a hand-written
-backward, built from `unbroadcast` and `matmul_grads`).
+A :class:`Tensor` is a parameter or a value computed from parameters, and
+every Tensor in a graph gets a gradient. Constants stay numpy arrays or
+Python numbers and are never graph nodes. Inference and evaluation run on
+plain arrays and build no graph. The preference encoder and the denoiser
+enter a graph as one node each (`_make` with a hand-written backward, built
+from `unbroadcast` and `matmul_grads`).
 """
 from __future__ import annotations
 
@@ -33,14 +34,13 @@ class Tensor:
     tensors' gradients: copy it before writing into it (clipping, scaling).
     Backward functions never write into the gradients they receive."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn")
+    __slots__ = ("data", "grad", "_parents", "_backward_fn")
 
     # make numpy defer to our reflected operators instead of broadcasting
     __array_ufunc__ = None
 
-    def __init__(self, data, requires_grad: bool = False):
+    def __init__(self, data):
         self.data = np.asarray(data)
-        self.requires_grad = requires_grad
         self.grad: np.ndarray | None = None
         self._parents: tuple[Tensor, ...] = ()
         self._backward_fn = None
@@ -71,12 +71,10 @@ class Tensor:
                     stack.append((p, False))
         self.grad = np.ones_like(self.data)
         for node in reversed(topo):
-            if node._backward_fn is None or node.grad is None:
+            if node._backward_fn is None:
                 continue
             grads = node._backward_fn(node.grad)
             for parent, g in zip(node._parents, grads):
-                if g is None or not parent.requires_grad:
-                    continue
                 if parent.grad is None:
                     # kept as it is, view or shared (see the class docstring)
                     parent.grad = g
@@ -102,70 +100,50 @@ class Tensor:
     def __matmul__(self, other):
         return matmul(self, other)
 
-    def sum(self, axis=None, keepdims=False):
-        return tsum(self, axis=axis, keepdims=keepdims)
-
-    def reshape(self, *shape):
-        return reshape(self, shape if len(shape) > 1 else shape[0])
-
-
-def as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(np.asarray(x))
+    def sum(self, axis=None):
+        return tsum(self, axis=axis)
 
 
 def _make(data, parents, backward_fn) -> Tensor:
     out = Tensor(data)
-    if any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = tuple(parents)
-        out._backward_fn = backward_fn
+    out._parents = tuple(parents)
+    out._backward_fn = backward_fn
     return out
 
 
 # -- primitive operations ---------------------------------------------------
 
 
-def add(a, b) -> Tensor:
-    a = as_tensor(a)
-    if isinstance(b, (int, float)):
-        data = a.data + b
+def add(a: Tensor, b) -> Tensor:
+    """`a + b`; b is a Tensor or a constant (an ndarray or a Python number)."""
+    if not isinstance(b, Tensor):
+        def backward_constant(g):
+            return (unbroadcast(g, a.data.shape),)
 
-        def backward_scalar(g):
-            return (g,)
-
-        return _make(data, (a,), backward_scalar)
-    b = as_tensor(b)
-    data = a.data + b.data
+        return _make(a.data + b, (a,), backward_constant)
 
     def backward(g):
-        return (unbroadcast(g, a.data.shape) if a.requires_grad else None,
-                unbroadcast(g, b.data.shape) if b.requires_grad else None)
+        return unbroadcast(g, a.data.shape), unbroadcast(g, b.data.shape)
 
-    return _make(data, (a, b), backward)
+    return _make(a.data + b.data, (a, b), backward)
 
 
-def mul(a, b) -> Tensor:
-    a = as_tensor(a)
-    if isinstance(b, (int, float)):
-        data = a.data * b
+def mul(a: Tensor, b) -> Tensor:
+    """`a * b`; b is a Tensor or a constant (an ndarray or a Python number)."""
+    if not isinstance(b, Tensor):
+        def backward_constant(g):
+            return (unbroadcast(g * b, a.data.shape),)
 
-        def backward_scalar(g):
-            return (g * b,)
-
-        return _make(data, (a,), backward_scalar)
-    b = as_tensor(b)
-    data = a.data * b.data
+        return _make(a.data * b, (a,), backward_constant)
 
     def backward(g):
-        return (unbroadcast(g * b.data, a.data.shape) if a.requires_grad else None,
-                unbroadcast(g * a.data, b.data.shape) if b.requires_grad else None)
+        return unbroadcast(g * b.data, a.data.shape), unbroadcast(g * a.data, b.data.shape)
 
-    return _make(data, (a, b), backward)
+    return _make(a.data * b.data, (a, b), backward)
 
 
-def matmul(a, b) -> Tensor:
+def matmul(a: Tensor, b: Tensor) -> Tensor:
     """`a @ b` for operands of at least 2-D."""
-    a, b = as_tensor(a), as_tensor(b)
 
     def backward(g):
         return matmul_grads(g, a.data, b.data)
@@ -180,20 +158,18 @@ def matmul_grads(g: np.ndarray, a: np.ndarray, b: np.ndarray):
             unbroadcast(np.swapaxes(a, -1, -2) @ g, b.shape))
 
 
-def tsum(a, axis=None, keepdims=False) -> Tensor:
-    a = as_tensor(a)
-    data = a.data.sum(axis=axis, keepdims=keepdims)
+def tsum(a: Tensor, axis=None) -> Tensor:
+    data = a.data.sum(axis=axis)
 
     def backward(g):
-        if axis is not None and not keepdims:
+        if axis is not None:
             g = np.expand_dims(g, axis)
         return (np.broadcast_to(g, a.data.shape),)
 
     return _make(data, (a,), backward)
 
 
-def concat(tensors, axis: int = -1) -> Tensor:
-    tensors = [as_tensor(t) for t in tensors]
+def concat(tensors: list[Tensor], axis: int = -1) -> Tensor:
     data = np.concatenate([t.data for t in tensors], axis=axis)
     sizes = [t.data.shape[axis] for t in tensors]
     splits = np.cumsum(sizes)[:-1]
@@ -204,17 +180,7 @@ def concat(tensors, axis: int = -1) -> Tensor:
     return _make(data, tensors, backward)
 
 
-def reshape(a, shape) -> Tensor:
-    a = as_tensor(a)
-    data = a.data.reshape(shape)
-
-    def backward(g):
-        return (g.reshape(a.data.shape),)
-
-    return _make(data, (a,), backward)
-
-
-def gather(table, indices) -> Tensor:
+def gather(table: Tensor, indices) -> Tensor:
     """Row lookup `table[indices]` with scatter-add backward (embeddings).
 
     The backward is one 1-D `np.add.at` over the flattened table, at
@@ -224,7 +190,6 @@ def gather(table, indices) -> Tensor:
     `np.add.at(zeros_like(table), indices, g)`. Every graph the package
     builds hands `g` in the table's dtype, which keeps `np.add.at` on its
     fast same-dtype path."""
-    table = as_tensor(table)
     idx = np.asarray(indices)
     data = table.data[idx]
 

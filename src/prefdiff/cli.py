@@ -99,7 +99,11 @@ def cmd_train(config_path, seed, fraction, variant, out_dir):
     normalized config."""
     cfg = load_config(config_path, seed=seed, fraction=fraction, variant=variant)
     source, target, split = _load_run(cfg)
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot create --out directory {out_dir!r}: "
+                                 f"{exc.strerror}") from exc
     for warning in lint_pipeline(SELECTORS[cfg.variant, cfg.ablation], cfg.eta):
         click.echo(f"warning: {warning}", err=True)
     params, history = train(source, target, split, cfg)

@@ -15,7 +15,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .errors import DataError
+from .errors import ConfigurationError, DataError
 from .rng import make_rng
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
@@ -245,14 +245,17 @@ def held_out_ratings(target: DomainData, split: ColdStartSplit) -> np.ndarray:
 def write_atomic(path, data: str | bytes) -> None:
     """Write `data` (text as UTF-8) to a temporary file next to `path`, then
     `os.replace` it onto `path`: a reader sees the old file or the whole new
-    one. A failed write removes the temporary file and leaves `path` as it
-    was. There is no fsync, so this guards against a failed or killed
-    process, not against power loss."""
+    one. A failed write removes the temporary file, leaves `path` as it
+    was and raises ConfigurationError naming `path`: an output path is the
+    run's input. There is no fsync, so this guards against a failed or
+    killed process, not against power loss."""
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as fh:
             fh.write(data.encode("utf-8") if isinstance(data, str) else data)
         os.replace(tmp, path)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot write {str(path)!r}: {exc.strerror}") from exc
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)

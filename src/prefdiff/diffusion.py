@@ -39,18 +39,14 @@ def denoise(x_t, cond, t, params: ModelParams) -> Tensor:
 
     x_t: (B, state_dim); cond: (B, d1); t: a (B,) int array, or one int
     (Python or numpy) for every row. Tanh hidden layers, linear output.
-    With arrays the result is a Tensor leaf without a graph. With a Tensor
-    among x_t and cond it is one graph node, whose parents are x_t, cond
-    and the `den_*` weights and whose backward replays the gradients of the
-    per-operation graph of concat, matmul, add and tanh, so training gives
-    that graph's bits.
+    With arrays the result is a Tensor leaf without a graph. With Tensors
+    (training's x_t and cond are both computed from parameters) it is one
+    graph node, whose parents are x_t, cond and the `den_*` weights and
+    whose backward replays the gradients of the per-operation graph of
+    concat, matmul, add and tanh, so training gives that graph's bits.
     """
-    graph = isinstance(x_t, Tensor) or isinstance(cond, Tensor)
-    if graph:
-        x_t, cond = ad.as_tensor(x_t), ad.as_tensor(cond)
-        state, signal = x_t.data, cond.data
-    else:
-        state, signal = x_t, cond
+    graph = isinstance(x_t, Tensor)
+    state, signal = (x_t.data, cond.data) if graph else (x_t, cond)
     if isinstance(t, np.ndarray):
         step = params.step_table[t - 1]
     else:

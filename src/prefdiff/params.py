@@ -144,7 +144,7 @@ def init_params(cfg: RunConfig, n_users: int, n_items_src: int,
             values = np.ones(shape)
         else:
             values = rng.uniform(-cfg.init_scale, cfg.init_scale, size=shape)
-        arrays[name] = Tensor(values.astype(np_dtype), requires_grad=True)
+        arrays[name] = Tensor(values.astype(np_dtype))
     return ModelParams(arrays, meta)
 
 
@@ -229,6 +229,6 @@ def load_checkpoint(path) -> ModelParams:
     offset = 0
     for (name, shape), count in zip(specs.items(), counts):
         values = np.frombuffer(blob, dtype, count, offset).reshape(shape)
-        arrays[name] = Tensor(values.astype(meta.cfg.dtype), requires_grad=True)
+        arrays[name] = Tensor(values.astype(meta.cfg.dtype))
         offset += count * dtype.itemsize
     return ModelParams(arrays, meta)

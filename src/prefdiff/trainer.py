@@ -40,30 +40,25 @@ class Examples:
 class AdamState:
     """First/second moment accumulators with bias correction. The moments
     of the parameters that get gradients live in two flat buffers, laid out
-    at the first update, and `m[name]` and `v[name]` are views of them; a
-    model's arrays share its dtype, which the buffers take. Which
-    parameters get gradients is fixed by the model's wiring, so the layout
-    holds for every step."""
+    at the first update over those parameters in model order; a model's
+    arrays share its dtype, which the buffers take. Which parameters get
+    gradients is fixed by the model's wiring, so the layout holds for every
+    step."""
 
     def __init__(self, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
-        self.m: dict[str, np.ndarray] = {}
-        self.v: dict[str, np.ndarray] = {}
         self.step = 0
         self._flat: tuple[np.ndarray, ...] = ()
         self._deltas: list[np.ndarray] = []
 
-    def _lay_out(self, live: list[tuple[str, ad.Tensor]]) -> None:
+    def _lay_out(self, live: list[ad.Tensor]) -> None:
         """Zeroed flat buffers over the `live` parameters, in their order."""
-        dtype = live[0][1].data.dtype
-        sizes = [tensor.data.size for _, tensor in live]
+        dtype = live[0].data.dtype
+        sizes = [tensor.data.size for tensor in live]
         m, v, delta, denom = (np.zeros(sum(sizes), dtype) for _ in range(4))
         start = 0
-        for (name, tensor), size in zip(live, sizes):
-            shape, rows = tensor.data.shape, slice(start, start + size)
-            self.m[name] = m[rows].reshape(shape)
-            self.v[name] = v[rows].reshape(shape)
-            self._deltas.append(delta[rows].reshape(shape))
+        for tensor, size in zip(live, sizes):
+            self._deltas.append(delta[start:start + size].reshape(tensor.data.shape))
             start += size
         self._flat = (m, v, delta, denom)
 
@@ -77,11 +72,11 @@ class AdamState:
         untouched."""
         self.step += 1
         b1, b2 = self.beta1, self.beta2
-        live = [(name, t) for name, t in params.arrays.items() if t.grad is not None]
+        live = [t for t in params.arrays.values() if t.grad is not None]
         if not self._flat:
             self._lay_out(live)
         m, v, delta, denom = self._flat
-        g = np.concatenate([t.grad for _, t in live], axis=None, dtype=m.dtype)
+        g = np.concatenate([t.grad for t in live], axis=None, dtype=m.dtype)
         m *= b1
         m += (1 - b1) * g
         v *= b2
@@ -92,7 +87,7 @@ class AdamState:
         np.sqrt(denom, out=denom)
         denom += self.eps
         delta /= denom
-        for (_, tensor), step in zip(live, self._deltas):
+        for tensor, step in zip(live, self._deltas):
             tensor.data = tensor.data - step
 
 
@@ -162,13 +157,13 @@ def compute_batch_loss(examples: Examples, rows: np.ndarray, params: ModelParams
         h = encode_batch(item_vecs, mask, params)
 
     n_masked = 0
-    null_row = params["null_token"].reshape((1, d1))
+    null = params["null_token"]     # (d1,), broadcast over the batch rows
     if pipeline.guided:
         keep = (draws.r >= cfg.p_uncond).astype(dtype)[:, None]
         n_masked = int(B - keep.sum())
-        cond = h * keep + null_row * (1.0 - keep)
+        cond = h * keep + null * (1.0 - keep)
     else:
-        cond = null_row * np.ones((B, 1), dtype=dtype)
+        cond = null * np.ones((B, 1), dtype=dtype)
 
     if pipeline.diffusion:
         x0 = pipeline.clean_state(u0, h)

@@ -56,13 +56,13 @@ class Pipeline:
     def score_embedding(self, x0_hat, h, u0, params) -> Tensor | np.ndarray:
         """Map the (predicted) clean state to the d1 embedding dotted with
         the target-item embedding; `params` is the model's ModelParams.
-        The inputs may be arrays or graph Tensors; with no Tensor among
-        them the projection runs on the parameter arrays and returns an
-        array, without a graph."""
+        The inputs are all graph Tensors (training) or all arrays
+        (evaluation); on arrays the projection runs on the parameter arrays
+        and returns an array, without a graph."""
         if self.projection is None:
             return x0_hat
         parts = [{"x": x0_hat, "u": u0, "h": h}[p] for p in self.projection]
-        if any(isinstance(part, Tensor) for part in parts):
+        if isinstance(parts[0], Tensor):
             return _join(parts) @ params["proj_w"] + params["proj_b"]
         return np.concatenate(parts, axis=-1) @ params["proj_w"].data + params["proj_b"].data
 

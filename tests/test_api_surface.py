@@ -157,6 +157,7 @@ RAISE_SITES = {
     "cli._Commands.main": 1,        # re-raises a package error outside standalone mode
     "cli._check_checkpoint": 1,
     "cli.cmd_eval": 1,
+    "cli.cmd_train": 1,
     "cli.cmd_sweep": 2,
     "config.RunConfig.validate": 1,
     "config._coerce": 1,
@@ -165,6 +166,7 @@ RAISE_SITES = {
     "data._check_line": 5,
     "data.load_ratings": 3,
     "data.split_cold_start": 2,
+    "data.write_atomic": 1,
     "params._parse_manifest": 3,
     "params.load_checkpoint": 4,
     "trainer.compute_batch_loss": 2,

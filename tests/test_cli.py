@@ -113,6 +113,32 @@ def test_train_reports_an_unreadable_ratings_path(run_config, tmp_path, monkeypa
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command,out,reason", [
+    ("ingest", "missing/x.tsv", "No such file or directory"),
+    ("ingest", "outdir", "Is a directory"),
+    ("schedule-dump", "outdir", "Is a directory"),
+], ids=["ingest-missing-dir", "ingest-directory", "schedule-dump-directory"])
+def test_unwritable_out_is_one_error_line(data_files, tmp_path, monkeypatch, command, out,
+                                          reason):
+    # each used to end in a FileNotFoundError or IsADirectoryError traceback
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "outdir").mkdir()
+    args = [*data_files] if command == "ingest" else ["--steps", "3"]
+    result = CliRunner().invoke(main, [command, *args, "--out", out])
+    assert error_line(result, "ConfigurationError") == f"cannot write {out!r}: {reason}"
+    assert sorted(os.listdir(tmp_path)) == ["outdir"] and not os.listdir("outdir")
+
+
+def test_train_out_that_is_a_file_is_one_error_line(run_config, tmp_path, monkeypatch):
+    # os.makedirs used to end in a FileExistsError traceback
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "taken").write_text("kept\n")
+    result = CliRunner().invoke(main, ["train", "--config", run_config, "--out", "taken"])
+    message = error_line(result, "ConfigurationError")
+    assert message == "cannot create --out directory 'taken': File exists"
+    assert (tmp_path / "taken").read_text() == "kept\n"
+
+
 def test_schedule_dump(tmp_path):
     out = tmp_path / "sched.tsv"
     invoke("schedule-dump", "--steps", "6", "--eta", "0.5", "--out", str(out))

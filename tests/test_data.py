@@ -1,7 +1,9 @@
 """Rating ingestion, cold-start split, history construction, and the
 atomic writer."""
+import errno
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from prefdiff.data import (build_histories,
                            overlapping_users, split_cold_start,
                            training_ratings, user_universe, write_atomic,
                            write_split_manifest)
-from prefdiff.errors import DataError
+from prefdiff.errors import ConfigurationError, DataError
 from prefdiff.trainer import build_examples
 
 
@@ -226,10 +228,10 @@ def test_write_atomic_failure_keeps_the_old_file(tmp_path, monkeypatch):
     p.write_bytes(b"old\n")
 
     def refuse(src, dst):
-        raise OSError("replace refused")
+        raise OSError(errno.EPERM, "replace refused")
 
     monkeypatch.setattr(os, "replace", refuse)
-    with pytest.raises(OSError, match="replace refused"):
+    with pytest.raises(ConfigurationError, match=re.escape(f"cannot write '{p}': replace refused")):
         write_atomic(p, "new\n")
     assert p.read_bytes() == b"old\n"
     assert os.listdir(tmp_path) == ["out.tsv"]

@@ -39,7 +39,7 @@ def test_forward_marginal_step_array_matches_training_expression(dtype):
     eps = rng.standard_normal((64, 4)).astype(dtype)
     a = np.sqrt(s.alpha_bar[t - 1]).astype(dtype)[:, None]
     b = np.sqrt(s.one_minus_alpha_bar[t - 1]).astype(dtype)[:, None]
-    graph_in = Tensor(x0, requires_grad=True)
+    graph_in = Tensor(x0)
     want = a * graph_in + b * eps
     got = forward_marginal(graph_in, t, eps, s)
     assert got._backward_fn is not None

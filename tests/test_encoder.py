@@ -139,7 +139,7 @@ def test_encoder_input_gradient(tiny_params):
         out = encode_batch(x, mask, p)
         return (out * out).sum()
 
-    x = Tensor(x_np.copy(), requires_grad=True)
+    x = Tensor(x_np.copy())
     loss(x).backward()
     numeric = central_difference(lambda: float(loss(Tensor(x_np)).data), x_np)
     assert relative_error(x.grad, numeric) < 1e-6
@@ -168,7 +168,7 @@ def test_array_path_equals_tensor_path_bitwise(dtype, n_heads, enc_layers, ablat
     # padded rows of every length, two of length 1
     mask = np.arange(5) < np.array([1, 5, 3, 1])[:, None]
     on_arrays = encode_batch(x, mask, p)
-    on_graph = encode_batch(Tensor(x, requires_grad=True), mask, p)
+    on_graph = encode_batch(Tensor(x), mask, p)
     assert isinstance(on_arrays, np.ndarray) and on_graph._backward_fn is not None
     assert on_arrays.dtype == on_graph.data.dtype
     assert on_arrays.tobytes() == on_graph.data.tobytes()

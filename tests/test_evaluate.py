@@ -215,8 +215,9 @@ def test_every_pipeline_at_every_t_prime(variant, ablation, t_prime):
         h = encode_history(params["item_emb_src"].data[items], params)
         x = pipe.inference_init(u, h)
         assert np.array_equal(infer_user(u, h, cfg, params, make_rng(0, 0)), x)
-        emb = pipe.score_embedding(Tensor(x) if pipe.diffusion else None,
-                                   h, u, params).data
+        emb = pipe.score_embedding(*(None if a is None else Tensor(a[None, :])
+                                     for a in (x if pipe.diffusion else None, h, u)),
+                                   params).data[0]
         v = params["item_emb_tgt"].data[tgt.item[k]]
         errors.append(_dot64(emb, v) - tgt.rating[k])
     assert rep.mae == pytest.approx(report_from_errors(np.asarray(errors), {}).mae,

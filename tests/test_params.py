@@ -98,7 +98,6 @@ def test_init_shapes_and_special_values():
     assert np.all(p["enc0_ln1_g"].data == 1.0)
     assert np.all(p["enc0_ln1_b"].data == 0.0)
     assert np.all(np.abs(p["user_emb"].data) <= 0.1)
-    assert p["user_emb"].requires_grad
 
 
 def test_state_mult_widens_denoiser():

@@ -250,8 +250,14 @@ def test_adam_first_step_is_signed_lr():
 
 
 class _OutOfPlaceAdam(AdamState):
-    """The update as first written, with new arrays at every line: the
-    reference the in-place update must equal bit for bit."""
+    """The update as first written, with new arrays at every line and the
+    moments by parameter name: the reference the in-place update must
+    equal bit for bit."""
+
+    def __init__(self):
+        super().__init__()
+        self.m: dict[str, np.ndarray] = {}
+        self.v: dict[str, np.ndarray] = {}
 
     def update(self, params, lr):
         self.step += 1
@@ -290,10 +296,12 @@ def test_adam_update_matches_out_of_place_formula_bitwise(dtype):
     for name in new.arrays:
         assert new[name].data.dtype == np.dtype(dtype)
         assert new[name].data.tobytes() == ref[name].data.tobytes(), name
-    assert "null_token" not in new_adam.m
-    for name in ref_adam.m:
-        assert new_adam.m[name].tobytes() == ref_adam.m[name].tobytes()
-        assert new_adam.v[name].tobytes() == ref_adam.v[name].tobytes()
+    # the flat moment buffers hold the reference's moments in layout order,
+    # which is model order over the parameters with a gradient
+    assert "null_token" not in ref_adam.m
+    m, v = new_adam._flat[:2]
+    assert m.tobytes() == np.concatenate(list(ref_adam.m.values()), axis=None).tobytes()
+    assert v.tobytes() == np.concatenate(list(ref_adam.v.values()), axis=None).tobytes()
 
 
 @pytest.mark.parametrize("variant,ablation", SELECTORS)
@@ -312,7 +320,29 @@ def test_the_wiring_fixes_which_parameters_get_gradients(variant, ablation):
             total.backward()
             live.add(frozenset(name for name, t in q.arrays.items() if t.grad is not None))
             adam.update(q, 0.01)
-    assert len(live) == 1 and set(adam.m) == set(*live)
+    assert len(live) == 1
+    assert adam._flat[0].size == sum(q[name].data.size for name in next(iter(live)))
+
+
+@pytest.mark.parametrize("loss_weighting", ["simplified", "variance_weighted"])
+@pytest.mark.parametrize("variant,ablation", SELECTORS)
+def test_every_leaf_of_the_loss_graph_is_a_parameter(variant, ablation, loss_weighting):
+    # the noise term, the ratings, the masks and the loss weights stay
+    # arrays: the graph's leaves are the model's parameter Tensors alone
+    p = init_params(tiny_cfg(variant=variant, ablation=ablation,
+                             loss_weighting=loss_weighting), 6, 8, 9)
+    draws = sample_draws(make_rng(0, 0), 6, p.meta)
+    total, _ = compute_batch_loss(*toy_batch(p, n=6), p, draws)
+    seen, stack, leaves = {id(total)}, [total], []
+    while stack:
+        node = stack.pop()
+        leaves += [] if node._parents else [node]
+        for parent in node._parents:
+            if id(parent) not in seen:
+                seen.add(id(parent))
+                stack.append(parent)
+    parameters = {id(t) for t in p.arrays.values()}
+    assert leaves and all(id(leaf) in parameters for leaf in leaves)
 
 
 @pytest.mark.parametrize("variant,ablation", SELECTORS)
@@ -383,7 +413,7 @@ def test_float32_step_is_within_bound_of_float64(variant, ablation):
     # one set of draws; the gap is the rounding of float32 arithmetic alone
     cfg = tiny_cfg(variant=variant, ablation=ablation, seed=11, dtype="float32")
     p32 = init_params(cfg, 6, 8, 9)
-    p64 = ModelParams({name: ad.Tensor(t.data.astype(np.float64), requires_grad=True)
+    p64 = ModelParams({name: ad.Tensor(t.data.astype(np.float64))
                        for name, t in p32.arrays.items()},
                       replace(p32.meta, cfg=replace(cfg, dtype="float64")))
     draws = sample_draws(make_rng(5, 0), 6, p32.meta)
