@@ -16,12 +16,12 @@ from . import schedule as schedule_mod
 from .config import RunConfig, _coerce, load_config, normalized_text
 from .errors import CheckpointError, ConfigurationError, PrefDiffError
 from .evaluate import evaluate
-from .params import SIZE_KEYS, ModelMeta, load_checkpoint, save_checkpoint
+from .params import PATH_KEYS, SIZE_KEYS, ModelMeta, load_checkpoint, save_checkpoint
 from .trainer import loss_history_tsv, train
 from .variants import SELECTORS, lint_pipeline
 
 # the keys an evaluation may set apart from its checkpoint's training run
-EVAL_FREE_KEYS = ("source_path", "target_path", "seed", "omega", "t_prime")
+EVAL_FREE_KEYS = PATH_KEYS + ("seed", "omega", "t_prime")
 
 
 def _load_run(cfg: RunConfig):
@@ -99,15 +99,17 @@ def cmd_train(config_path, seed, fraction, variant, out_dir):
     normalized config."""
     cfg = load_config(config_path, seed=seed, fraction=fraction, variant=variant)
     source, target, split = _load_run(cfg)
-    try:
-        os.makedirs(out_dir, exist_ok=True)
-    except OSError as exc:
-        raise ConfigurationError(f"cannot create --out directory {out_dir!r}: "
-                                 f"{exc.strerror}") from exc
+    checkpoint_dir = os.path.join(out_dir, "checkpoint")
+    for path in (out_dir, checkpoint_dir):
+        try:
+            os.makedirs(path, exist_ok=True)
+        except OSError as exc:
+            raise ConfigurationError(f"cannot create --out directory {path!r}: "
+                                     f"{exc.strerror}") from exc
     for warning in lint_pipeline(SELECTORS[cfg.variant, cfg.ablation], cfg.eta):
         click.echo(f"warning: {warning}", err=True)
     params, history = train(source, target, split, cfg)
-    save_checkpoint(params, os.path.join(out_dir, "checkpoint"))
+    save_checkpoint(params, checkpoint_dir)
     data_mod.write_atomic(os.path.join(out_dir, "loss.tsv"), loss_history_tsv(history))
     data_mod.write_split_manifest(split, os.path.join(out_dir, "split.tsv"))
     data_mod.write_atomic(os.path.join(out_dir, "config.echo"), normalized_text(cfg))
@@ -143,10 +145,10 @@ def cmd_eval(ckpt_path, config_path, seed, out, per_user):
 
 
 @main.command("schedule-dump")
-@click.option("--steps", "T", type=int, default=200)
-@click.option("--eta", type=float, default=0.1)
-@click.option("--alpha-min", type=float, default=0.1)
-@click.option("--alpha-max", type=float, default=10.0)
+@click.option("--steps", "T", type=int, default=RunConfig.T)
+@click.option("--eta", type=float, default=RunConfig.eta)
+@click.option("--alpha-min", type=float, default=RunConfig.alpha_min)
+@click.option("--alpha-max", type=float, default=RunConfig.alpha_max)
 @click.option("--out", type=click.Path(), default=None)
 def cmd_schedule_dump(T, eta, alpha_min, alpha_max, out):
     """Emit t, beta_t, alpha_bar_t, beta_tilde_t as TSV."""

@@ -8,6 +8,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
+from .data import read_input
 from .errors import ConfigurationError
 from .variants import SELECTORS
 
@@ -126,13 +127,7 @@ def parse_config_text(text: str, **overrides) -> RunConfig:
 
 
 def load_config(path, **overrides) -> RunConfig:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except UnicodeDecodeError as exc:
-        raise ConfigurationError(
-            f"{path}: not UTF-8 text: byte {exc.start}: {exc.reason}") from exc
-    return parse_config_text(text, **overrides)
+    return parse_config_text(read_input(path, ConfigurationError), **overrides)
 
 
 def normalized_text(cfg: RunConfig) -> str:

@@ -1,6 +1,7 @@
 """Two-domain rating data held as numpy columns: loading, overlap
 bookkeeping, the cold-start split, chronological interaction histories,
-and `write_atomic`, through which the package writes every output file.
+`read_input`, through which the package reads every input file, and
+`write_atomic`, through which it writes every output file.
 
 A domain is one row per (user, item) pair, in the order in which each pair
 first appears in its file. Histories, training ratings and held-out ratings
@@ -15,7 +16,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .errors import ConfigurationError, DataError
+from .errors import ConfigurationError, DataError, PrefDiffError
 from .rng import make_rng
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
@@ -130,17 +131,10 @@ def load_ratings(path) -> DomainData:
     non-negative and fit in int64. Duplicate (user, item) pairs keep the
     latest-timestamp line, ties the later line, at the row of the pair's
     first line. A bad line raises a DataError that names the first one; a
-    path that cannot be read, or a file that is not UTF-8 text, raises one
-    that names the path.
+    path that `read_input` refuses raises one that names the path.
     """
     lo, hi = RATING_RANGE
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().split("\n")
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not UTF-8 text: byte {exc.start}: {exc.reason}") from exc
-    except OSError as exc:
-        raise DataError(f"cannot read ratings file {str(path)!r}: {exc.strerror}") from exc
+    lines = read_input(path, DataError).split("\n")
     lineno = np.flatnonzero(np.fromiter(map(len, lines), np.int64, count=len(lines))) + 1
     lines = list(filter(None, lines))
     if not lines:
@@ -240,6 +234,19 @@ def held_out_ratings(target: DomainData, split: ColdStartSplit) -> np.ndarray:
     """Rows of the target-domain ratings of cold-start test users
     (evaluation only)."""
     return _rows_of(target, split.cold_start_test)
+
+
+def read_input(path, error: type[PrefDiffError], binary: bool = False) -> str | bytes:
+    """The whole file at `path`: UTF-8 text with universal newlines (so
+    `\\r\\n` reads as `\\n`), or its bytes when `binary`. A path that cannot
+    be read, or text that is not UTF-8, raises `error` naming the path."""
+    try:
+        with open(path, "rb") if binary else open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text: byte {exc.start}: {exc.reason}") from exc
+    except OSError as exc:
+        raise error(f"cannot read {str(path)!r}: {exc.strerror}") from exc
 
 
 def write_atomic(path, data: str | bytes) -> None:

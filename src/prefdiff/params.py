@@ -20,7 +20,7 @@ import numpy as np
 
 from .autodiff import Tensor
 from .config import RunConfig, normalized_text, parse_config_text
-from .data import write_atomic
+from .data import read_input, write_atomic
 from .errors import CheckpointError, ConfigurationError
 from .rng import make_rng
 from .schedule import build_schedule
@@ -201,19 +201,9 @@ def save_checkpoint(params: ModelParams, path) -> None:
 
 
 def load_checkpoint(path) -> ModelParams:
-    manifest_path = os.path.join(path, MANIFEST_NAME)
-    blob_path = os.path.join(path, BLOB_NAME)
-    if not os.path.exists(manifest_path) or not os.path.exists(blob_path):
-        raise CheckpointError(f"missing checkpoint files under {path}")
-    try:
-        with open(manifest_path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except UnicodeDecodeError as exc:
-        raise CheckpointError(
-            f"{manifest_path}: not UTF-8 text: byte {exc.start}: {exc.reason}") from exc
-    meta, digest = _parse_manifest(text)
-    with open(blob_path, "rb") as fh:
-        blob = fh.read()
+    meta, digest = _parse_manifest(
+        read_input(os.path.join(path, MANIFEST_NAME), CheckpointError))
+    blob = read_input(os.path.join(path, BLOB_NAME), CheckpointError, binary=True)
     specs = _array_specs(meta)
     dtype = np.dtype(meta.cfg.dtype).newbyteorder("<")
     counts = [math.prod(shape) for shape in specs.values()]

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import DomainData, make_domain, write_atomic
+from .data import RATING_RANGE, DomainData, make_domain, write_atomic
 from .rng import make_rng
 
 
@@ -15,7 +15,7 @@ def generate_pair(n_users: int = 2000, n_items: int = 300, latent_dim: int = 8,
     """Two domains over the same user population.
 
     Rating of (user, item) is a scaled latent dot product plus Gaussian
-    noise, clipped into [0, 5].
+    noise, clipped into `RATING_RANGE`.
     """
     rng = make_rng(seed, 0x5E17)
     z_users = rng.standard_normal((n_users, latent_dim))
@@ -30,7 +30,7 @@ def generate_pair(n_users: int = 2000, n_items: int = 300, latent_dim: int = 8,
             items[i] = rng.choice(n_items, size=ratings_per_user, replace=False)
             scores = z_users[i] @ z_items[items[i]].T / np.sqrt(latent_dim)
             noise = rng.standard_normal(ratings_per_user) * noise_std
-            ratings[i] = np.clip(2.5 + 1.0 * scores + noise, 0.0, 5.0)
+            ratings[i] = np.clip(2.5 + 1.0 * scores + noise, *RATING_RANGE)
         item_ids = [f"d{d}_i{j}" for j in items.ravel().tolist()]
         domains.append(make_domain(user_ids, item_ids, ratings.ravel(), timestamps))
     return domains[0], domains[1]

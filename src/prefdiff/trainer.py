@@ -21,6 +21,9 @@ from .rng import make_rng
 
 logger = logging.getLogger(__name__)
 
+# the moment decay rates and the denominator floor of every Adam update
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
 
 @dataclass(frozen=True)
 class Examples:
@@ -45,8 +48,7 @@ class AdamState:
     gradients is fixed by the model's wiring, so the layout holds for every
     step."""
 
-    def __init__(self, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+    def __init__(self):
         self.step = 0
         self._flat: tuple[np.ndarray, ...] = ()
         self._deltas: list[np.ndarray] = []
@@ -71,7 +73,7 @@ class AdamState:
         the values it was read with; a parameter without a gradient is left
         untouched."""
         self.step += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
         live = [t for t in params.arrays.values() if t.grad is not None]
         if not self._flat:
             self._lay_out(live)
@@ -85,7 +87,7 @@ class AdamState:
         delta *= lr
         np.divide(v, 1 - b2 ** self.step, out=denom)
         np.sqrt(denom, out=denom)
-        denom += self.eps
+        denom += ADAM_EPS
         delta /= denom
         for tensor, step in zip(live, self._deltas):
             tensor.data = tensor.data - step

@@ -71,8 +71,7 @@ class Pipeline:
         the user's `user_emb` row (and h, by the wiring), never fresh noise;
         always a copy. A cold-start user's row is never gathered in
         training, so Adam leaves it bitwise at its initialization draw."""
-        parts = [{"u": u_init, "h": h}[p] for p in self.state]
-        return np.array(parts[0], copy=True) if len(parts) == 1 else np.concatenate(parts)
+        return np.concatenate([{"u": u_init, "h": h}[p] for p in self.state])
 
 
 def _join(parts: list[Tensor]) -> Tensor:

@@ -94,6 +94,19 @@ def test_train_reports_non_utf8_config(data_files, tmp_path):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command", ["train", "eval", "sweep"])
+def test_a_config_that_is_a_directory_is_one_error_line(main_checkpoint, tmp_path,
+                                                        monkeypatch, command):
+    # each used to end in an IsADirectoryError traceback
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.conf").mkdir()
+    args = {"train": ["--out", "out"], "eval": ["--checkpoint", main_checkpoint],
+            "sweep": ["--sweep-axis", "omega", "--sweep-values", "0,1"]}[command]
+    result = CliRunner().invoke(main, [command, "--config", "run.conf", *args])
+    assert error_line(result, "ConfigurationError") == "cannot read 'run.conf': Is a directory"
+    assert sorted(os.listdir(tmp_path)) == ["run.conf"]
+
+
 @pytest.mark.parametrize("path,reason", [("", "No such file or directory"),
                                          ("missing.tsv", "No such file or directory"),
                                          ("ratings", "Is a directory")],
@@ -109,7 +122,7 @@ def test_train_reports_an_unreadable_ratings_path(run_config, tmp_path, monkeypa
     conf = tmp_path / "run.conf"
     conf.write_text("\n".join(kept) + (f"\nsource_path = {path}\n" if path else "\n"))
     result = CliRunner().invoke(main, ["train", "--config", str(conf), "--out", "out"])
-    assert error_line(result, "DataError") == f"cannot read ratings file {path!r}: {reason}"
+    assert error_line(result, "DataError") == f"cannot read {path!r}: {reason}"
     assert not (tmp_path / "out").exists()
 
 
@@ -137,6 +150,23 @@ def test_train_out_that_is_a_file_is_one_error_line(run_config, tmp_path, monkey
     message = error_line(result, "ConfigurationError")
     assert message == "cannot create --out directory 'taken': File exists"
     assert (tmp_path / "taken").read_text() == "kept\n"
+
+
+def test_train_checkpoint_path_that_is_a_file_is_one_error_line(run_config, tmp_path,
+                                                                monkeypatch):
+    # save_checkpoint's os.makedirs used to end in a FileExistsError
+    # traceback after the whole run had trained
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "out").mkdir()
+    (tmp_path / "out" / "checkpoint").write_text("kept\n")
+    trained = []
+    monkeypatch.setattr("prefdiff.cli.train", lambda *args: trained.append(args))
+    result = CliRunner().invoke(main, ["train", "--config", run_config, "--out", "out"])
+    message = error_line(result, "ConfigurationError")
+    assert message == f"cannot create --out directory {os.path.join('out', 'checkpoint')!r}: " \
+                      "File exists"
+    assert trained == [] and os.listdir("out") == ["checkpoint"]
+    assert (tmp_path / "out" / "checkpoint").read_text() == "kept\n"
 
 
 def test_schedule_dump(tmp_path):
@@ -459,6 +489,25 @@ def test_eval_reports_a_manifest_that_is_not_utf8(main_checkpoint, run_config, t
                                        "--config", run_config])
     message = error_line(result, "CheckpointError")
     assert message.startswith(f"{ckpt / 'manifest.tsv'}: not UTF-8 text: byte 3"), message
+
+
+@pytest.mark.parametrize("name,make,reason", [
+    ("manifest.tsv", os.mkdir, "Is a directory"),
+    ("manifest.tsv", None, "No such file or directory"),
+    ("params.bin", os.mkdir, "Is a directory"),
+], ids=["manifest-directory", "manifest-missing", "blob-directory"])
+def test_eval_reports_an_unreadable_checkpoint_file(main_checkpoint, run_config, tmp_path,
+                                                    name, make, reason):
+    # a directory in place of either file used to end in an
+    # IsADirectoryError traceback
+    ckpt = tmp_path / "checkpoint"
+    shutil.copytree(main_checkpoint, ckpt)
+    os.remove(ckpt / name)
+    if make:
+        make(ckpt / name)
+    result = CliRunner().invoke(main, ["eval", "--checkpoint", str(ckpt),
+                                       "--config", run_config])
+    assert error_line(result, "CheckpointError") == f"cannot read {str(ckpt / name)!r}: {reason}"
 
 
 def test_eval_splits_as_the_checkpoint(main_checkpoint, run_config, tmp_path):

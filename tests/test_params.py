@@ -158,8 +158,10 @@ def test_load_checkpoint_closes_its_files(tmp_path):
 
 
 def test_checkpoint_missing_files(tmp_path):
-    with pytest.raises(CheckpointError, match="missing checkpoint"):
+    with pytest.raises(CheckpointError) as info:
         load_checkpoint(tmp_path / "nope")
+    manifest = str(tmp_path / "nope" / MANIFEST_NAME)
+    assert str(info.value) == f"cannot read {manifest!r}: No such file or directory"
 
 
 def _corrupt_manifest(path, edit):

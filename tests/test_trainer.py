@@ -16,8 +16,8 @@ from prefdiff.errors import ConfigurationError
 from prefdiff.encoder import encode_history
 from prefdiff.params import ModelMeta, ModelParams, init_params, save_checkpoint
 from prefdiff.rng import make_rng
-from prefdiff.trainer import (AdamState, BatchDraws, Examples,
-                              _batch_arrays, build_examples, compute_batch_loss,
+from prefdiff.trainer import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamState, BatchDraws,
+                              Examples, _batch_arrays, build_examples, compute_batch_loss,
                               loss_history_tsv,
                               new_trainer_state, rec_loss, sample_draws, train,
                               train_step)
@@ -261,7 +261,7 @@ class _OutOfPlaceAdam(AdamState):
 
     def update(self, params, lr):
         self.step += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
         for name, tensor in params.arrays.items():
             if tensor.grad is None:
                 continue
@@ -273,7 +273,7 @@ class _OutOfPlaceAdam(AdamState):
             self.v[name] = b2 * self.v[name] + (1 - b2) * g * g
             m_hat = self.m[name] / (1 - b1 ** self.step)
             v_hat = self.v[name] / (1 - b2 ** self.step)
-            delta = lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            delta = lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
             tensor.data = tensor.data - delta.astype(tensor.data.dtype)
 
 
