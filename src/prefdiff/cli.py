@@ -72,8 +72,8 @@ def main():
 
 
 @main.command()
-@click.argument("source_path", type=click.Path(exists=True))
-@click.argument("target_path", type=click.Path(exists=True))
+@click.argument("source_path", type=click.Path())
+@click.argument("target_path", type=click.Path())
 @click.option("--out", type=click.Path(), default=None, help="Write stats TSV here.")
 def ingest(source_path, target_path, out):
     """Summarize two ratings files (users, overlap, items, ratings)."""
@@ -89,7 +89,7 @@ def ingest(source_path, target_path, out):
 
 
 @main.command("train")
-@click.option("--config", "config_path", required=True, type=click.Path(exists=True))
+@click.option("--config", "config_path", required=True, type=click.Path())
 @click.option("--seed", type=int, default=None)
 @click.option("--fraction", type=float, default=None)
 @click.option("--variant", type=int, default=None)
@@ -117,8 +117,8 @@ def cmd_train(config_path, seed, fraction, variant, out_dir):
 
 
 @main.command("eval")
-@click.option("--checkpoint", "ckpt_path", required=True, type=click.Path(exists=True))
-@click.option("--config", "config_path", required=True, type=click.Path(exists=True))
+@click.option("--checkpoint", "ckpt_path", required=True, type=click.Path())
+@click.option("--config", "config_path", required=True, type=click.Path())
 @click.option("--seed", type=int, default=None)
 @click.option("--out", type=click.Path(), default=None)
 @click.option("--per-user", is_flag=True, default=False)
@@ -166,7 +166,7 @@ SWEEP_AXES = {"t_prime": "t_prime", "omega": "omega", "eta": "eta", "T": "T",
 
 
 @main.command("sweep")
-@click.option("--config", "config_path", required=True, type=click.Path(exists=True))
+@click.option("--config", "config_path", required=True, type=click.Path())
 @click.option("--sweep-axis", type=click.Choice(list(SWEEP_AXES)), required=True)
 @click.option("--sweep-values", required=True,
               help="Comma-separated values, e.g. '0,1,2,3,4,5'.")
@@ -211,7 +211,7 @@ def cmd_sweep(config_path, sweep_axis, sweep_values, seed, out):
 
 
 @main.command("variant-bench")
-@click.option("--config", "config_path", required=True, type=click.Path(exists=True))
+@click.option("--config", "config_path", required=True, type=click.Path())
 @click.option("--seed", type=int, default=None)
 @click.option("--out", type=click.Path(), default=None)
 def cmd_variant_bench(config_path, seed, out):

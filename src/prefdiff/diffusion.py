@@ -59,10 +59,13 @@ def denoise(x_t, cond, t, params: ModelParams) -> Tensor:
     inputs = []
     for w, b in layers[:-1]:
         inputs.append(x)
-        x = np.tanh(x @ w + b)
+        x = x.dot(w)  # the bits of x @ w, without matmul's gufunc dispatch
+        x += b
+        np.tanh(x, out=x)
     inputs.append(x)
     w, b = layers[-1]
-    x = x @ w + b
+    x = x.dot(w)
+    x += b
     if not graph:
         return Tensor(x)
     return _denoiser_node(x, x_t, cond, inputs, layers, params)
@@ -95,11 +98,18 @@ def reverse_step(x: np.ndarray, cond: np.ndarray, uncond: np.ndarray, t: int,
     cond holds the (B, d1) condition rows and uncond the null-token rows.
     The guided prediction is (1+omega)*conditional - omega*unconditional;
     omega = 0 calls the denoiser once, on cond alone, so it is exactly the
-    conditional prediction. Caller supplies z ~ N(0, I) for t > 1 and
-    z = 0 at t = 1; with z in the dtype of x, the step stays in it.
+    conditional prediction. x and the caller's z (N(0, I) for t > 1, 0 at
+    t = 1) are in the model dtype. The step works in place on the new
+    array `denoise` returns, in the formula's order, and writes no input.
     """
     coef_u0, coef_ut, variance = posterior_mean_coeffs(params.schedule, t)
     pred = denoise(x, cond, t, params).data
     if omega > 0:
-        pred = (1.0 + omega) * pred - omega * denoise(x, uncond, t, params).data
-    return coef_u0 * pred + coef_ut * x + math.sqrt(variance) * z
+        pred *= 1.0 + omega
+        u = denoise(x, uncond, t, params).data
+        u *= omega
+        pred -= u
+    pred *= coef_u0
+    pred += coef_ut * x
+    pred += math.sqrt(variance) * z
+    return pred

@@ -1,6 +1,7 @@
 """End-to-end command-line runs on small synthetic data."""
 import os
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -107,6 +108,33 @@ def test_a_config_that_is_a_directory_is_one_error_line(main_checkpoint, tmp_pat
     assert sorted(os.listdir(tmp_path)) == ["run.conf"]
 
 
+@pytest.mark.parametrize("option", ["train-config", "eval-config", "sweep-config",
+                                    "variant-bench-config", "eval-checkpoint",
+                                    "ingest-source", "ingest-target"])
+def test_a_missing_input_path_is_one_error_line(main_checkpoint, run_config, data_files,
+                                                tmp_path, monkeypatch, option):
+    # Click refused each with exit code 2 and its usage text, while a
+    # directory at the same option was the package's one error line
+    monkeypatch.chdir(tmp_path)
+    args, error_type, named = {
+        "train-config": (["train", "--config", "missing", "--out", "out"],
+                         "ConfigurationError", "missing"),
+        "eval-config": (["eval", "--config", "missing", "--checkpoint", main_checkpoint],
+                        "ConfigurationError", "missing"),
+        "sweep-config": (["sweep", "--config", "missing", "--sweep-axis", "omega",
+                          "--sweep-values", "0,1"], "ConfigurationError", "missing"),
+        "variant-bench-config": (["variant-bench", "--config", "missing"],
+                                 "ConfigurationError", "missing"),
+        "eval-checkpoint": (["eval", "--checkpoint", "missing", "--config", run_config],
+                            "CheckpointError", os.path.join("missing", "manifest.tsv")),
+        "ingest-source": (["ingest", "missing", data_files[1]], "DataError", "missing"),
+        "ingest-target": (["ingest", data_files[0], "missing"], "DataError", "missing"),
+    }[option]
+    result = CliRunner().invoke(main, args)
+    assert error_line(result, error_type) == f"cannot read {named!r}: No such file or directory"
+    assert os.listdir(tmp_path) == []
+
+
 @pytest.mark.parametrize("path,reason", [("", "No such file or directory"),
                                          ("missing.tsv", "No such file or directory"),
                                          ("ratings", "Is a directory")],
@@ -117,7 +145,7 @@ def test_train_reports_an_unreadable_ratings_path(run_config, tmp_path, monkeypa
     # to end in an OSError traceback
     monkeypatch.chdir(tmp_path)
     (tmp_path / "ratings").mkdir()
-    kept = [line for line in open(run_config).read().splitlines()
+    kept = [line for line in Path(run_config).read_text().splitlines()
             if not line.startswith("source_path")]
     conf = tmp_path / "run.conf"
     conf.write_text("\n".join(kept) + (f"\nsource_path = {path}\n" if path else "\n"))
@@ -352,7 +380,7 @@ def _with_keys(run_config, tmp_path, extra):
     """A copy of the run config with the `key = value` lines of `extra` in
     place of the lines that set the same keys."""
     keys = {line.partition("=")[0].strip() for line in extra.splitlines()}
-    kept = [line for line in open(run_config).read().splitlines()
+    kept = [line for line in Path(run_config).read_text().splitlines()
             if line.partition("=")[0].strip() not in keys]
     conf = tmp_path / "eval.conf"
     conf.write_text("\n".join(kept) + "\n" + extra)
@@ -468,7 +496,7 @@ def test_eval_accepts_other_inference_settings(main_checkpoint, run_config, tmp_
 def test_eval_rejects_a_repeated_key(main_checkpoint, run_config, tmp_path):
     # an appended line used to override the earlier one without a word
     conf = tmp_path / "eval.conf"
-    conf.write_text(open(run_config).read() + "t_prime = 0\n")
+    conf.write_text(Path(run_config).read_text() + "t_prime = 0\n")
     result = CliRunner().invoke(
         main, ["eval", "--checkpoint", main_checkpoint, "--config", str(conf)])
     msg = error_line(result, "ConfigurationError")
@@ -481,7 +509,7 @@ def test_eval_reports_a_manifest_that_is_not_utf8(main_checkpoint, run_config, t
     ckpt = tmp_path / "checkpoint"
     ckpt.mkdir()
     for name in ("manifest.tsv", "params.bin"):
-        (ckpt / name).write_bytes(open(os.path.join(main_checkpoint, name), "rb").read())
+        (ckpt / name).write_bytes(Path(main_checkpoint, name).read_bytes())
     manifest = bytearray((ckpt / "manifest.tsv").read_bytes())
     manifest[3] ^= 0x80
     (ckpt / "manifest.tsv").write_bytes(bytes(manifest))
@@ -522,7 +550,7 @@ def test_eval_splits_as_the_checkpoint(main_checkpoint, run_config, tmp_path):
         reports.append((out.read_bytes(), (tmp_path / f"seed{seed}.tsv.per_user").read_bytes()))
     assert reports[0] == reports[1]
     split = os.path.join(os.path.dirname(main_checkpoint), "split.tsv")
-    test_users = {line.split("\t")[0] for line in open(split).read().splitlines()
+    test_users = {line.split("\t")[0] for line in Path(split).read_text().splitlines()
                   if line.endswith("\ttest")}
     scored = {line.split("\t")[0] for line in reports[0][1].decode().splitlines()[1:]}
     assert scored == test_users and len(test_users) == 12

@@ -317,3 +317,88 @@ def test_reverse_step_arrays_match_tensor_inputs(variant, ablation, t_prime, ome
         assert got.dtype == want.data.dtype == np.float32
         assert got.tobytes() == want.data.tobytes()
         x = got
+
+
+def _perturbed_params(dtype, seed, **settings):
+    """A main-wiring model whose every array, null token and biases too,
+    is moved off its initial value."""
+    p = init_params(tiny_cfg(dtype=dtype, **settings), 3, 3, 3)
+    rng = make_rng(seed, 0)
+    for name in p.arrays:
+        p[name].data[...] += rng.uniform(-0.3, 0.3, size=p[name].shape)
+    return p
+
+
+def _chained_denoise(x_t, cond, t, params):
+    """The array denoiser as a chain of out-of-place operations,
+    np.tanh(x @ w + b) per hidden layer: the oracle of `denoise`."""
+    step = np.repeat(params.step_table[t - 1][None, :], x_t.shape[0], axis=0)
+    x = np.concatenate([x_t, cond, step], axis=-1)
+    layers = params.denoiser_weights
+    for w, b in layers[:-1]:
+        x = np.tanh(x @ w.data + b.data)
+    w, b = layers[-1]
+    return x @ w.data + b.data
+
+
+def _out_of_place_step(x, cond, uncond, t, omega, z, params):
+    """The reverse step as one out-of-place expression on the chained
+    denoiser: the oracle of the in-place `reverse_step`."""
+    coef_u0, coef_ut, variance = posterior_mean_coeffs(params.schedule, t)
+    pred = _chained_denoise(x, cond, t, params)
+    if omega > 0:
+        pred = (1.0 + omega) * pred - omega * _chained_denoise(x, uncond, t, params)
+    return coef_u0 * pred + coef_ut * x + math.sqrt(variance) * z
+
+
+def _step_inputs(p, B, seed):
+    """(x, cond, uncond, z) for a reverse step of B rows, in the model dtype,
+    z one row broadcast over them as a rollout passes it."""
+    dtype = p["null_token"].data.dtype
+    width = p["den_w0"].shape[0] - 2 * p["null_token"].shape[0]
+    rng = make_rng(seed, B)
+    x = rng.standard_normal((B, width)).astype(dtype)
+    cond = rng.standard_normal((B, p["null_token"].shape[0])).astype(dtype)
+    z = rng.standard_normal(width).astype(dtype)
+    return x, cond, _null(p, B), z
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("B", [1, 128])
+@pytest.mark.parametrize("size", [{}, {"d1": 16, "hidden": 64, "T": 50}],
+                         ids=["tiny", "c8"])
+def test_denoise_equals_the_out_of_place_chain(size, B, dtype):
+    # the layers' in-place bias and tanh and `dot` in place of `@` change no bit
+    p = _perturbed_params(dtype, 18, **size)
+    x, cond, _, _ = _step_inputs(p, B, 18)
+    for t in (1, 2, p.schedule.T):
+        got = denoise(x, cond, t, p).data
+        assert got.dtype == np.dtype(dtype)
+        assert got.tobytes() == _chained_denoise(x, cond, t, p).tobytes()
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("omega", [0.0, 0.5, 2.0])
+@pytest.mark.parametrize("B", [1, 3])
+def test_reverse_step_equals_the_out_of_place_formula(B, omega, dtype):
+    p = _perturbed_params(dtype, 19)
+    x, cond, uncond, z = _step_inputs(p, B, 19)
+    for t in (1, 2, p.schedule.T):
+        noise = z if t > 1 else np.zeros_like(z)
+        got = reverse_step(x, cond, uncond, t, omega, noise, p)
+        want = _out_of_place_step(x, cond, uncond, t, omega, noise, p)
+        assert got.dtype == want.dtype == np.dtype(dtype)
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("omega", [0.0, 2.0])
+@pytest.mark.parametrize("B", [1, 3])
+def test_reverse_step_writes_none_of_its_inputs(B, omega):
+    # the step works in place on its own prediction only
+    p = _perturbed_params("float32", 20)
+    inputs = _step_inputs(p, B, 20)
+    before = [a.tobytes() for a in inputs]
+    for t in (2, 1):
+        got = reverse_step(*inputs[:3], t, omega, inputs[3], p)
+        assert [a.tobytes() for a in inputs] == before
+        assert not any(np.shares_memory(got, a) for a in inputs)
