@@ -60,12 +60,12 @@ def denoise(x_t, cond, t, params: ModelParams) -> Tensor:
     for w, b in layers[:-1]:
         inputs.append(x)
         x = x.dot(w)  # the bits of x @ w, without matmul's gufunc dispatch
-        x += b
+        x += b[None]  # a (1, n) row: at B = 1 numpy adds without broadcasting
         np.tanh(x, out=x)
     inputs.append(x)
     w, b = layers[-1]
     x = x.dot(w)
-    x += b
+    x += b[None]
     if not graph:
         return Tensor(x)
     return _denoiser_node(x, x_t, cond, inputs, layers, params)
@@ -99,8 +99,10 @@ def reverse_step(x: np.ndarray, cond: np.ndarray, uncond: np.ndarray, t: int,
     The guided prediction is (1+omega)*conditional - omega*unconditional;
     omega = 0 calls the denoiser once, on cond alone, so it is exactly the
     conditional prediction. x and the caller's z (N(0, I) for t > 1, 0 at
-    t = 1) are in the model dtype. The step works in place on the new
-    array `denoise` returns, in the formula's order, and writes no input.
+    t = 1) are in the model dtype; z may be (B, d) or one (d,) row for
+    every state row (the rollout passes x's shape, so numpy adds it without
+    broadcasting). The step works in place on the new array `denoise`
+    returns, in the formula's order, and writes no input.
     """
     coef_u0, coef_ut, variance = posterior_mean_coeffs(params.schedule, t)
     pred = denoise(x, cond, t, params).data

@@ -46,10 +46,10 @@ def infer_user(u_init: np.ndarray, h, cfg: RunConfig, params: ModelParams,
     unchanged. The state holds the user's `user_emb` row, which for a
     cold-start user is never gathered in training and so is still its
     initialization draw. rng gives one `standard_normal` block of T'-1
-    rows of the state's width, row k the noise of the k-th step (the same
-    numbers as one draw per noisy step), cast to the state's dtype. The
-    steps run on plain arrays, without an autodiff graph, in the model
-    dtype.
+    (1, d) rows, the state's shape, row k the noise of the k-th step (the
+    same numbers as a (T'-1, d) draw, or one draw per noisy step), cast to
+    the state's dtype; t = 1 gets zeros of that shape. The steps run on
+    plain arrays, without an autodiff graph, in the model dtype.
     """
     t_prime = cfg.resolved_t_prime()
     pipeline = params.meta.pipeline
@@ -57,10 +57,10 @@ def infer_user(u_init: np.ndarray, h, cfg: RunConfig, params: ModelParams,
     null = params["null_token"].data[None, :]
     cond = h[None, :] if pipeline.guided else null
     omega = cfg.omega if pipeline.guided else 0.0
-    noise = rng.standard_normal((max(t_prime - 1, 0), x.shape[1]))
+    noise = rng.standard_normal((max(t_prime - 1, 0), *x.shape))
     noise = noise.astype(x.dtype, copy=False)
     for k, t in enumerate(range(t_prime, 0, -1)):
-        z = noise[k] if t > 1 else np.zeros(x.shape[1], x.dtype)
+        z = noise[k] if t > 1 else np.zeros(x.shape, x.dtype)
         x = reverse_step(x, cond, null, t, omega, z, params)
     return x[0]
 

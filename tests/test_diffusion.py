@@ -1,6 +1,9 @@
 """Forward corruption statistics, posterior recovery, the denoiser's
 clean-state prediction, and the guided reverse step."""
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -385,10 +388,14 @@ def test_reverse_step_equals_the_out_of_place_formula(B, omega, dtype):
     x, cond, uncond, z = _step_inputs(p, B, 19)
     for t in (1, 2, p.schedule.T):
         noise = z if t > 1 else np.zeros_like(z)
-        got = reverse_step(x, cond, uncond, t, omega, noise, p)
         want = _out_of_place_step(x, cond, uncond, t, omega, noise, p)
-        assert got.dtype == want.dtype == np.dtype(dtype)
-        assert got.tobytes() == want.tobytes()
+        # z as one (d,) row, as the tests pass it, or as a (1, d) row, as
+        # the rollout passes it at B = 1: the same bits either way
+        for z_row in (noise, noise[None, :]):
+            got = reverse_step(x, cond, uncond, t, omega, z_row, p)
+            assert got.dtype == want.dtype == np.dtype(dtype)
+            assert got.shape == want.shape == x.shape
+            assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("omega", [0.0, 2.0])
@@ -402,3 +409,17 @@ def test_reverse_step_writes_none_of_its_inputs(B, omega):
         got = reverse_step(*inputs[:3], t, omega, inputs[3], p)
         assert [a.tobytes() for a in inputs] == before
         assert not any(np.shares_memory(got, a) for a in inputs)
+
+
+def test_the_rollout_micro_benchmark_prints_its_columns():
+    # a smoke run of tools/rollout_micro.py on this checkout's src/
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "tools/rollout_micro.py", "--src", "src", "--calls", "20",
+         "--repeats", "1"], cwd=root, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    header, *rows = [line.split("\t") for line in proc.stdout.splitlines()]
+    assert header == ["src", "call", "us"]
+    assert [row[:2] for row in rows] == [
+        ["src", call] for call in ("denoise", "reverse_step_omega0", "reverse_step_omega2")]
+    assert all(float(row[2]) > 0 for row in rows)

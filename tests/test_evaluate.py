@@ -262,6 +262,29 @@ def test_a_rollout_stays_in_the_model_dtype(variant, ablation, dtype, t_prime, o
     assert {x.dtype for x in steps + rollouts} <= {np.dtype(dtype)}
 
 
+@pytest.mark.parametrize("omega", [0.0, 2.0])
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_the_rollout_passes_noise_of_the_states_shape_and_dtype(dtype, omega, monkeypatch):
+    # a (d,) noise row against the (1, d) state would still give the same
+    # bits, only through numpy's slower broadcasting add
+    src, tgt = toy_domains(n_overlap=10)
+    split = split_cold_start(src, tgt, 0.2, seed=1)
+    cfg = tiny_cfg(dtype=dtype, omega=omega)
+    p = init_params(cfg, len(user_universe(src, tgt)), src.n_items, tgt.n_items)
+    seen = []
+
+    def spy(x, cond, uncond, t, omega, z, params):
+        seen.append((t, z.shape == x.shape, z.dtype == x.dtype))
+        return reverse_step(x, cond, uncond, t, omega, z, params)
+
+    monkeypatch.setattr(evaluate_mod, "reverse_step", spy)
+    evaluate(p, src, tgt, split, cfg)
+    assert p.meta.pipeline.guided
+    assert len(seen) == len(split.cold_start_test) * cfg.T
+    assert {t for t, _, _ in seen} == set(range(1, cfg.T + 1))
+    assert all(same_shape and same_dtype for _, same_shape, same_dtype in seen)
+
+
 # worst over training seeds 0-29 x the 9 diffusing selectors x omega 0, 2
 # at T = 20: 5.2e-7 (a user's state) and 9.8e-9 (MAE); the bounds keep more
 # than 10x margin over both

@@ -401,6 +401,27 @@ def test_a_training_step_stays_in_the_model_dtype(variant, ablation, dtype):
     assert encode_history(p["item_emb_src"].data[[1, 2, 3]], p).dtype == dtype
 
 
+@pytest.mark.parametrize("n", [1, 6])
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_a_training_step_keeps_each_denoiser_bias_gradient_its_tensors_shape(
+        dtype, n, monkeypatch):
+    # `denoise` adds each bias as a (1, width) row; AdamState reads every
+    # gradient flat, so it would take a (1, width) gradient without notice
+    p = init_params(tiny_cfg(seed=11, dtype=dtype), 6, 8, 9)
+    state, seen = new_trainer_state(5), {}
+    update = state.optimizer.update
+
+    def recording(params, lr):
+        seen.update((name, t.grad.shape) for name, t in params.arrays.items()
+                    if name.startswith("den_b"))
+        update(params, lr)
+
+    monkeypatch.setattr(state.optimizer, "update", recording)
+    train_step(*toy_batch(p, n=n), p, state)
+    assert seen == {name: t.shape for name, t in p.arrays.items() if name.startswith("den_b")}
+    assert state.optimizer.step == 1
+
+
 # worst over 30 init and batch seeds x the 10 selectors: 1.8e-7 (loss) and
 # 4.3e-6 (a gradient); the bounds keep more than 10x margin over both
 LOSS_BOUND_F32 = 1e-5
