@@ -45,6 +45,13 @@ def _check_checkpoint(trained: ModelMeta, run: ModelMeta) -> None:
         raise CheckpointError("checkpoint does not match the config: " + "; ".join(problems))
 
 
+def _lint_and_train(source, target, split, cfg: RunConfig, label: str = ""):
+    """Print the config's lint warnings to stderr, each prefixed by `label`, then train."""
+    for warning in lint_pipeline(SELECTORS[cfg.variant, cfg.ablation], cfg.eta):
+        click.echo(f"warning: {label}{warning}", err=True)
+    return train(source, target, split, cfg)
+
+
 def _emit_table(text: str, out) -> None:
     """Print a TSV table and, when out is given, write it there too."""
     click.echo(text, nl=False)
@@ -106,9 +113,7 @@ def cmd_train(config_path, seed, fraction, variant, out_dir):
         except OSError as exc:
             raise ConfigurationError(f"cannot create --out directory {path!r}: "
                                      f"{exc.strerror}") from exc
-    for warning in lint_pipeline(SELECTORS[cfg.variant, cfg.ablation], cfg.eta):
-        click.echo(f"warning: {warning}", err=True)
-    params, history = train(source, target, split, cfg)
+    params, history = _lint_and_train(source, target, split, cfg)
     save_checkpoint(params, checkpoint_dir)
     data_mod.write_atomic(os.path.join(out_dir, "loss.tsv"), loss_history_tsv(history))
     data_mod.write_split_manifest(split, os.path.join(out_dir, "split.tsv"))
@@ -154,38 +159,43 @@ def cmd_schedule_dump(T, eta, alpha_min, alpha_max, out):
     """Emit t, beta_t, alpha_bar_t, beta_tilde_t as TSV."""
     RunConfig(T=T, eta=eta, alpha_min=alpha_min, alpha_max=alpha_max).validate()
     s = schedule_mod.build_schedule(T, eta, alpha_min, alpha_max)
-    text = schedule_mod.dump_tsv(s)
-    if out:
-        data_mod.write_atomic(out, text)
-    else:
-        click.echo(text, nl=False)
+    _emit_table(schedule_mod.dump_tsv(s), out)
 
 
-SWEEP_AXES = {"t_prime": "t_prime", "omega": "omega", "eta": "eta", "T": "T",
-              "history_len": "max_history_len"}
+# sweep axis -> the config keys that one of its values sets, written
+# key/key/... in that order
+SWEEP_AXES = {"t_prime": ("t_prime",), "omega": ("omega",), "eta": ("eta",), "T": ("T",),
+              "history_len": ("max_history_len",), "selector": ("variant", "ablation")}
 
 
 @main.command("sweep")
 @click.option("--config", "config_path", required=True, type=click.Path())
 @click.option("--sweep-axis", type=click.Choice(list(SWEEP_AXES)), required=True)
 @click.option("--sweep-values", required=True,
-              help="Comma-separated values, e.g. '0,1,2,3,4,5'.")
+              help="Comma-separated values, e.g. '0,1,2,3,4,5' or '0/none,2/none'.")
 @click.option("--seed", type=int, default=None)
 @click.option("--out", type=click.Path(), default=None)
 def cmd_sweep(config_path, sweep_axis, sweep_values, seed, out):
-    """Train/evaluate over one hyper-parameter axis; one TSV row per value.
+    """Train/evaluate over one axis; one TSV row per value.
 
-    Every value is checked before any data is loaded; one error lists every
-    bad value, and a list with no values is an error. Axes in EVAL_FREE_KEYS
-    (t_prime, omega) train once and re-evaluate."""
+    A selector value is a `variant/ablation` key of variants.SELECTORS,
+    such as 0/none or 2/none. Every value is checked before any data is
+    loaded; one error lists every bad value, and a list with no values is
+    an error. Axes in EVAL_FREE_KEYS (t_prime, omega) train once and
+    re-evaluate; the others train once per value on the base config's
+    split."""
     base = load_config(config_path, seed=seed)
-    name = SWEEP_AXES[sweep_axis]
+    keys = SWEEP_AXES[sweep_axis]
     configs, problems = [], []
     for raw in (v.strip() for v in sweep_values.split(",")):
         if not raw:
             continue
+        parts = raw.split("/")
+        if len(parts) != len(keys):
+            problems.append(f"{sweep_axis} = {raw}: not of the form {'/'.join(keys)}")
+            continue
         try:
-            cfg = replace(base, **{name: _coerce(name, raw)})
+            cfg = replace(base, **{k: _coerce(k, p) for k, p in zip(keys, parts)})
             cfg.validate()
         except ConfigurationError as exc:
             problems.append(f"{sweep_axis} = {raw}: {exc}")
@@ -197,37 +207,16 @@ def cmd_sweep(config_path, sweep_axis, sweep_values, seed, out):
         raise ConfigurationError(f"no sweep values in {sweep_values!r}")
     source, target, split = _load_run(base)
     rows = ["value\tmae\trmse\tn"]
-    inference_only = name in EVAL_FREE_KEYS
+    inference_only = set(keys) <= set(EVAL_FREE_KEYS)
     params = None
     if inference_only:
-        params, _ = train(source, target, split, base)
+        params, _ = _lint_and_train(source, target, split, base)
     for raw, cfg in configs:
         run_params = params
         if not inference_only:
-            run_params, _ = train(source, target, split, cfg)
+            run_params, _ = _lint_and_train(source, target, split, cfg, f"{sweep_axis} = {raw}: ")
         report = evaluate(run_params, source, target, split, cfg)
         rows.append(f"{raw}\t{report.mae:.6f}\t{report.rmse:.6f}\t{report.n_predictions}")
-    _emit_table("\n".join(rows) + "\n", out)
-
-
-@main.command("variant-bench")
-@click.option("--config", "config_path", required=True, type=click.Path())
-@click.option("--seed", type=int, default=None)
-@click.option("--out", type=click.Path(), default=None)
-def cmd_variant_bench(config_path, seed, out):
-    """Train and evaluate all six comparison wirings under one budget."""
-    base = load_config(config_path, seed=seed)
-    source, target, split = _load_run(base)
-    rows = ["variant\tmae\trmse\tn"]
-    for (vid, ablation), pipeline in SELECTORS.items():
-        if vid == 0:    # the full model and its ablations
-            continue
-        cfg = replace(base, variant=vid, ablation=ablation)
-        for warning in lint_pipeline(pipeline, base.eta):
-            click.echo(f"warning (variant {vid}): {warning}", err=True)
-        params, _ = train(source, target, split, cfg)
-        report = evaluate(params, source, target, split, replace(cfg, omega=0.0))
-        rows.append(f"{vid}\t{report.mae:.6f}\t{report.rmse:.6f}\t{report.n_predictions}")
     _emit_table("\n".join(rows) + "\n", out)
 
 

@@ -109,8 +109,7 @@ def test_a_config_that_is_a_directory_is_one_error_line(main_checkpoint, tmp_pat
 
 
 @pytest.mark.parametrize("option", ["train-config", "eval-config", "sweep-config",
-                                    "variant-bench-config", "eval-checkpoint",
-                                    "ingest-source", "ingest-target"])
+                                    "eval-checkpoint", "ingest-source", "ingest-target"])
 def test_a_missing_input_path_is_one_error_line(main_checkpoint, run_config, data_files,
                                                 tmp_path, monkeypatch, option):
     # Click refused each with exit code 2 and its usage text, while a
@@ -123,8 +122,6 @@ def test_a_missing_input_path_is_one_error_line(main_checkpoint, run_config, dat
                         "ConfigurationError", "missing"),
         "sweep-config": (["sweep", "--config", "missing", "--sweep-axis", "omega",
                           "--sweep-values", "0,1"], "ConfigurationError", "missing"),
-        "variant-bench-config": (["variant-bench", "--config", "missing"],
-                                 "ConfigurationError", "missing"),
         "eval-checkpoint": (["eval", "--checkpoint", "missing", "--config", run_config],
                             "CheckpointError", os.path.join("missing", "manifest.tsv")),
         "ingest-source": (["ingest", "missing", data_files[1]], "DataError", "missing"),
@@ -199,10 +196,12 @@ def test_train_checkpoint_path_that_is_a_file_is_one_error_line(run_config, tmp_
 
 def test_schedule_dump(tmp_path):
     out = tmp_path / "sched.tsv"
-    invoke("schedule-dump", "--steps", "6", "--eta", "0.5", "--out", str(out))
+    result = invoke("schedule-dump", "--steps", "6", "--eta", "0.5", "--out", str(out))
     lines = out.read_text().strip().split("\n")
     assert lines[0] == "t\tbeta\talpha_bar\tbeta_tilde"
     assert len(lines) == 7
+    # --out also echoes the table, as every table command does
+    assert result.stdout == out.read_text()
 
 
 def test_schedule_dump_lists_every_bad_option():
@@ -283,19 +282,24 @@ def test_sweep_training_axis(run_config, tmp_path):
     assert len(lines) == 3
 
 
-@pytest.mark.parametrize("values,bad,good", [
-    ("6,0,-3", ["T = 0: T must be >= 1", "T = -3: T must be >= 1"], "T = 6"),
-    ("4.5", ["T = 4.5: key 'T': cannot parse '4.5' as int"], None),
-], ids=["zero_and_negative_T", "fractional_T"])
+@pytest.mark.parametrize("axis,values,bad,good", [
+    ("T", "6,0,-3", ["T = 0: T must be >= 1", "T = -3: T must be >= 1"], "T = 6"),
+    ("T", "4.5", ["T = 4.5: key 'T': cannot parse '4.5' as int"], None),
+    ("selector", "0/none,7/none,0/bogus,x/none,2",
+     ["selector = 7/none: (variant, ablation) = (7, 'none') is not one of",
+      "selector = 0/bogus: (variant, ablation) = (0, 'bogus') is not one of",
+      "selector = x/none: key 'variant': cannot parse 'x' as int",
+      "selector = 2: not of the form variant/ablation"], "selector = 0/none"),
+], ids=["zero_and_negative_T", "fractional_T", "bad_selectors"])
 def test_sweep_rejects_bad_values_before_any_work(run_config, monkeypatch,
-                                                  values, bad, good):
+                                                  axis, values, bad, good):
     # every bad value is named in one error, and no data is loaded and no
     # model trained before it is raised
     work = []
     monkeypatch.setattr("prefdiff.cli._load_run", lambda *a: work.append("load"))
     monkeypatch.setattr("prefdiff.cli.train", lambda *a: work.append("train"))
     result = CliRunner().invoke(main, ["sweep", "--config", run_config,
-                                       "--sweep-axis", "T", "--sweep-values", values])
+                                       "--sweep-axis", axis, "--sweep-values", values])
     message = error_line(result, "ConfigurationError")
     assert all(problem in message for problem in bad), message
     assert good is None or good not in message
@@ -312,13 +316,43 @@ def test_sweep_rejects_an_empty_value_list(run_config, monkeypatch):
     assert work == []
 
 
-def test_variant_bench_six_rows(run_config, tmp_path):
-    out = tmp_path / "bench.tsv"
-    invoke("variant-bench", "--config", run_config, "--seed", "3",
-           "--out", str(out))
+def test_selector_sweep_rows_equal_train_and_eval(run_config, tmp_path):
+    # a guided (0/none) and an unguided (2/none) row at the config's
+    # omega = 1: each is the row that train plus eval give at that selector
+    out = tmp_path / "sweep.tsv"
+    invoke("sweep", "--config", run_config, "--sweep-axis", "selector",
+           "--sweep-values", "0/none,2/none", "--seed", "3", "--out", str(out))
     lines = out.read_text().strip().split("\n")
-    assert lines[0] == "variant\tmae\trmse\tn"
-    assert [row.split("\t")[0] for row in lines[1:]] == ["1", "2", "3", "4", "5", "6"]
+    assert lines[0] == "value\tmae\trmse\tn"
+    assert [row.split("\t")[0] for row in lines[1:]] == ["0/none", "2/none"]
+    for row, variant in zip(lines[1:], ("0", "2")):
+        conf = _with_keys(run_config, tmp_path, f"variant = {variant}\n")
+        run = tmp_path / f"v{variant}"
+        invoke("train", "--config", str(conf), "--seed", "3", "--out", str(run))
+        report = tmp_path / f"v{variant}.tsv"
+        invoke("eval", "--checkpoint", str(run / "checkpoint"), "--config", str(conf),
+               "--seed", "3", "--out", str(report))
+        metric = dict(line.split("\t") for line in report.read_text().splitlines()[1:])
+        assert row.split("\t")[1:] == [f"{float(metric['mae']):.6f}",
+                                       f"{float(metric['rmse']):.6f}",
+                                       metric["n_predictions"]]
+
+
+@pytest.mark.parametrize("command,label", [
+    (["train", "--out", "out"], ""),
+    (["sweep", "--sweep-axis", "eta", "--sweep-values", "0.9"], "eta = 0.9: "),
+    (["sweep", "--sweep-axis", "selector", "--sweep-values", "2/none"], "selector = 2/none: "),
+], ids=["train", "sweep-eta", "sweep-selector"])
+def test_every_trained_config_is_linted(run_config, tmp_path, monkeypatch, command, label):
+    # variant 2 noises its guidance signal, so eta = 0.9 draws the lint
+    # warning; a sweep's warning names its value. The eta sweep's base
+    # config keeps the default eta, so only the swept value can draw it
+    monkeypatch.chdir(tmp_path)
+    eta = "" if "eta" in command else "eta = 0.9\n"
+    conf = _with_keys(run_config, tmp_path, "variant = 2\n" + eta)
+    result = invoke(command[0], "--config", str(conf), *command[1:])
+    assert f"warning: {label}eta=0.9 > 0.5 while the forward process noises the " \
+           "guidance signal" in result.stderr, result.stderr
 
 
 def test_train_variant_override(run_config, tmp_path):

@@ -2,12 +2,15 @@
 evaluate write: `prefdiff ingest --out` on both input pairs,
 `prefdiff train` and `prefdiff eval --per-user` over all ten model
 selectors, the main model at float64 and the main model under the
-variance-weighted diffusion loss, `prefdiff sweep` on each of its five
-axes, and `prefdiff variant-bench`.
+variance-weighted diffusion loss, and `prefdiff sweep` on each of its six
+axes, the selector axis over all ten model selectors.
 
     python3 tools/output_digest.py > digest.tsv
     python3 tools/output_digest.py --src ../other-checkout/src > other.tsv
     diff digest.tsv other.tsv
+
+A checkout whose `sweep` has no `selector` axis is digested by its own
+copy of this script, not through `--src`.
 
 For each selector (variants 0-6 and the ablations no_tf, no_gs, no_dm) at
 the default dtype float32, for the main model (variant 0) at float64, and
@@ -15,12 +18,12 @@ for the main model at float32 with `loss_weighting = variance_weighted`,
 the script trains once and evaluates at t_prime 0, 1 and T, each at omega 0
 and 2, on `synthetic.generate_pair(n_users=2000, n_items=300,
 ratings_per_user=10, seed=5)` with d1=16, T=50, max_history_len=10,
-1 epoch, seed 3. The sweeps and the variant bench run on a smaller pair,
+1 epoch, seed 3. The sweeps run on a smaller pair,
 `generate_pair(n_users=200, n_items=40, ratings_per_user=5, seed=6)`, with
 d1=8, T=10, max_history_len=5, omega 2, 1 epoch, seed 3, so the run stays
 short; each sweep takes the values in `SWEEPS`, and the training axes (eta,
-T, history_len) train once per value. The commands run in-process through
-`prefdiff.cli.main` with one BLAS thread, in a temporary directory that is
+T, history_len, selector) train once per value. The commands run in-process
+through `prefdiff.cli.main` with one BLAS thread, in a temporary directory that is
 the current directory, so the configs hold relative paths; their own
 messages go to standard error. Each output line is `path<TAB>sha256` for one file of the
 directory (inputs, configs and outputs), sorted by path, 301 lines in all; identical output at two commits means
@@ -59,7 +62,8 @@ SMALL_CONFIG = ("source_path = small_source.tsv\ntarget_path = small_target.tsv\
                 "d1 = 8\nT = 10\nmax_history_len = 5\nepochs = 1\nseed = 3\n"
                 "omega = 2.0\n")
 SWEEPS = {"t_prime": "0,1,5,10", "omega": "0,1,2", "eta": "0.1,0.5",
-          "T": "5,10", "history_len": "3,5"}
+          "T": "5,10", "history_len": "3,5",
+          "selector": ",".join(f"{v}/{a}" for v, a in SELECTORS)}
 
 
 def run_all(work: Path) -> None:
@@ -93,7 +97,6 @@ def run_all(work: Path) -> None:
     for axis, values in SWEEPS.items():
         cli("sweep", "--config", "small.conf", "--sweep-axis", axis,
             "--sweep-values", values, "--out", f"sweep_{axis}.tsv")
-    cli("variant-bench", "--config", "small.conf", "--out", "variant_bench.tsv")
 
 
 def digests(work: Path) -> list[str]:
